@@ -503,11 +503,14 @@ CompressedCache::invalidateScGeneration(std::uint32_t current_generation)
 }
 
 void
-CompressedCache::invalidateSampleMismatch(std::uint32_t stride,
-                                          std::uint32_t n_modes,
-                                          CompressorId keep)
+CompressedCache::invalidateSampleMismatch(
+    const DuelingModeSelector &selector)
 {
-    domain_.invalidateSampleMismatch(stride, n_modes, keep);
+    domain_.invalidateSampleMismatch(
+        [&selector](std::uint32_t set) {
+            return selector.dedicatedIndex(set) >= 0;
+        },
+        selector.winner());
 }
 
 void

@@ -26,6 +26,7 @@
 #include "compress/compression_domain.hh"
 #include "compress/engines.hh"
 #include "l1_stage.hh"
+#include "mem/dueling_selector.hh"
 #include "mem/l2cache.hh"
 #include "mem/memory_image.hh"
 #include "mem/mshr.hh"
@@ -163,6 +164,8 @@ class CompressedCache : public StatGroup
     }
 
     // --- Introspection for the policies and experiments ---
+    /** The tag/sub-block store and decompression queues. */
+    const CompressionDomain &domain() const { return domain_; }
     /** Sum of the *uncompressed* size of all valid lines (Figure 16). */
     std::uint64_t effectiveCapacityBytes() const;
     /** Sub-blocks currently allocated. */
@@ -185,14 +188,12 @@ class CompressedCache : public StatGroup
     void invalidateScGeneration(std::uint32_t current_generation);
 
     /**
-     * Drop compressed lines left in the sampling sets (set % stride <
-     * n_modes) that are neither uncompressed nor in @p keep mode. Called
-     * by adaptive policies when sampling deactivates so stale sampled
+     * Drop compressed lines left in @p selector's dedicated sets that
+     * are neither uncompressed nor in its winner mode. Called by
+     * adaptive policies when sampling deactivates so stale sampled
      * lines stop paying decompression latency on every hit.
      */
-    void invalidateSampleMismatch(std::uint32_t stride,
-                                  std::uint32_t n_modes,
-                                  CompressorId keep);
+    void invalidateSampleMismatch(const DuelingModeSelector &selector);
 
     /** Drop everything (between kernels / runs). */
     void invalidateAll();

@@ -233,12 +233,11 @@ CompressionDomain::invalidateScGeneration(std::uint32_t current_generation)
 }
 
 void
-CompressionDomain::invalidateSampleMismatch(std::uint32_t stride,
-                                            std::uint32_t n_modes,
-                                            CompressorId keep)
+CompressionDomain::invalidateSampleMismatch(
+    const std::function<bool(std::uint32_t)> &sampled, CompressorId keep)
 {
     for (std::uint32_t set = 0; set < numSets_; ++set) {
-        if (set % stride >= n_modes)
+        if (!sampled(set))
             continue;
         TagEntry *ways = setBase(set);
         for (std::uint32_t w = 0; w < tagsPerSet_; ++w) {

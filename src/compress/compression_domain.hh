@@ -13,6 +13,7 @@
 #define LATTE_COMPRESS_COMPRESSION_DOMAIN_HH
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/config.hh"
@@ -136,11 +137,12 @@ class CompressionDomain
     std::uint64_t invalidateScGeneration(std::uint32_t current_generation);
 
     /**
-     * Drop compressed lines left in the sampling sets (set % stride <
-     * n_modes) that are neither uncompressed nor in @p keep mode.
+     * Drop compressed lines left in the sampling sets (those @p sampled
+     * accepts) that are neither uncompressed nor in @p keep mode.
      */
-    void invalidateSampleMismatch(std::uint32_t stride,
-                                  std::uint32_t n_modes, CompressorId keep);
+    void invalidateSampleMismatch(
+        const std::function<bool(std::uint32_t)> &sampled,
+        CompressorId keep);
 
     /** Drop every line and drain every queue (between kernels / runs). */
     void invalidateAll();

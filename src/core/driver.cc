@@ -21,11 +21,9 @@ struct PolicyEntry
     std::unique_ptr<Policy> (*make)(const GpuConfig &cfg);
     /**
      * Optional config rewrite a multi-level row implies (e.g. L2-LATTE
-     * turns the compressed L2 on). run() applies it to a copy of the
-     * request before anything else; returns whether it changed the
-     * config, so an already-adjusted request passes through untouched.
+     * turns the compressed L2 on); see runOptions().
      */
-    bool (*adjust)(GpuConfig &cfg) = nullptr;
+    void (*adjust)(GpuConfig &cfg) = nullptr;
 };
 
 template <CompressorId mode>
@@ -62,22 +60,17 @@ makeLatteCcBdiBpc(const GpuConfig &cfg)
                                        CompressorId::Bpc});
 }
 
-bool
+void
 adjustL2StaticBdi(GpuConfig &cfg)
 {
-    const bool changed = cfg.l2.compress != LevelCompress::Static ||
-                         cfg.l2.staticAlgo != CompressorId::Bdi;
     cfg.l2.compress = LevelCompress::Static;
     cfg.l2.staticAlgo = CompressorId::Bdi;
-    return changed;
 }
 
-bool
+void
 adjustL2Latte(GpuConfig &cfg)
 {
-    const bool changed = cfg.l2.compress != LevelCompress::Latte;
     cfg.l2.compress = LevelCompress::Latte;
-    return changed;
 }
 
 constexpr PolicyEntry kPolicyTable[] = {
@@ -200,6 +193,17 @@ policyKindFromName(const std::string &name)
             return &entry.kind;
     }
     return nullptr;
+}
+
+DriverOptions
+runOptions(const RunRequest &request)
+{
+    DriverOptions options = request.options;
+    if (const auto *kind = std::get_if<PolicyKind>(&request.policy)) {
+        if (const auto adjust = policyEntry(*kind).adjust)
+            adjust(options.cfg);
+    }
+    return options;
 }
 
 std::unique_ptr<Policy>
@@ -509,19 +513,12 @@ runKernelOpt(const RunRequest &request)
 } // namespace
 
 RunOutcome
-run(const RunRequest &request)
+run(const RunRequest &original)
 {
     // Multi-level catalogue rows imply a config rewrite (turning the
-    // compressed L2 on). Re-enter with the adjusted copy; the second
-    // pass sees nothing left to change and runs it.
-    if (const auto *kind = std::get_if<PolicyKind>(&request.policy)) {
-        const PolicyEntry &entry = policyEntry(*kind);
-        if (entry.adjust) {
-            RunRequest adjusted = request;
-            if (entry.adjust(adjusted.options.cfg))
-                return run(adjusted);
-        }
-    }
+    // compressed L2 on); the cell runs with the rewritten options.
+    RunRequest request = original;
+    request.options = runOptions(original);
     if (request.workload == nullptr) {
         return RunOutcome::failure(cellError(
             request, RunErrorCode::InvalidRequest,

@@ -212,6 +212,12 @@ struct RunRequest
 std::string runRequestLabel(const RunRequest &request);
 
 /**
+ * The options @p request simulates with: its own, after the catalogue
+ * row's config rewrite (L2-LATTE turns the compressed L2 on).
+ */
+DriverOptions runOptions(const RunRequest &request);
+
+/**
  * The outcome of one run(): a status, a structured error (code None
  * when ok) and the result when one was produced. The sweep runner adds
  * the retry bookkeeping: attempts > 1 with status Ok is the

@@ -10,6 +10,7 @@
 
 #include <memory>
 
+#include "mem/dueling_selector.hh"
 #include "policy.hh"
 
 namespace latte
@@ -21,7 +22,9 @@ class StaticPolicy : public Policy
   public:
     StaticPolicy(const GpuConfig &cfg, CompressorId mode)
         : Policy(cfg), mode_(mode)
-    {}
+    {
+        usesSc_ = mode == CompressorId::Sc;
+    }
 
     std::string
     name() const override
@@ -34,19 +37,15 @@ class StaticPolicy : public Policy
     CompressorId modeForInsertion(std::uint32_t) override { return mode_; }
     CompressorId currentMode() const override { return mode_; }
 
-  protected:
-    void onEpBoundary(Cycles now, double tolerance,
-                      bool period_end) override;
-    bool scTrainingActive() const override;
-
   private:
     CompressorId mode_;
-    bool firstScBuildDone_ = false;
 };
 
 /**
  * LATTE-CC (Section III): set-sampling capacity estimation, per-EP
- * latency tolerance, AMAT_GPU-minimising mode selection.
+ * latency tolerance, AMAT_GPU-minimising mode selection. The decision
+ * itself is the shared DuelingModeSelector; this class adds the L1's
+ * sampling back-off and the mismatch flush.
  */
 class LatteCcPolicy : public Policy
 {
@@ -69,31 +68,29 @@ class LatteCcPolicy : public Policy
     void bind(CompressedCache *cache, CompressionEngines *engines,
               LatencyToleranceMeter *meter) override;
 
-    CompressorId modeForInsertion(std::uint32_t set_index) override;
-    CompressorId currentMode() const override { return winner_; }
+    CompressorId
+    modeForInsertion(std::uint32_t set_index) override
+    {
+        return selector_.modeForInsertion(set_index, samplingActive());
+    }
+    CompressorId currentMode() const override { return selector_.winner(); }
+    std::uint64_t modeChanges() const override
+    {
+        return selector_.modeChanges();
+    }
+    double lastVoteMargin() const override { return selector_.voteMargin(); }
 
-    /** Sampling counters for the current period (for tests). */
-    std::uint64_t hitCount(std::size_t mode_idx) const
-    {
-        return nHit_[mode_idx];
-    }
-    std::uint64_t missCount(std::size_t mode_idx) const
-    {
-        return nMiss_[mode_idx];
-    }
+    /** The mode decision, with its sampling counters. */
+    const DuelingModeSelector &selector() const { return selector_; }
 
   protected:
     void onAccess(const AccessEvent &event) override;
     void onEpBoundary(Cycles now, double tolerance,
                       bool period_end) override;
     void annotateTracePoint(PolicyTracePoint &point) override;
-    bool scTrainingActive() const override;
 
-    /** Pick the AMAT_GPU-minimising mode; overridable by baselines. */
-    virtual void chooseWinner(Cycles now, double tolerance);
-
-    /** Dedicated-set mapping: mode index for @p set_index or -1. */
-    int dedicatedModeIndex(std::uint32_t set_index) const;
+    /** This EP's decision (overridable by baselines); true on a switch. */
+    virtual bool chooseWinner(Cycles now, double tolerance);
 
     /**
      * True while dedicated sets actively insert with their sampling
@@ -104,21 +101,11 @@ class LatteCcPolicy : public Policy
      */
     bool samplingActive() const;
 
-    std::vector<CompressorId> modes_;
+    DuelingModeSelector selector_;
     bool useTolerance_;
-    bool usesSc_ = false;
-    std::uint32_t stride_ = 8;
-    CompressorId winner_ = CompressorId::None;
-    std::vector<std::uint64_t> nHit_;
-    std::vector<std::uint64_t> nMiss_;
-    bool firstScBuildDone_ = false;
     std::uint32_t stablePeriods_ = 0;
     bool winnerChanged_ = false;
     double prevTolerance_ = 0;
-    CompressorId pendingWinner_ = CompressorId::None;
-
-    /** Minimum dedicated-set samples before trusting a mode's counters. */
-    static constexpr std::uint64_t kMinSamples = 8;
 };
 
 /**
@@ -136,7 +123,7 @@ class AdaptiveHitCountPolicy : public LatteCcPolicy
     std::string name() const override { return "Adaptive-Hit-Count"; }
 
   protected:
-    void chooseWinner(Cycles now, double tolerance) override;
+    bool chooseWinner(Cycles now, double tolerance) override;
 };
 
 /**

@@ -102,6 +102,8 @@ class Policy : public CompressionModeProvider
             const double tolerance = meter_ ? meter_->harvest() : 0.0;
             lastTolerance_ = tolerance;
             onEpBoundary(now, tolerance, events.periodBoundary);
+            if (usesSc_)
+                manageScCodes(now, events.periodBoundary);
 
             PolicyTracePoint point;
             point.cycle = now;
@@ -130,7 +132,7 @@ class Policy : public CompressionModeProvider
                      CompressorId mode,
                      std::span<const std::uint8_t> data) override
     {
-        if (scTrainingActive())
+        if (usesSc_ && scTrainingWindow())
             engines_->sc.trainLine(data);
         onInsertion(now, set_index, mode, data);
     }
@@ -152,14 +154,14 @@ class Policy : public CompressionModeProvider
     double lastTolerance() const { return lastTolerance_; }
 
     /** Times the winner mode changed (== ModeChange trace events). */
-    std::uint64_t modeChanges() const { return modeChanges_; }
+    virtual std::uint64_t modeChanges() const { return 0; }
 
     /**
      * AMAT margin between the runner-up and the winner at the most
      * recent sampler vote (0 until a vote with two eligible modes
      * happened). Larger means a more decisive vote.
      */
-    double lastVoteMargin() const { return lastVoteMargin_; }
+    virtual double lastVoteMargin() const { return 0; }
 
     const EpClock &epClock() const { return clock_; }
 
@@ -183,17 +185,6 @@ class Policy : public CompressionModeProvider
     /** Called at every EP boundary with the fresh tolerance estimate. */
     virtual void onEpBoundary(Cycles, double, bool) {}
 
-    /**
-     * True while the SC value-frequency table should sample insertions:
-     * the first EP of the first period and the final EP of every period
-     * (Section IV-C2). Policies that never use SC return false.
-     */
-    virtual bool
-    scTrainingActive() const
-    {
-        return false;
-    }
-
     /** Rebuild SC codes and invalidate lines of retired generations. */
     void
     rebuildScCodes(Cycles now)
@@ -205,6 +196,34 @@ class Policy : public CompressionModeProvider
                 now, TraceEventKind::ScRebuild, traceSmId_);
             ev.arg0 = generation;
             tracer_->record(ev);
+        }
+    }
+
+    /**
+     * True while the SC value-frequency table samples insertions: the
+     * first EP of the first period and the final EP of every period
+     * (Section IV-C2).
+     */
+    bool
+    scTrainingWindow() const
+    {
+        return (clock_.periodIndex() == 0 && clock_.epInPeriod() == 0) ||
+               clock_.inFinalEp();
+    }
+
+    /**
+     * Build the first code book as soon as the first (training) EP
+     * closes, then reconsider it at every period boundary, after the
+     * VFT retrained during the period's final EP.
+     */
+    void
+    manageScCodes(Cycles now, bool period_end)
+    {
+        if (!firstScBuildDone_) {
+            rebuildScCodes(now);
+            firstScBuildDone_ = true;
+        } else if (period_end) {
+            maybeRebuildScCodes(now);
         }
     }
 
@@ -243,25 +262,6 @@ class Policy : public CompressionModeProvider
             sc.discardVft();
     }
 
-    /**
-     * Effective hit latency a hit under @p mode would see right now
-     * (Eq. 3): base hit latency plus decompression pipeline plus the
-     * expected decompression-queue wait.
-     */
-    double
-    effectiveHitLatency(CompressorId mode, Cycles now) const
-    {
-        double lat = static_cast<double>(cfg_.l1.hitLatency);
-        if (mode != CompressorId::None) {
-            const auto *engine =
-                const_cast<CompressionEngines *>(engines_)->get(mode);
-            lat += static_cast<double>(engine->decompressLatency());
-            lat += static_cast<double>(
-                       cache_->queueFor(mode).expectedPos(now)) + 1.0;
-        }
-        return lat;
-    }
-
     /** Rolling estimate of the miss service latency. */
     double
     estimatedMissLatency()
@@ -285,10 +285,9 @@ class Policy : public CompressionModeProvider
 
     const GpuConfig &cfg_;
     EpClock clock_;
-    /** Bookkeeping for the metrics gauges; never feeds back into
-     *  decisions, so attaching metrics cannot perturb results. */
-    std::uint64_t modeChanges_ = 0;
-    double lastVoteMargin_ = 0;
+    /** Set by policies that may insert SC lines: the base then trains
+     *  the VFT and manages SC code books at EP boundaries. */
+    bool usesSc_ = false;
     CompressedCache *cache_ = nullptr;
     CompressionEngines *engines_ = nullptr;
     LatencyToleranceMeter *meter_ = nullptr;
@@ -296,6 +295,7 @@ class Policy : public CompressionModeProvider
     std::uint16_t traceSmId_ = kNoTraceSm;
 
   private:
+    bool firstScBuildDone_ = false;
     std::array<std::uint64_t, kNumModes> modeAccesses_{};
     std::vector<PolicyTracePoint> trace_;
     double lastTolerance_ = 0;

@@ -2,40 +2,30 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
-
 namespace latte
 {
 
+namespace
+{
+
+/** SC is not a candidate below the L1 (see the file comment). */
+constexpr CompressorId kL2Candidates[] = {
+    CompressorId::None, CompressorId::Bdi, CompressorId::Bpc};
+
+} // namespace
+
 L2CompressionController::L2CompressionController(const GpuConfig &cfg)
-    : cfg_(cfg), clock_(cfg.latte)
+    : cfg_(cfg), clock_(cfg.latte),
+      selector_(kL2Candidates, TraceEventKind::L2SamplerVote,
+                TraceEventKind::L2ModeChange)
 {}
 
 void
 L2CompressionController::bind(CompressionDomain *domain,
                               CompressionEngines *engines)
 {
-    latte_assert(domain && engines);
-    domain_ = domain;
-    engines_ = engines;
-    stride_ = std::max(
-        1u, domain->numSets() / cfg_.latte.dedicatedSetsPerMode);
-}
-
-int
-L2CompressionController::dedicatedModeIndex(std::uint32_t set_index) const
-{
-    const std::uint32_t pos = set_index % stride_;
-    return pos < modes_.size() ? static_cast<int>(pos) : -1;
-}
-
-CompressorId
-L2CompressionController::modeForInsertion(std::uint32_t set_index) const
-{
-    const int dedicated = dedicatedModeIndex(set_index);
-    return dedicated >= 0
-               ? modes_[static_cast<std::size_t>(dedicated)]
-               : winner_;
+    selector_.bind(domain->numSets(), cfg_.latte.dedicatedSetsPerMode,
+                   cfg_.l2.minLatency, domain, engines);
 }
 
 void
@@ -45,15 +35,7 @@ L2CompressionController::observeAccess(Cycles now,
                                        double service_cycles)
 {
     if (!is_write) {
-        const int dedicated = dedicatedModeIndex(set_index);
-        if (dedicated >= 0) {
-            const auto k = static_cast<std::size_t>(
-                modes_[static_cast<std::size_t>(dedicated)]);
-            if (hit)
-                ++nHit_[k];
-            else
-                ++nMiss_[k];
-        }
+        selector_.count(set_index, hit);
         if (hit) {
             hitLatSum_ += service_cycles;
             ++hitLatN_;
@@ -95,109 +77,22 @@ L2CompressionController::onEpBoundary(Cycles now)
         std::max(0.0, miss_mean - hit_mean) * miss_rate;
     lastTolerance_ = tolerance;
 
-    chooseWinner(now, tolerance, miss_mean);
+    selector_.vote(now, tolerance, miss_mean, tracer_, kNoTraceSm);
 
-    trace_.push_back({now, tolerance, winner_});
+    trace_.push_back({now, tolerance, selector_.winner()});
     if (tracer_) {
         TraceEvent ev =
             makeTraceEvent(now, TraceEventKind::L2EpBoundary);
-        ev.mode = static_cast<std::uint8_t>(winner_);
+        ev.mode = static_cast<std::uint8_t>(selector_.winner());
         ev.value = tolerance;
         tracer_->record(ev);
     }
 
-    // Decay the dueling counters (same 3/4 window the L1 uses) and
-    // reset the EP-local latency accumulators.
-    for (std::size_t k = 0; k < kNumCompressorIds; ++k) {
-        nHit_[k] -= nHit_[k] / 4;
-        nMiss_[k] -= nMiss_[k] / 4;
-    }
+    selector_.decay();
     hitLatSum_ = 0;
     hitLatN_ = 0;
     missLatSum_ = 0;
     missLatN_ = 0;
-}
-
-void
-L2CompressionController::chooseWinner(Cycles now, double tolerance,
-                                      double miss_latency)
-{
-    constexpr std::uint64_t kMinSamples = 8;
-
-    std::array<double, 3> amat{};
-    std::array<bool, 3> eligible{};
-    for (std::size_t i = 0; i < modes_.size(); ++i) {
-        const CompressorId mode = modes_[i];
-        const auto k = static_cast<std::size_t>(mode);
-        const std::uint64_t total = nHit_[k] + nMiss_[k];
-        eligible[i] = total >= kMinSamples;
-        if (!eligible[i])
-            continue;
-        double eff = static_cast<double>(cfg_.l2.minLatency);
-        if (mode != CompressorId::None) {
-            eff += static_cast<double>(
-                engines_->get(mode)->decompressLatency());
-            eff += static_cast<double>(
-                       domain_->queueFor(mode).expectedPos(now)) + 1.0;
-        }
-        const double exposed = std::max(eff - tolerance, 0.0);
-        const double rate = static_cast<double>(nMiss_[k]) /
-                            static_cast<double>(total);
-        amat[i] = exposed + rate * (miss_latency - exposed);
-        if (tracer_) {
-            TraceEvent ev =
-                makeTraceEvent(now, TraceEventKind::L2SamplerVote);
-            ev.mode = static_cast<std::uint8_t>(mode);
-            ev.value = amat[i];
-            ev.arg1 = static_cast<std::uint32_t>(total);
-            tracer_->record(ev);
-        }
-    }
-
-    int best = -1;
-    int incumbent = -1;
-    for (std::size_t i = 0; i < modes_.size(); ++i) {
-        if (modes_[i] == winner_)
-            incumbent = static_cast<int>(i);
-        if (!eligible[i])
-            continue;
-        if (best < 0 || amat[i] < amat[static_cast<std::size_t>(best)])
-            best = static_cast<int>(i);
-    }
-    if (best < 0)
-        return;
-
-    // Hysteresis: displacing the incumbent needs a 2% AMAT win.
-    if (incumbent >= 0 && best != incumbent &&
-        eligible[static_cast<std::size_t>(incumbent)] &&
-        amat[static_cast<std::size_t>(best)] >
-            0.98 * amat[static_cast<std::size_t>(incumbent)]) {
-        best = incumbent;
-    }
-
-    const CompressorId choice = modes_[static_cast<std::size_t>(best)];
-    if (choice == winner_) {
-        pendingWinner_ = winner_;
-        pendingCount_ = 0;
-        return;
-    }
-    // Two-EP debounce before committing a flip.
-    if (choice == pendingWinner_) {
-        if (++pendingCount_ >= 2) {
-            winner_ = choice;
-            ++modeChanges_;
-            pendingCount_ = 0;
-            if (tracer_) {
-                TraceEvent ev = makeTraceEvent(
-                    now, TraceEventKind::L2ModeChange);
-                ev.mode = static_cast<std::uint8_t>(winner_);
-                tracer_->record(ev);
-            }
-        }
-    } else {
-        pendingWinner_ = choice;
-        pendingCount_ = 1;
-    }
 }
 
 } // namespace latte

@@ -1,13 +1,12 @@
 /**
  * @file
  * The adaptive compression controller of the compressed L2
- * (--l2-compress=latte). It transplants the LATTE-CC decision structure
- * — EP clock, dedicated-set dueling, AMAT_GPU votes with latency
- * tolerance, hysteresis and a two-EP debounce — to the L2, but feeds it
- * exclusively from L2-visible signals: the per-EP hit/miss service
- * latencies the L2 itself observes. No SM-side meter is consulted, so
- * every decision happens barrier-side in canonical access order and the
- * parallel cycle loop stays bit-identical to sequential.
+ * (--l2-compress=latte). It runs the same DuelingModeSelector as the
+ * L1's LATTE-CC policy on its own EP clock, but feeds it exclusively
+ * from L2-visible signals: the per-EP hit/miss service latencies the L2
+ * itself observes. No SM-side meter is consulted, so every decision
+ * happens barrier-side in canonical access order and the parallel cycle
+ * loop stays bit-identical to sequential.
  *
  * SC is not a candidate below the L1: its code-book training and
  * generation rebuilds are wired to the per-SM policies. The candidate
@@ -17,7 +16,6 @@
 #ifndef LATTE_MEM_L2_COMPRESS_HH
 #define LATTE_MEM_L2_COMPRESS_HH
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -27,6 +25,7 @@
 #include "common/types.hh"
 #include "compress/compression_domain.hh"
 #include "compress/engines.hh"
+#include "dueling_selector.hh"
 #include "trace/tracer.hh"
 
 namespace latte
@@ -40,7 +39,7 @@ struct L2TracePoint
     CompressorId mode = CompressorId::None;
 };
 
-/** Dedicated-set dueling mode selector for the compressed L2. */
+/** Dedicated-set dueling mode selection for the compressed L2. */
 class L2CompressionController
 {
   public:
@@ -53,10 +52,14 @@ class L2CompressionController
     void setTracer(Tracer *tracer) { tracer_ = tracer; }
 
     /** The mode a fill into @p set_index stores with right now. */
-    CompressorId modeForInsertion(std::uint32_t set_index) const;
+    CompressorId
+    modeForInsertion(std::uint32_t set_index) const
+    {
+        return selector_.modeForInsertion(set_index, /*sampling=*/true);
+    }
 
     /** The mode follower sets currently insert with. */
-    CompressorId currentMode() const { return winner_; }
+    CompressorId currentMode() const { return selector_.winner(); }
 
     /**
      * Account one serviced L2 access. @p service_cycles is the
@@ -73,31 +76,15 @@ class L2CompressionController
     double lastTolerance() const { return lastTolerance_; }
 
     /** Times the winner mode changed. */
-    std::uint64_t modeChanges() const { return modeChanges_; }
+    std::uint64_t modeChanges() const { return selector_.modeChanges(); }
 
   private:
-    /** Candidate index a dedicated set duels for; -1 for followers. */
-    int dedicatedModeIndex(std::uint32_t set_index) const;
     void onEpBoundary(Cycles now);
-    void chooseWinner(Cycles now, double tolerance, double miss_latency);
 
     const GpuConfig &cfg_;
     EpClock clock_;
-    /** Candidate modes; index order is the dedicated-set order. */
-    std::array<CompressorId, 3> modes_{
-        CompressorId::None, CompressorId::Bdi, CompressorId::Bpc};
-    CompressionDomain *domain_ = nullptr;
-    CompressionEngines *engines_ = nullptr;
+    DuelingModeSelector selector_;
     Tracer *tracer_ = nullptr;
-    std::uint32_t stride_ = 1;
-
-    CompressorId winner_ = CompressorId::None;
-    CompressorId pendingWinner_ = CompressorId::None;
-    std::uint32_t pendingCount_ = 0;
-
-    /** Dedicated-set sampling counters, indexed by CompressorId. */
-    std::array<std::uint64_t, kNumCompressorIds> nHit_{};
-    std::array<std::uint64_t, kNumCompressorIds> nMiss_{};
 
     // EP-local latency signal (reset at every boundary).
     double hitLatSum_ = 0;
@@ -107,7 +94,6 @@ class L2CompressionController
 
     double lastMissEstimate_ = 0;
     double lastTolerance_ = 0;
-    std::uint64_t modeChanges_ = 0;
     std::vector<L2TracePoint> trace_;
 };
 

@@ -318,12 +318,17 @@ struct Parser
         return true;
     }
 
+    /** Parse one value; @p depth counts the enclosing containers. */
     bool
-    parseValue(Json &out)
+    parseValue(Json &out, int depth)
     {
         skipWs();
         if (p >= end)
             return fail("unexpected end of input");
+        if ((*p == '[' || *p == '{') && depth == Json::kMaxDepth) {
+            return fail(strfmt("nesting deeper than {} levels",
+                               Json::kMaxDepth));
+        }
         switch (*p) {
           case 'n':
             out = Json();
@@ -352,7 +357,7 @@ struct Parser
             }
             for (;;) {
                 Json elem;
-                if (!parseValue(elem))
+                if (!parseValue(elem, depth + 1))
                     return false;
                 array.push_back(std::move(elem));
                 skipWs();
@@ -387,7 +392,7 @@ struct Parser
                     return fail("expected ':'");
                 ++p;
                 Json value;
-                if (!parseValue(value))
+                if (!parseValue(value, depth + 1))
                     return false;
                 object.emplace(std::move(key), std::move(value));
                 skipWs();
@@ -416,7 +421,7 @@ Json::parse(const std::string &text, std::string *error)
 {
     Parser parser{text.data(), text.data() + text.size(), {}};
     Json out;
-    if (!parser.parseValue(out)) {
+    if (!parser.parseValue(out, 0)) {
         if (error)
             *error = parser.error;
         return Json();
@@ -1020,6 +1025,11 @@ toJson(const DriverOptions &options)
     // cached/journaled cells stay hits.
     if (cfg.l2.compress != LevelCompress::Off)
         cfg_object["l2Compress"] = Json(levelCompressSpec(cfg.l2));
+    // Revision of the adaptive L2's decision rules: 2 since it votes
+    // with the L1's selector. Cells computed under older rules must
+    // not be served from caches or journals.
+    if (cfg.l2.compress == LevelCompress::Latte)
+        cfg_object["l2SelectorRules"] = Json(std::uint64_t{2});
     if (cfg.linkCompress != CompressorId::None)
         cfg_object["linkCompress"] = Json(linkCompressSpec(cfg.linkCompress));
     {

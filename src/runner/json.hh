@@ -76,6 +76,13 @@ class Json
     std::string dump(int indent = -1) const;
 
     /**
+     * Deepest array/object nesting parse() accepts. Deeper input is a
+     * parse error rather than a stack overflow; the repository's own
+     * documents nest fewer than ten levels.
+     */
+    static constexpr int kMaxDepth = 256;
+
+    /**
      * Parse @p text. On failure returns a Null value and, when @p error
      * is non-null, stores a message describing the first problem.
      */

@@ -31,11 +31,19 @@ RunKey
 RunKey::of(const RunRequest &request)
 {
     latte_assert(request.workload != nullptr);
+    // A catalogue row that turns the adaptive L2 on (L2-LATTE,
+    // LATTE-CC-L1L2) keys on the config it runs, so the L2 rule
+    // revision reaches its fingerprint as it reaches an explicit
+    // l2.compress=latte cell's. Every other row keys on its request's
+    // own options.
+    DriverOptions options = runOptions(request);
+    if (options.cfg.l2.compress != LevelCompress::Latte)
+        options = request.options;
     return RunKey{
         .workload = request.workload->abbr,
         .policyLabel = runRequestLabel(request),
         .seed = request.seed,
-        .configHash = fnv1a(toJson(request.options).dump()),
+        .configHash = fnv1a(toJson(options).dump()),
     };
 }
 

@@ -3,12 +3,8 @@
 namespace latte::service
 {
 
-namespace
-{
-
 using runner::Json;
 
-/** {"ok":false,"error":{"code":...,"message":...}} (+ echoed id). */
 Json
 errorResponse(const std::string &code, const std::string &message,
               const Json &request)
@@ -23,6 +19,9 @@ errorResponse(const std::string &code, const std::string &message,
         response["id"] = request.at("id");
     return Json(std::move(response));
 }
+
+namespace
+{
 
 /** {"ok":true,"type":<echo>} (+ echoed id), ready for extra fields. */
 Json::Object

@@ -46,6 +46,11 @@ struct Session
     std::function<void()> afterResponse;
 };
 
+/** {"ok":false,"error":{"code":...,"message":...}} (+ @p request's id). */
+runner::Json errorResponse(const std::string &code,
+                           const std::string &message,
+                           const runner::Json &request = runner::Json());
+
 class RequestDispatcher
 {
   public:

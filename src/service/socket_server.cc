@@ -193,7 +193,8 @@ SocketServer::serveConnection(Connection &connection)
     setLogThreadName("ipc-c");
     std::string buffer;
     char chunk[4096];
-    for (;;) {
+    bool too_long = false;
+    while (!too_long) {
         const ssize_t n =
             ::recv(connection.fd, chunk, sizeof(chunk), 0);
         if (n < 0 && errno == EINTR)
@@ -207,6 +208,10 @@ SocketServer::serveConnection(Connection &connection)
             const std::size_t newline = buffer.find('\n', start);
             if (newline == std::string::npos)
                 break;
+            if (newline - start > kMaxLineBytes) {
+                too_long = true;
+                break;
+            }
             const std::string line =
                 buffer.substr(start, newline - start);
             start = newline + 1;
@@ -230,6 +235,23 @@ SocketServer::serveConnection(Connection &connection)
             }
         }
         buffer.erase(0, start);
+        too_long = too_long || buffer.size() > kMaxLineBytes;
+    }
+    if (too_long) {
+        // The rest of the line cannot be framed without buffering it:
+        // answer once and close the connection.
+        latte_warn("dropping a connection that sent a line over {} bytes",
+                   kMaxLineBytes);
+        {
+            std::lock_guard<std::mutex> write_lock(connection.writeMutex);
+            writeAll(connection.fd,
+                     errorResponse("line_too_long",
+                                   strfmt("request line exceeds {} bytes",
+                                          kMaxLineBytes))
+                             .dump() +
+                         "\n");
+        }
+        ::shutdown(connection.fd, SHUT_RDWR);
     }
     dispatcher_.closeSession(connection.session);
 }

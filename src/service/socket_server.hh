@@ -27,6 +27,14 @@ namespace latte::service
 class SocketServer
 {
   public:
+    /**
+     * Longest request line a connection may send, far above any submit
+     * spec. A longer line is answered with `line_too_long` and the
+     * connection is closed, so no client can grow the daemon's buffers
+     * without bound.
+     */
+    static constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
     SocketServer(RequestDispatcher &dispatcher, std::string socketPath);
     ~SocketServer();
 

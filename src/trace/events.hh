@@ -64,9 +64,14 @@ enum class TraceEventKind : std::uint8_t
     DramAccess,    //!< arg1 = bytes, value = queue delay (cycles)
 
     // --- LATTE-CC controller ---
+    // DuelingModeSelector records the vote and mode-change events of
+    // both levels with one payload: a vote has mode = candidate,
+    // arg0 = its dedicated-set hits, arg1 = misses, value = AMAT_GPU;
+    // a mode change has mode = new winner, value = its AMAT (0 for
+    // Adaptive-Hit-Count, which does not compute one).
     EpBoundary,    //!< EP closed; value = latency tolerance, mode = winner
-    SamplerVote,   //!< per-candidate AMAT_GPU; mode = candidate, value = AMAT
-    ModeChange,    //!< the winner flipped; mode = new winner
+    SamplerVote,   //!< one candidate's vote (shared payload above)
+    ModeChange,    //!< the winner flipped (shared payload above)
     ScRebuild,     //!< SC code book rebuilt; arg0 = new generation
 
     // --- compressed L2 (--l2-compress) ---
@@ -75,8 +80,8 @@ enum class TraceEventKind : std::uint8_t
     L2WriteInval,    //!< write dropped a compressed copy; arg0 = line addr
     L2DecompEnqueue, //!< L2 hit queued for decompression; arg1 = depth
     L2EpBoundary,    //!< L2 EP closed; value = tolerance, mode = winner
-    L2SamplerVote,   //!< L2 candidate AMAT; mode = candidate, value = AMAT
-    L2ModeChange,    //!< L2 winner flipped; mode = new winner
+    L2SamplerVote,   //!< L2 candidate's vote (same payload as SamplerVote)
+    L2ModeChange,    //!< L2 winner flipped (same payload as ModeChange)
 
     // --- link compression (--link-compress) ---
     LinkCompress,    //!< arg1 = transferred bytes, value = ratio

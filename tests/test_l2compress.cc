@@ -154,6 +154,43 @@ TEST(L2Compress, OffKeepsRunKeyFingerprintsByteIdentical)
               fnv1a(toJson(defaults).dump()));
     EXPECT_NE(fnv1a(toJson(link_on).dump()),
               fnv1a(toJson(l2_on).dump()));
+
+    // The knobs keep the fingerprints they had when introduced, except
+    // the adaptive L2's: it moved when the L2 took the L1's vote rules,
+    // so no cache or journal serves a cell computed under the old ones.
+    EXPECT_EQ(fnv1a(toJson(l2_on).dump()), 4529672733423593515ull);
+    EXPECT_EQ(fnv1a(toJson(link_on).dump()), 10307552345759410609ull);
+    DriverOptions l2_latte;
+    ASSERT_TRUE(parseLevelCompressSpec("latte", l2_latte.cfg.l2));
+    EXPECT_NE(fnv1a(toJson(l2_latte).dump()), 5284142825207311142ull);
+    EXPECT_EQ(fnv1a(toJson(l2_latte).dump()), 7633260327932575216ull);
+}
+
+TEST(L2Compress, AdaptiveL2RowsKeyOnTheConfigTheyRun)
+{
+    // A row that turns the adaptive L2 on carries its rule revision in
+    // the RunKey exactly as an explicit l2.compress=latte cell does;
+    // the other rows key on their request's own options.
+    RunRequest request;
+    request.workload = findWorkload("KM");
+    request.options = tinyOptions();
+    DriverOptions l2_latte = tinyOptions();
+    ASSERT_TRUE(parseLevelCompressSpec("latte", l2_latte.cfg.l2));
+    const std::uint64_t latte_hash = fnv1a(toJson(l2_latte).dump());
+    const std::uint64_t plain_hash = fnv1a(toJson(tinyOptions()).dump());
+
+    for (const PolicyKind kind :
+         {PolicyKind::L2Latte, PolicyKind::LatteCcL1L2}) {
+        request.policy = kind;
+        EXPECT_EQ(RunKey::of(request).configHash, latte_hash)
+            << policyName(kind);
+    }
+    for (const PolicyKind kind :
+         {PolicyKind::L2StaticBdi, PolicyKind::LatteCc}) {
+        request.policy = kind;
+        EXPECT_EQ(RunKey::of(request).configHash, plain_hash)
+            << policyName(kind);
+    }
 }
 
 // ---------------------------------------------------- unit-level timing

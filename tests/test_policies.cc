@@ -205,14 +205,14 @@ TEST(LatteCc, CountersTrackDedicatedSets)
                          CompressorId::None});
     latte.observeAccess({0, 1, false, false, CompressorId::None});
     latte.observeAccess({0, 1, true, false, CompressorId::Bdi});
-    EXPECT_EQ(latte.missCount(1), 2u);
-    EXPECT_EQ(latte.hitCount(1), 1u);
+    EXPECT_EQ(latte.selector().misses(1), 2u);
+    EXPECT_EQ(latte.selector().hits(1), 1u);
     // Follower sets are not counted.
     latte.observeAccess({0, 3, false, false, CompressorId::None});
-    EXPECT_EQ(latte.missCount(0), 0u);
+    EXPECT_EQ(latte.selector().misses(0), 0u);
     // Writes are not counted.
     latte.observeAccess({0, 1, false, true, CompressorId::None});
-    EXPECT_EQ(latte.missCount(1), 2u);
+    EXPECT_EQ(latte.selector().misses(1), 2u);
 }
 
 TEST(LatteCc, PicksLowLatencyModeWhenToleranceIsZero)

@@ -616,4 +616,30 @@ TEST(Runner, JsonParsesPrimitives)
     EXPECT_FALSE(error.empty());
 }
 
+TEST(Runner, JsonNestingIsCapped)
+{
+    // Far past the cap: a clean error, not a stack overflow.
+    std::string error;
+    const std::string deep =
+        std::string(100'000, '[') + std::string(100'000, ']');
+    EXPECT_EQ(Json::parse(deep, &error).type(), Json::Type::Null);
+    EXPECT_NE(error.find("nesting deeper than"), std::string::npos)
+        << error;
+
+    // Exactly at the cap, mixing arrays and objects, parses.
+    std::string at_cap;
+    for (int level = 0; level < Json::kMaxDepth; ++level)
+        at_cap += level % 2 ? "[" : "{\"k\":";
+    for (int level = Json::kMaxDepth - 1; level >= 0; --level)
+        at_cap += level % 2 ? "]" : "}";
+    error.clear();
+    const Json parsed = Json::parse(at_cap, &error);
+    ASSERT_TRUE(error.empty()) << error;
+    EXPECT_EQ(parsed.type(), Json::Type::Object);
+
+    // One level more fails.
+    Json::parse("[" + at_cap + "]", &error);
+    EXPECT_FALSE(error.empty());
+}
+
 } // namespace

@@ -360,14 +360,14 @@ TEST(Service, DispatcherSpeaksTheWireProtocol)
     dispatcher.closeSession(session);
 }
 
-/** Connect to @p path, send @p line, read one newline-delimited reply. */
-std::string
-unixRequest(const std::string &path, const std::string &line)
+/** A connected AF_UNIX stream socket to @p path, or -1. */
+int
+unixConnect(const std::string &path)
 {
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     EXPECT_GE(fd, 0);
     if (fd < 0)
-        return {};
+        return -1;
     sockaddr_un addr;
     std::memset(&addr, 0, sizeof(addr));
     addr.sun_family = AF_UNIX;
@@ -378,16 +378,33 @@ unixRequest(const std::string &path, const std::string &line)
         ADD_FAILURE() << "connect " << path << ": "
                       << std::strerror(errno);
         ::close(fd);
-        return {};
+        return -1;
     }
+    return fd;
+}
+
+/** Read one newline-delimited line from @p fd (without the newline). */
+std::string
+readLine(int fd)
+{
+    std::string line;
+    char c;
+    while (::recv(fd, &c, 1, 0) == 1 && c != '\n')
+        line += c;
+    return line;
+}
+
+/** Connect to @p path, send @p line, read one newline-delimited reply. */
+std::string
+unixRequest(const std::string &path, const std::string &line)
+{
+    const int fd = unixConnect(path);
+    if (fd < 0)
+        return {};
     const std::string request = line + "\n";
     EXPECT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
               static_cast<ssize_t>(request.size()));
-
-    std::string reply;
-    char c;
-    while (::recv(fd, &c, 1, 0) == 1 && c != '\n')
-        reply += c;
+    const std::string reply = readLine(fd);
     ::close(fd);
     return reply;
 }
@@ -428,6 +445,60 @@ TEST(Service, SocketServerHandlesConcurrentClients)
             << "client " << i << ": " << parse_error;
         EXPECT_TRUE(reply.at("ok").asBool()) << "client " << i;
     }
+    server.stop();
+}
+
+TEST(Service, SocketServerDropsOverlongLinesAndNestedJson)
+{
+    const std::string dir = freshDir("latte_socket_limits");
+    std::filesystem::create_directories(dir);
+    const std::string socket_path = dir + "/latted.sock";
+
+    ServiceOptions options;
+    options.stateDir = dir;
+    options.startPaused = true;
+    SweepService service(options);
+    RequestDispatcher dispatcher(service);
+    SocketServer server(dispatcher, socket_path);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    // 2 MiB with no newline: one line_too_long answer, then EOF. The
+    // server stops reading mid-line, so the tail of the send may fail.
+    const int fd = unixConnect(socket_path);
+    ASSERT_GE(fd, 0);
+    const std::string flood(2 * SocketServer::kMaxLineBytes, 'x');
+    std::size_t sent = 0;
+    while (sent < flood.size()) {
+        const ssize_t n = ::send(fd, flood.data() + sent,
+                                 flood.size() - sent, MSG_NOSIGNAL);
+        if (n <= 0)
+            break;
+        sent += static_cast<std::size_t>(n);
+    }
+    std::string parse_error;
+    const runner::Json reply =
+        runner::Json::parse(readLine(fd), &parse_error);
+    ASSERT_TRUE(parse_error.empty()) << parse_error;
+    EXPECT_FALSE(reply.at("ok").asBool());
+    EXPECT_EQ(reply.at("error").at("code").asString(), "line_too_long");
+    char c;
+    EXPECT_EQ(::recv(fd, &c, 1, 0), 0) << "connection left open";
+    ::close(fd);
+
+    // Nesting far past the JSON cap is a plain bad_json answer.
+    const std::string nested =
+        std::string(100'000, '[') + std::string(100'000, ']');
+    const runner::Json deep =
+        runner::Json::parse(unixRequest(socket_path, nested), &parse_error);
+    ASSERT_TRUE(parse_error.empty()) << parse_error;
+    EXPECT_EQ(deep.at("error").at("code").asString(), "bad_json");
+
+    // The daemon still serves a fresh connection.
+    const runner::Json ping = runner::Json::parse(
+        unixRequest(socket_path, R"({"type":"ping"})"), &parse_error);
+    ASSERT_TRUE(parse_error.empty()) << parse_error;
+    EXPECT_TRUE(ping.at("ok").asBool());
     server.stop();
 }
 
