@@ -137,6 +137,12 @@ GpuConfig::validationError() const
         return "warpSize must be nonzero";
     if (maxWarpsPerSm == 0)
         return "maxWarpsPerSm must be nonzero";
+    if (maxBlocksPerSm == 0)
+        return "maxBlocksPerSm must be nonzero";
+    if (schedulersPerSm == 0 || schedulersPerSm > kMaxSchedulersPerSm) {
+        return strfmt("schedulersPerSm must be 1..{} (got {})",
+                      kMaxSchedulersPerSm, schedulersPerSm);
+    }
 
     if (const auto error = l1.validationError("l1"))
         return error;

@@ -162,6 +162,8 @@ struct GpuConfig
     std::uint32_t maxWarpsPerSm = 48;
     std::uint32_t maxBlocksPerSm = 8;
     std::uint32_t schedulersPerSm = 2;
+    /** The latency-tolerance meter tracks issue runs of this many. */
+    static constexpr std::uint32_t kMaxSchedulersPerSm = 4;
     std::uint32_t warpSize = 32;
     std::uint32_t registersPerSm = 32768;
     std::uint32_t sharedMemBytes = 48 * 1024;
@@ -204,7 +206,8 @@ struct GpuConfig
     /**
      * First structural inconsistency in the configuration, or nullopt
      * if the configuration is sound. Checked: nonzero organisation
-     * parameters, per-level cache geometry (CacheLevelConfig), the
+     * parameters, 1..kMaxSchedulersPerSm warp schedulers, per-level
+     * cache geometry (CacheLevelConfig), the
      * LATTE controller's dedicated sample sets fitting in the sampled
      * levels, and the level/link compression settings.
      */

@@ -182,6 +182,17 @@ Gpu::runKernel(KernelProgram &program, std::uint64_t max_instructions,
         Cycles next = kNoCycle;
         for (const Cycles t : next_tick)
             next = std::min(next, t);
+        if (next == kNoCycle && next_cta < num_ctas) {
+            // Every SM is empty and still none takes a CTA.
+            interrupt = SimInterrupt{
+                RunErrorCode::InvalidConfig, now_,
+                strfmt("a CTA of {} warps fits no SM ({} warp slots, "
+                       "{} CTA slots per SM)",
+                       program.warpsPerCta(), cfg_.maxWarpsPerSm,
+                       cfg_.maxBlocksPerSm)};
+            budget_hit = true;
+            break;
+        }
         if (next == kNoCycle)
             break; // every SM drained and no CTAs left
         latte_assert(next >= now_, "clock went backwards");

@@ -4,17 +4,20 @@
  * KernelProgram that deterministically produces each warp's instructions;
  * the SIMT core model executes them against the timing model. This plays
  * the role GPGPU-Sim's PTX front end plays for the paper, at the
- * granularity that matters for the study: ALU work, per-lane memory
- * addresses, and control of warp-level parallelism over time.
+ * granularity that matters for the study: ALU work, the memory lines a
+ * warp's lanes address, and control of warp-level parallelism over time.
  */
 
 #ifndef LATTE_SIM_INSTRUCTION_HH
 #define LATTE_SIM_INSTRUCTION_HH
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace latte
@@ -25,9 +28,51 @@ enum class Op : std::uint8_t
 {
     Alu,    //!< arithmetic; completes after `latency` cycles
     Sfu,    //!< special function; like Alu but typically longer latency
-    Load,   //!< global load; warp waits for all coalesced accesses
+    Load,   //!< global load; warp waits for all of its line accesses
     Store,  //!< global store; fire-and-forget (write-avoid L1)
     Exit,   //!< warp terminates
+};
+
+/**
+ * The distinct 128 B line addresses one warp instruction touches, kept
+ * in ascending order. A warp has 32 lanes, so 32 lines is the most it
+ * can hold; the storage is inline, so building one never allocates.
+ */
+class LineList
+{
+  public:
+    static constexpr std::size_t kCapacity = 32;
+
+    /** Add line address @p line unless present; the order stays ascending. */
+    void
+    insert(Addr line)
+    {
+        std::size_t pos = size_;
+        while (pos > 0 && lines_[pos - 1] > line)
+            --pos;
+        if (pos > 0 && lines_[pos - 1] == line)
+            return;
+        latte_assert(size_ < kCapacity, "more lines than warp lanes");
+        std::copy_backward(begin() + pos, end(), lines_.data() + size_ + 1);
+        lines_[pos] = line;
+        ++size_;
+    }
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    const Addr *begin() const { return lines_.data(); }
+    const Addr *end() const { return lines_.data() + size_; }
+    operator std::span<const Addr>() const { return {begin(), size_}; }
+
+    friend bool
+    operator==(const LineList &a, const LineList &b)
+    {
+        return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    }
+
+  private:
+    std::array<Addr, kCapacity> lines_{};
+    std::size_t size_ = 0;
 };
 
 /** One decoded warp instruction. */
@@ -36,8 +81,8 @@ struct DecodedInstr
     Op op = Op::Exit;
     /** Completion latency for Alu/Sfu. */
     Cycles latency = 1;
-    /** Per-lane byte addresses for Load/Store; empty entries = inactive. */
-    std::vector<Addr> laneAddrs;
+    /** Load/Store: the distinct lines the warp's lanes address. */
+    LineList laneAddrs;
 };
 
 /**

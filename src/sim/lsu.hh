@@ -1,8 +1,9 @@
 /**
  * @file
- * Load/store unit: the SM's single L1 port. Coalesced line accesses queue
- * here and issue one per cycle; rejected accesses (MSHRs full) retry.
- * A warp's load completes when its last access has a known fill time.
+ * Load/store unit: the SM's single L1 port. Line accesses queue here and
+ * issue one per cycle; rejected accesses (MSHRs full) retry. A warp's
+ * load completes when its last access has a known fill time; the LSU
+ * then hands the warp's wake cycle back to the SM for its scheduler.
  */
 
 #ifndef LATTE_SIM_LSU_HH
@@ -10,6 +11,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 #include <span>
 
 #include "cache/compressed_cache.hh"
@@ -19,6 +21,13 @@
 
 namespace latte
 {
+
+/** A warp whose load completed: it can issue again from `readyAt`. */
+struct LoadWake
+{
+    std::uint32_t slot;
+    Cycles readyAt;
+};
 
 /** Per-SM memory pipeline front end. */
 class LoadStoreUnit : public StatGroup
@@ -30,7 +39,7 @@ class LoadStoreUnit : public StatGroup
           retries(this, "retries", "accesses replayed after rejection")
     {}
 
-    /** Queue the coalesced accesses of a load; warp waits for all. */
+    /** Queue the line accesses of a load; warp waits for all. */
     void
     enqueueLoad(std::uint32_t warp_slot, std::span<const Addr> lines)
     {
@@ -38,7 +47,7 @@ class LoadStoreUnit : public StatGroup
             queue_.push_back({line, false, static_cast<int>(warp_slot)});
     }
 
-    /** Queue the coalesced accesses of a store (fire-and-forget). */
+    /** Queue the line accesses of a store (fire-and-forget). */
     void
     enqueueStore(std::span<const Addr> lines)
     {
@@ -46,13 +55,16 @@ class LoadStoreUnit : public StatGroup
             queue_.push_back({line, true, -1});
     }
 
-    /** Issue at most one access to the L1. */
-    void
+    /**
+     * Issue at most one access to the L1.
+     * @return the warp this access finished a load for, if any
+     */
+    std::optional<LoadWake>
     tick(Cycles now, CompressedCache &cache, std::span<Warp> warps)
     {
         if (queue_.empty() || now < retryAt_)
-            return;
-        Request &req = queue_.front();
+            return std::nullopt;
+        const Request req = queue_.front();
         const L1AccessResult res =
             cache.access(now, req.lineAddr, req.store);
         if (res.rejected) {
@@ -62,10 +74,11 @@ class LoadStoreUnit : public StatGroup
             const Cycles fill = cache.mshrs.nextFillCycle();
             retryAt_ = fill == kNoCycle ? now + 1 : std::max(fill,
                                                              now + 1);
-            return;
+            return std::nullopt;
         }
         retryAt_ = 0;
         ++accessesIssued;
+        queue_.pop_front();
         if (res.deferred) {
             // Parallel phase: the miss tail (and hence the warp's ready
             // cycle) is only known at the epoch barrier, which calls
@@ -73,39 +86,21 @@ class LoadStoreUnit : public StatGroup
             latte_assert(!hasDeferred_);
             hasDeferred_ = true;
             deferredSlot_ = req.warpSlot;
-            queue_.pop_front();
-            return;
+            return std::nullopt;
         }
-        if (req.warpSlot >= 0) {
-            Warp &warp = warps[req.warpSlot];
-            latte_assert(warp.pendingAccesses > 0);
-            warp.memReady = std::max(warp.memReady, res.readyCycle);
-            if (--warp.pendingAccesses == 0) {
-                warp.readyAt = warp.memReady;
-                warp.state = WarpState::Active;
-            }
-        }
-        queue_.pop_front();
+        return complete(req.warpSlot, res.readyCycle, warps);
     }
 
     /** True when this tick's access was deferred to the barrier. */
     bool hasDeferred() const { return hasDeferred_; }
 
     /** Finish a deferred access with its now-known @p ready cycle. */
-    void
+    std::optional<LoadWake>
     completeDeferred(Cycles ready, std::span<Warp> warps)
     {
         latte_assert(hasDeferred_);
         hasDeferred_ = false;
-        if (deferredSlot_ < 0)
-            return;
-        Warp &warp = warps[deferredSlot_];
-        latte_assert(warp.pendingAccesses > 0);
-        warp.memReady = std::max(warp.memReady, ready);
-        if (--warp.pendingAccesses == 0) {
-            warp.readyAt = warp.memReady;
-            warp.state = WarpState::Active;
-        }
+        return complete(deferredSlot_, ready, warps);
     }
 
     bool busy() const { return !queue_.empty(); }
@@ -123,6 +118,21 @@ class LoadStoreUnit : public StatGroup
     Counter retries;
 
   private:
+    /** One access of @p warp_slot's load (-1: a store) is due at @p ready. */
+    static std::optional<LoadWake>
+    complete(int warp_slot, Cycles ready, std::span<Warp> warps)
+    {
+        if (warp_slot < 0)
+            return std::nullopt;
+        Warp &warp = warps[warp_slot];
+        latte_assert(warp.pendingAccesses > 0);
+        warp.memReady = std::max(warp.memReady, ready);
+        if (--warp.pendingAccesses != 0)
+            return std::nullopt;
+        warp.state = WarpState::Active;
+        return LoadWake{warp.slot, warp.memReady};
+    }
+
     struct Request
     {
         Addr lineAddr;

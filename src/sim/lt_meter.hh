@@ -19,6 +19,8 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "common/config.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace latte
@@ -40,9 +42,8 @@ class LatencyToleranceMeter
     void
     noteIssue(std::uint32_t scheduler, std::uint32_t warp)
     {
+        latte_assert(scheduler < kMaxSchedulers);
         ++issues_;
-        if (scheduler >= kMaxSchedulers)
-            scheduler = kMaxSchedulers - 1;
         if (!runValid_[scheduler] || lastWarp_[scheduler] != warp) {
             ++schedules_;
             lastWarp_[scheduler] = warp;
@@ -92,7 +93,8 @@ class LatencyToleranceMeter
     std::uint64_t windowCycles() const { return cycleCount_; }
 
   private:
-    static constexpr std::uint32_t kMaxSchedulers = 4;
+    static constexpr std::uint32_t kMaxSchedulers =
+        GpuConfig::kMaxSchedulersPerSm;
 
     std::uint64_t readySum_ = 0;
     std::uint64_t cycleCount_ = 0;

@@ -8,27 +8,6 @@
 namespace latte
 {
 
-namespace
-{
-
-/** Coalesce per-lane addresses into unique 128 B line addresses. */
-std::vector<Addr>
-coalesce(const std::vector<Addr> &lane_addrs)
-{
-    std::vector<Addr> lines;
-    lines.reserve(lane_addrs.size());
-    for (const Addr addr : lane_addrs) {
-        if (addr == kBadAddr)
-            continue;
-        lines.push_back(MemoryImage::lineAddr(addr));
-    }
-    std::sort(lines.begin(), lines.end());
-    lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
-    return lines;
-}
-
-} // namespace
-
 StreamingMultiprocessor::StreamingMultiprocessor(
         const GpuConfig &cfg, SmId sm_id, L2Cache *l2, MemoryImage *mem,
         StatGroup *parent, CacheTuning tuning)
@@ -45,12 +24,12 @@ StreamingMultiprocessor::StreamingMultiprocessor(
       lsu_(this),
       warps_(cfg.maxWarpsPerSm)
 {
-    for (std::uint32_t s = 0; s < cfg.schedulersPerSm; ++s)
-        schedulers_.emplace_back(cfg.schedPolicy, s);
-    for (std::uint32_t w = 0; w < cfg.maxWarpsPerSm; ++w) {
+    const std::uint32_t n = cfg.schedulersPerSm;
+    for (std::uint32_t s = 0; s < n; ++s)
+        schedulers_.emplace_back(cfg.schedPolicy, s,
+                                 (cfg.maxWarpsPerSm + n - 1 - s) / n);
+    for (std::uint32_t w = 0; w < cfg.maxWarpsPerSm; ++w)
         warps_[w].slot = w;
-        schedulers_[w % cfg.schedulersPerSm].addSlot(w);
-    }
 }
 
 void
@@ -64,6 +43,8 @@ StreamingMultiprocessor::startKernel(KernelProgram *program)
         warps_[w].slot = w;
         freeSlots_.push_back(cfg_.maxWarpsPerSm - 1 - w);
     }
+    for (WarpScheduler &sched : schedulers_)
+        sched.clear();
     ctaRemaining_.clear();
     residentCtas_ = 0;
     lsu_.clear();
@@ -95,8 +76,8 @@ StreamingMultiprocessor::assignCta(Cycles now, std::uint32_t cta_index)
         warp.globalWarpId = cta_index * warps_per_cta + i;
         warp.ctaSlot = handle;
         warp.state = WarpState::Active;
-        warp.readyAt = now + 1;
-        warp.age = ageClock_++;
+        schedulers_[slot % cfg_.schedulersPerSm].assign(
+            slot / cfg_.schedulersPerSm, ageClock_++, now + 1);
     }
 }
 
@@ -136,34 +117,45 @@ StreamingMultiprocessor::noteIdle(std::uint64_t cycles)
 Cycles
 StreamingMultiprocessor::tick(Cycles now)
 {
-    lsu_.tick(now, cache_, warps_);
+    wake(lsu_.tick(now, cache_, warps_));
     return issueAndNext(now);
+}
+
+void
+StreamingMultiprocessor::wake(std::optional<LoadWake> load)
+{
+    if (load) {
+        schedulers_[load->slot % cfg_.schedulersPerSm].setWake(
+            load->slot / cfg_.schedulersPerSm, load->readyAt);
+    }
 }
 
 Cycles
 StreamingMultiprocessor::issueAndNext(Cycles now)
 {
+    // A warp that issues wakes at now + 1 or later, so the SM's next
+    // tick is now + 1 after any issue and otherwise the earliest of the
+    // schedulers' pending wakes and the LSU's next event.
     bool issued = false;
-    for (auto &sched : schedulers_) {
-        std::uint32_t ready = 0;
-        const int slot = sched.pick(warps_, now, ready);
-        meter_.accumulate(ready);
-        if (slot >= 0) {
-            sched.noteIssued(static_cast<std::uint32_t>(slot));
-            meter_.noteIssue(sched.id(),
-                             static_cast<std::uint32_t>(slot));
-            issueWarp(warps_[slot], now);
-            issued = true;
-        }
-    }
-
     Cycles next = kNoCycle;
+    for (WarpScheduler &sched : schedulers_) {
+        const WarpScheduler::Scan scan = sched.scan(now);
+        meter_.accumulate(scan.ready);
+        next = std::min(next, scan.nextWake);
+        if (scan.pick < 0)
+            continue;
+        const auto local = static_cast<std::uint32_t>(scan.pick);
+        const std::uint32_t slot =
+            local * cfg_.schedulersPerSm + sched.id();
+        sched.noteIssued(local);
+        meter_.noteIssue(sched.id(), slot);
+        sched.setWake(local, issueWarp(warps_[slot], now));
+        issued = true;
+    }
     if (issued)
-        next = now + 1;
+        return now + 1;
     if (lsu_.busy())
         next = std::min(next, lsu_.nextEvent(now));
-    for (const auto &sched : schedulers_)
-        next = std::min(next, sched.nextWake(warps_, now));
     return next;
 }
 
@@ -203,7 +195,7 @@ StreamingMultiprocessor::endStaged()
 void
 StreamingMultiprocessor::stagedTick(Cycles now)
 {
-    lsu_.tick(now, cache_, warps_);
+    wake(lsu_.tick(now, cache_, warps_));
     // A deferred miss postpones the issue phase too: the scheduler feeds
     // the tolerance meter that the policy harvests at EP boundaries, and
     // the sequential order is miss tail first, issue phase second.
@@ -236,7 +228,7 @@ StreamingMultiprocessor::commitStage(Cycles now)
         // the staging buffer after `split`, exactly as the sequential
         // loop interleaves them.
         const Cycles ready = cache_.finishMiss(now, stage_.missAddr);
-        lsu_.completeDeferred(ready, warps_);
+        wake(lsu_.completeDeferred(ready, warps_));
         next = issueAndNext(now);
     } else if (stage_.hasL2Write) {
         cache_.commitStagedWrite(now, stage_.l2WriteAddr);
@@ -250,11 +242,12 @@ StreamingMultiprocessor::commitStage(Cycles now)
     return next;
 }
 
-void
+Cycles
 StreamingMultiprocessor::issueWarp(Warp &warp, Cycles now)
 {
     metrics::ProfileScope profile(metrics::ProfileZone::SmIssue);
-    DecodedInstr instr = program_->fetch(warp.globalWarpId, warp.pc);
+    const DecodedInstr instr =
+        program_->fetch(warp.globalWarpId, warp.pc);
 
     if (tracer_) {
         TraceEvent ev = makeTraceEvent(
@@ -268,45 +261,37 @@ StreamingMultiprocessor::issueWarp(Warp &warp, Cycles now)
     switch (instr.op) {
       case Op::Exit:
         finishWarp(warp);
-        return;
+        return kNoCycle;
 
       case Op::Alu:
       case Op::Sfu:
         ++instructions;
         ++aluInstructions;
         ++warp.pc;
-        warp.readyAt = now + std::max<Cycles>(instr.latency, 1);
-        return;
+        return now + std::max<Cycles>(instr.latency, 1);
 
       case Op::Load: {
         ++instructions;
         ++memInstructions;
         ++warp.pc;
-        const auto lines = coalesce(instr.laneAddrs);
-        if (lines.empty()) {
-            warp.readyAt = now + 1;
-            return;
-        }
+        const LineList &lines = instr.laneAddrs;
+        if (lines.empty())
+            return now + 1;
         accessesPerLoad.sample(static_cast<double>(lines.size()));
         warp.state = WarpState::WaitMem;
-        warp.readyAt = kNoCycle;
         warp.pendingAccesses = static_cast<std::uint32_t>(lines.size());
         warp.memReady = 0;
         lsu_.enqueueLoad(warp.slot, lines);
-        return;
+        return kNoCycle;
       }
 
-      case Op::Store: {
+      case Op::Store:
         ++instructions;
         ++memInstructions;
         ++warp.pc;
-        const auto lines = coalesce(instr.laneAddrs);
-        if (!lines.empty())
-            lsu_.enqueueStore(lines);
+        lsu_.enqueueStore(instr.laneAddrs);
         // Write-avoid: the warp does not wait for stores.
-        warp.readyAt = now + 1;
-        return;
-      }
+        return now + 1;
     }
     latte_panic("unknown opcode");
 }

@@ -10,6 +10,7 @@
 #define LATTE_SIM_SM_HH
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cache/compressed_cache.hh"
@@ -107,8 +108,11 @@ class StreamingMultiprocessor : public StatGroup
     Average accessesPerLoad;
 
   private:
-    void issueWarp(Warp &warp, Cycles now);
+    /** Execute @p warp's next instruction; returns its new wake cycle. */
+    Cycles issueWarp(Warp &warp, Cycles now);
     void finishWarp(Warp &warp);
+    /** Hand a completed load's wake cycle to the warp's scheduler. */
+    void wake(std::optional<LoadWake> load);
     /** The issue phase and next-tick computation shared by both modes. */
     Cycles issueAndNext(Cycles now);
     /** Replay staged events [begin, end) into the run's real tracer. */

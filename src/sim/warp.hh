@@ -1,6 +1,7 @@
 /**
  * @file
- * Per-warp execution state tracked by the SM model.
+ * Per-warp execution state tracked by the SM model. When a warp may
+ * issue next, and its GTO age, live with its scheduler (scheduler.hh).
  */
 
 #ifndef LATTE_SIM_WARP_HH
@@ -17,8 +18,8 @@ namespace latte
 enum class WarpState : std::uint8_t
 {
     Unassigned,  //!< slot not populated with a CTA warp
-    Active,      //!< executing (ready when readyAt <= now)
-    WaitMem,     //!< load outstanding; readyAt set once the LSU resolves it
+    Active,      //!< executing; issues once its scheduler's wake is due
+    WaitMem,     //!< load outstanding until the LSU resolves it
     Finished,    //!< hit Exit; slot reusable when the CTA drains
 };
 
@@ -30,30 +31,10 @@ struct Warp
     std::uint32_t ctaSlot = 0;       //!< which resident CTA it belongs to
     std::uint64_t pc = 0;
     WarpState state = WarpState::Unassigned;
-    /** Cycle the warp can next issue; kNoCycle while WaitMem-unresolved. */
-    Cycles readyAt = 0;
-    /** Age stamp for GTO's "oldest" order (assignment order). */
-    std::uint64_t age = 0;
 
     // --- load tracking ---
     std::uint32_t pendingAccesses = 0;
     Cycles memReady = 0;
-
-    bool
-    ready(Cycles now) const
-    {
-        return state == WarpState::Active && readyAt != kNoCycle &&
-               readyAt <= now;
-    }
-
-    /** True if the warp will become ready at a known future cycle. */
-    bool
-    sleeping(Cycles now) const
-    {
-        return (state == WarpState::Active ||
-                state == WarpState::WaitMem) &&
-               readyAt != kNoCycle && readyAt > now;
-    }
 };
 
 } // namespace latte

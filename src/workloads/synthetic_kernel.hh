@@ -89,13 +89,16 @@ class SyntheticKernel : public KernelProgram
     const KernelSpec &spec() const { return spec_; }
 
   private:
-    Addr laneAddr(const Pattern &pattern, std::uint32_t global_warp,
-                  std::uint64_t iter, std::uint32_t mem_idx,
-                  std::uint32_t lane) const;
-
-    void fillLaneAddrs(DecodedInstr &instr, const Pattern &pattern,
-                       std::uint32_t global_warp, std::uint64_t iter,
-                       std::uint32_t mem_idx) const;
+    /**
+     * Insert into @p lines every line that memory instruction @p mem_idx
+     * of iteration @p iter touches in @p global_warp. Lane l of a warp
+     * addresses line_base + 4·l (Streaming: element tid·elemBytes of the
+     * region), so lanes fall into spans that each reach less than one
+     * line, and a span's lines are those of its first and last lane.
+     */
+    void addLines(LineList &lines, const Pattern &pattern,
+                  std::uint32_t global_warp, std::uint64_t iter,
+                  std::uint32_t mem_idx) const;
 
     KernelSpec spec_;
     std::vector<std::uint64_t> phaseInstrStart_;

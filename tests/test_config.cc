@@ -61,6 +61,25 @@ TEST(Config, RejectsZeroCores)
     EXPECT_TRUE(cfg.validationError().has_value());
 }
 
+TEST(Config, RejectsSchedulerAndBlockLimits)
+{
+    GpuConfig cfg;
+    for (std::uint32_t n = 1; n <= GpuConfig::kMaxSchedulersPerSm; ++n) {
+        cfg.schedulersPerSm = n;
+        EXPECT_FALSE(cfg.validationError().has_value()) << n;
+    }
+    // Zero divides by zero in the SM; beyond the maximum the tolerance
+    // meter would merge schedulers' issue runs.
+    cfg.schedulersPerSm = 0;
+    EXPECT_TRUE(cfg.validationError().has_value());
+    cfg.schedulersPerSm = GpuConfig::kMaxSchedulersPerSm + 1;
+    EXPECT_TRUE(cfg.validationError().has_value());
+
+    cfg = GpuConfig{};
+    cfg.maxBlocksPerSm = 0;
+    EXPECT_TRUE(cfg.validationError().has_value());
+}
+
 TEST(Config, RejectsZeroAssocOrMshrs)
 {
     GpuConfig cfg;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the load/store unit: one L1 access per cycle, warp wakeup
- * on the last outstanding access, MSHR-full back-off, and store
- * fire-and-forget behaviour.
+ * (reported back with its ready cycle) on the last outstanding access,
+ * MSHR-full back-off, and store fire-and-forget behaviour.
  */
 
 #include <gtest/gtest.h>
@@ -34,7 +34,6 @@ class LsuFixture : public ::testing::Test
     startLoad(std::uint32_t slot, std::vector<Addr> lines)
     {
         warps[slot].state = WarpState::WaitMem;
-        warps[slot].readyAt = kNoCycle;
         warps[slot].pendingAccesses =
             static_cast<std::uint32_t>(lines.size());
         warps[slot].memReady = 0;
@@ -70,20 +69,21 @@ TEST_F(LsuFixture, OneAccessPerCycle)
 TEST_F(LsuFixture, WarpWakesAfterLastAccess)
 {
     startLoad(0, {0x1000, 0x2000});
-    lsu.tick(0, cache, warps);
+    EXPECT_FALSE(lsu.tick(0, cache, warps));
     EXPECT_EQ(warps[0].state, WarpState::WaitMem);
-    EXPECT_EQ(warps[0].readyAt, kNoCycle);
-    lsu.tick(1, cache, warps);
+    const auto wake = lsu.tick(1, cache, warps);
     EXPECT_EQ(warps[0].state, WarpState::Active);
-    EXPECT_NE(warps[0].readyAt, kNoCycle);
+    ASSERT_TRUE(wake);
+    EXPECT_EQ(wake->slot, 0u);
     // Both are misses: the wakeup is the slower of the two fills.
-    EXPECT_GE(warps[0].readyAt, cfg.l2.minLatency);
+    EXPECT_EQ(wake->readyAt, warps[0].memReady);
+    EXPECT_GE(wake->readyAt, cfg.l2.minLatency);
 }
 
 TEST_F(LsuFixture, StoresDoNotTouchWarps)
 {
     lsu.enqueueStore(std::vector<Addr>{0x4000});
-    lsu.tick(0, cache, warps);
+    EXPECT_FALSE(lsu.tick(0, cache, warps));
     EXPECT_FALSE(lsu.busy());
     for (const auto &warp : warps)
         EXPECT_EQ(warp.state, WarpState::Active);
@@ -120,10 +120,10 @@ TEST_F(LsuFixture, InterleavedWarpsTrackIndependently)
 {
     startLoad(0, {0x1000});
     startLoad(2, {0x5000});
-    lsu.tick(0, cache, warps);
+    EXPECT_EQ(lsu.tick(0, cache, warps)->slot, 0u);
     EXPECT_EQ(warps[0].state, WarpState::Active);
     EXPECT_EQ(warps[2].state, WarpState::WaitMem);
-    lsu.tick(1, cache, warps);
+    EXPECT_EQ(lsu.tick(1, cache, warps)->slot, 2u);
     EXPECT_EQ(warps[2].state, WarpState::Active);
 }
 

@@ -22,6 +22,7 @@
 #include "runner/resilience.hh"
 #include "runner/result_cache.hh"
 #include "runner/sweep.hh"
+#include "runner/sweep_spec.hh"
 #include "workloads/zoo.hh"
 
 using namespace latte;
@@ -230,6 +231,61 @@ TEST(Resilience, InvalidConfigIsAFailureValueNotAnExit)
     EXPECT_EQ(outcome.status, RunStatus::Failed);
     EXPECT_EQ(outcome.error.code, RunErrorCode::InvalidConfig);
     EXPECT_NE(outcome.error.message.find("l1Assoc"), std::string::npos)
+        << outcome.error.message;
+}
+
+TEST(Resilience, SchedulerAndBlockLimitsAreInvalidConfigCells)
+{
+    // Knobs a client spec can set. Each value the SM model cannot run
+    // (zero schedulers would divide by zero; more than the tolerance
+    // meter tracks; no CTA slots) passes spec validation and must come
+    // back as an invalid_config cell, not a crash.
+    const std::pair<const char *, std::uint64_t> broken[] = {
+        {"cfg.schedulers_per_sm", 0},
+        {"cfg.schedulers_per_sm", GpuConfig::kMaxSchedulersPerSm + 1},
+        {"cfg.max_blocks_per_sm", 0},
+    };
+    for (const auto &[key, value] : broken) {
+        SweepSpec spec;
+        spec.workloads = {"KM"};
+        spec.policies = {"Baseline", "LATTE-CC"};
+        spec.options["max_instructions_per_kernel"] =
+            Json(std::uint64_t{20'000});
+        spec.options[key] = Json(value);
+        ASSERT_EQ(spec.validate(), "") << key;
+        std::vector<RunRequest> cells;
+        std::string error;
+        ASSERT_TRUE(spec.expand(cells, &error)) << error;
+        ASSERT_EQ(cells.size(), 2u);
+        for (const RunRequest &cell : cells) {
+            const RunOutcome outcome = run(cell);
+            EXPECT_EQ(outcome.status, RunStatus::Failed) << key << value;
+            EXPECT_STREQ(runErrorCodeName(outcome.error.code),
+                         "invalid_config")
+                << key << "=" << value << ": " << outcome.error.message;
+        }
+    }
+}
+
+TEST(Resilience, CtaThatFitsNoSmIsInvalidConfig)
+{
+    // KM's CTAs have 8 warps; with 4 warp slots no SM can ever place
+    // one. Ending the kernel as "completed" would report an empty run
+    // of 0 cycles as a success, and the result cache would keep it.
+    RunRequest request = tinyRequest("KM", PolicyKind::LatteCc);
+    request.options.cfg.maxWarpsPerSm = 4;
+    ASSERT_FALSE(request.options.cfg.validationError().has_value());
+
+    const RunOutcome outcome = run(request);
+    EXPECT_EQ(outcome.status, RunStatus::Failed);
+    EXPECT_EQ(outcome.error.code, RunErrorCode::InvalidConfig);
+    EXPECT_NE(outcome.error.message.find("8 warps"), std::string::npos)
+        << outcome.error.message;
+    EXPECT_NE(outcome.error.message.find("4 warp slots"),
+              std::string::npos)
+        << outcome.error.message;
+    EXPECT_NE(outcome.error.message.find("8 CTA slots"),
+              std::string::npos)
         << outcome.error.message;
 }
 

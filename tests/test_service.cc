@@ -167,6 +167,37 @@ TEST(Service, InvalidSpecsAreRejected)
     EXPECT_EQ(service.counters().rejected, 2u);
 }
 
+TEST(Service, UnrunnableConfigFailsCellsNotTheService)
+{
+    // Zero warp schedulers passes spec validation, and the cells run
+    // in-process, where a division by zero would take the daemon down.
+    // Each cell must fail as invalid_config and the job finish.
+    ServiceOptions options;
+    options.stateDir = freshDir("latte_service_unrunnable_state");
+    options.threads = 1;
+    SweepService service(options);
+
+    runner::SweepSpec spec = tinySpec();
+    spec.options["cfg.schedulers_per_sm"] = runner::Json(std::uint64_t{0});
+    std::string error;
+    const std::uint64_t bad = service.submit(spec, "tester", 0, &error);
+    ASSERT_NE(bad, 0u) << error;
+    JobInfo info;
+    ASSERT_TRUE(service.waitJob(bad, info));
+    EXPECT_EQ(info.state, JobState::Done) << info.error;
+    EXPECT_EQ(info.cellsFailed, spec.cellCount());
+    EXPECT_NE(readFile(info.resultPath).find("invalid_config"),
+              std::string::npos);
+
+    // The service keeps serving.
+    const std::uint64_t good =
+        service.submit(tinySpec(), "tester", 0, &error);
+    ASSERT_NE(good, 0u) << error;
+    ASSERT_TRUE(service.waitJob(good, info));
+    EXPECT_EQ(info.state, JobState::Done) << info.error;
+    EXPECT_EQ(info.cellsFailed, 0u);
+}
+
 TEST(Service, QuotasQueueCapAndPriorities)
 {
     ServiceOptions options;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit and integration tests for the SIMT core model: the GTO/LRR
- * schedulers, CTA placement, end-to-end kernel execution, idle-gap
+ * schedulers (and their equivalence with the three-scan scheduler they
+ * replaced), CTA placement, end-to-end kernel execution, idle-gap
  * skipping, the memory pipeline under the full GPU, and the
  * barrier-synchronous parallel SM stepping (SimThreadPool, the
  * --sim-threads resolver, and parallel-vs-sequential bit-identity).
@@ -12,7 +13,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <map>
+#include <random>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/gpu.hh"
@@ -28,80 +31,386 @@ using namespace latte;
 namespace
 {
 
-std::vector<Warp>
-makeWarps(unsigned n, Cycles ready_at = 0)
+/** A scheduler over @p n slots whose warps all wake at @p wake, aged 0..n-1. */
+WarpScheduler
+makeScheduler(GpuConfig::SchedPolicy policy, std::uint32_t n,
+              Cycles wake = 0)
 {
-    std::vector<Warp> warps(n);
-    for (unsigned i = 0; i < n; ++i) {
-        warps[i].slot = i;
-        warps[i].state = WarpState::Active;
-        warps[i].readyAt = ready_at;
-        warps[i].age = i;
-    }
-    return warps;
+    WarpScheduler sched(policy, 0, n);
+    for (std::uint32_t i = 0; i < n; ++i)
+        sched.assign(i, i, wake);
+    return sched;
 }
 
 } // namespace
 
 TEST(Scheduler, GtoStaysGreedy)
 {
-    WarpScheduler sched(GpuConfig::SchedPolicy::GTO, 0);
-    for (unsigned i = 0; i < 4; ++i)
-        sched.addSlot(i);
-    auto warps = makeWarps(4);
+    WarpScheduler sched = makeScheduler(GpuConfig::SchedPolicy::GTO, 4);
 
-    std::uint32_t ready = 0;
-    int pick = sched.pick(warps, 0, ready);
-    EXPECT_EQ(ready, 4u);
-    EXPECT_EQ(pick, 0); // oldest first
+    WarpScheduler::Scan scan = sched.scan(0);
+    EXPECT_EQ(scan.ready, 4u);
+    EXPECT_EQ(scan.pick, 0); // oldest first
     sched.noteIssued(2); // pretend 2 became the greedy warp
-    pick = sched.pick(warps, 1, ready);
-    EXPECT_EQ(pick, 2) << "GTO sticks with the greedy warp while ready";
+    scan = sched.scan(1);
+    EXPECT_EQ(scan.pick, 2) << "GTO sticks with the greedy warp while ready";
 }
 
 TEST(Scheduler, GtoFallsBackToOldest)
 {
-    WarpScheduler sched(GpuConfig::SchedPolicy::GTO, 0);
-    for (unsigned i = 0; i < 4; ++i)
-        sched.addSlot(i);
-    auto warps = makeWarps(4);
-    warps[0].age = 100; // make warp 1 the oldest
+    WarpScheduler sched = makeScheduler(GpuConfig::SchedPolicy::GTO, 4);
+    sched.assign(0, 100, 0); // make warp 1 the oldest
     sched.noteIssued(3);
-    warps[3].readyAt = 50; // greedy stalls
+    sched.setWake(3, 50); // greedy stalls
 
-    std::uint32_t ready = 0;
-    const int pick = sched.pick(warps, 0, ready);
-    EXPECT_EQ(pick, 1);
-    EXPECT_EQ(ready, 3u);
+    const WarpScheduler::Scan scan = sched.scan(0);
+    EXPECT_EQ(scan.pick, 1);
+    EXPECT_EQ(scan.ready, 3u);
+    EXPECT_EQ(scan.nextWake, 50u);
 }
 
 TEST(Scheduler, NoReadyWarps)
 {
-    WarpScheduler sched(GpuConfig::SchedPolicy::GTO, 0);
-    sched.addSlot(0);
-    auto warps = makeWarps(1, /*ready_at=*/100);
-    std::uint32_t ready = 0;
-    EXPECT_EQ(sched.pick(warps, 0, ready), -1);
-    EXPECT_EQ(ready, 0u);
-    EXPECT_EQ(sched.nextWake(warps, 0), 100u);
+    const WarpScheduler sched =
+        makeScheduler(GpuConfig::SchedPolicy::GTO, 1, /*wake=*/100);
+    const WarpScheduler::Scan scan = sched.scan(0);
+    EXPECT_EQ(scan.pick, -1);
+    EXPECT_EQ(scan.ready, 0u);
+    EXPECT_EQ(scan.nextWake, 100u);
 }
 
 TEST(Scheduler, LrrRotates)
 {
-    WarpScheduler sched(GpuConfig::SchedPolicy::LRR, 0);
-    for (unsigned i = 0; i < 3; ++i)
-        sched.addSlot(i);
-    auto warps = makeWarps(3);
+    WarpScheduler sched = makeScheduler(GpuConfig::SchedPolicy::LRR, 3);
 
-    std::uint32_t ready = 0;
-    int pick = sched.pick(warps, 0, ready);
-    EXPECT_EQ(pick, 0);
+    EXPECT_EQ(sched.scan(0).pick, 0);
     sched.noteIssued(0);
-    pick = sched.pick(warps, 1, ready);
-    EXPECT_EQ(pick, 1);
+    EXPECT_EQ(sched.scan(1).pick, 1);
     sched.noteIssued(1);
-    pick = sched.pick(warps, 2, ready);
-    EXPECT_EQ(pick, 2);
+    EXPECT_EQ(sched.scan(2).pick, 2);
+    sched.noteIssued(2);
+    EXPECT_EQ(sched.scan(3).pick, 0) << "rotation wraps around";
+}
+
+// ------------------------------------ scheduler vs. three-scan reference
+
+namespace
+{
+
+/** A warp slot as the three-scan reference saw it. */
+struct RefWarp
+{
+    WarpState state = WarpState::Unassigned;
+    /** Meaningful while Active; any stale value otherwise. */
+    Cycles readyAt = 0;
+    std::uint64_t age = 0;
+
+    bool
+    ready(Cycles now) const
+    {
+        return state == WarpState::Active && readyAt != kNoCycle &&
+               readyAt <= now;
+    }
+
+    bool
+    sleeping(Cycles now) const
+    {
+        return (state == WarpState::Active ||
+                state == WarpState::WaitMem) &&
+               readyAt != kNoCycle && readyAt > now;
+    }
+};
+
+/**
+ * Brute-force oracle with the three-scan scheduler's semantics: it walks
+ * its slots of the SM's whole warp array once to pick, once to find the
+ * issued slot's rotation index and once for the earliest wake.
+ */
+class ThreeScanScheduler
+{
+  public:
+    ThreeScanScheduler(GpuConfig::SchedPolicy policy) : policy_(policy) {}
+
+    void addSlot(std::uint32_t slot) { slots_.push_back(slot); }
+
+    int
+    pick(const std::vector<RefWarp> &warps, Cycles now,
+         std::uint32_t &ready_count) const
+    {
+        ready_count = 0;
+        int best = -1;
+        if (policy_ == GpuConfig::SchedPolicy::GTO) {
+            std::uint64_t best_age = ~std::uint64_t{0};
+            bool greedy_ready = false;
+            for (const std::uint32_t slot : slots_) {
+                const RefWarp &warp = warps[slot];
+                if (!warp.ready(now))
+                    continue;
+                ++ready_count;
+                if (static_cast<int>(slot) == greedy_) {
+                    greedy_ready = true;
+                } else if (warp.age < best_age) {
+                    best_age = warp.age;
+                    best = static_cast<int>(slot);
+                }
+            }
+            return greedy_ready ? greedy_ : best;
+        }
+        const std::size_t n = slots_.size();
+        for (std::size_t k = 0; k < n; ++k) {
+            const std::uint32_t slot = slots_[(rrNext_ + k) % n];
+            if (warps[slot].ready(now)) {
+                ++ready_count;
+                if (best < 0)
+                    best = static_cast<int>(slot);
+            }
+        }
+        return best;
+    }
+
+    void
+    noteIssued(std::uint32_t slot)
+    {
+        greedy_ = static_cast<int>(slot);
+        for (std::size_t k = 0; k < slots_.size(); ++k) {
+            if (slots_[k] == slot) {
+                rrNext_ = (k + 1) % slots_.size();
+                break;
+            }
+        }
+    }
+
+    Cycles
+    nextWake(const std::vector<RefWarp> &warps, Cycles now) const
+    {
+        Cycles wake = kNoCycle;
+        for (const std::uint32_t slot : slots_) {
+            if (warps[slot].sleeping(now) && warps[slot].readyAt < wake)
+                wake = warps[slot].readyAt;
+        }
+        return wake;
+    }
+
+  private:
+    GpuConfig::SchedPolicy policy_;
+    std::vector<std::uint32_t> slots_;
+    int greedy_ = -1;
+    std::size_t rrNext_ = 0;
+};
+
+/**
+ * One SM's schedulers in both forms, fed the same warp transitions the
+ * SM makes: assignment, issue (ALU, store, load, exit), load completion.
+ */
+class SchedulerPair
+{
+  public:
+    SchedulerPair(GpuConfig::SchedPolicy policy, std::uint32_t schedulers,
+                  std::uint32_t slots)
+        : n_(schedulers), warps_(slots)
+    {
+        for (std::uint32_t s = 0; s < n_; ++s) {
+            fast_.emplace_back(policy, s, (slots + n_ - 1 - s) / n_);
+            ref_.emplace_back(policy);
+        }
+        for (std::uint32_t w = 0; w < slots; ++w)
+            ref_[w % n_].addSlot(w);
+    }
+
+    const RefWarp &warp(std::uint32_t slot) const { return warps_[slot]; }
+
+    /** Put @p slot in @p state; the reference keeps @p ready_at. */
+    void
+    set(std::uint32_t slot, WarpState state, Cycles ready_at,
+        std::uint64_t age)
+    {
+        warps_[slot] = {state, ready_at, age};
+        fast_[slot % n_].assign(slot / n_, age,
+                                state == WarpState::Active ? ready_at
+                                                           : kNoCycle);
+    }
+
+    void
+    noteIssued(std::uint32_t slot)
+    {
+        ref_[slot % n_].noteIssued(slot);
+        fast_[slot % n_].noteIssued(slot / n_);
+    }
+
+    /**
+     * One SM tick's issue decisions, compared scheduler by scheduler.
+     * @p issue gives the state and ready cycle an issued slot moves to.
+     * @return the SM's next tick as the reference computed it, checked
+     *         against the one-pass value.
+     */
+    template <typename IssueFn>
+    Cycles
+    tick(Cycles now, IssueFn &&issue)
+    {
+        bool issued = false;
+        Cycles fast_next = kNoCycle;
+        for (std::uint32_t s = 0; s < n_; ++s) {
+            std::uint32_t ready = 0;
+            const int ref_pick = ref_[s].pick(warps_, now, ready);
+            const WarpScheduler::Scan scan = fast_[s].scan(now);
+            EXPECT_EQ(scan.ready, ready) << "scheduler " << s;
+            EXPECT_EQ(scan.nextWake, ref_[s].nextWake(warps_, now))
+                << "scheduler " << s;
+            const int fast_pick =
+                scan.pick < 0 ? -1
+                              : static_cast<int>(scan.pick * n_ + s);
+            EXPECT_EQ(fast_pick, ref_pick) << "scheduler " << s;
+            fast_next = std::min(fast_next, scan.nextWake);
+            if (ref_pick < 0)
+                continue;
+            const auto slot = static_cast<std::uint32_t>(ref_pick);
+            noteIssued(slot);
+            const auto [state, ready_at] = issue(slot);
+            warps_[slot].state = state;
+            // The reference left an exiting warp's ready cycle stale.
+            if (state != WarpState::Finished)
+                warps_[slot].readyAt = ready_at;
+            fast_[s].setWake(slot / n_, state == WarpState::Active
+                                            ? ready_at
+                                            : kNoCycle);
+            issued = true;
+        }
+        Cycles ref_next = issued ? now + 1 : kNoCycle;
+        for (std::uint32_t s = 0; s < n_; ++s)
+            ref_next = std::min(ref_next, ref_[s].nextWake(warps_, now));
+        EXPECT_EQ(issued ? now + 1 : fast_next, ref_next);
+        return ref_next;
+    }
+
+  private:
+    std::uint32_t n_;
+    std::vector<RefWarp> warps_;
+    std::vector<WarpScheduler> fast_;
+    std::vector<ThreeScanScheduler> ref_;
+};
+
+GpuConfig::SchedPolicy
+randomPolicy(std::mt19937_64 &rng)
+{
+    return rng() % 2 ? GpuConfig::SchedPolicy::GTO
+                     : GpuConfig::SchedPolicy::LRR;
+}
+
+} // namespace
+
+TEST(SchedulerDiff, RandomWarpStatesMatchThreeScans)
+{
+    std::mt19937_64 rng(7);
+    for (int trial = 0; trial < 3000; ++trial) {
+        const std::uint32_t schedulers = 1 + rng() % 4;
+        const std::uint32_t slots = 1 + rng() % 48;
+        SchedulerPair pair(randomPolicy(rng), schedulers, slots);
+        const Cycles now = 20 + rng() % 1000;
+
+        for (std::uint32_t w = 0; w < slots; ++w) {
+            // Few distinct ages, so GTO's tie-break (first slot) shows.
+            const std::uint64_t age = rng() % 8;
+            const Cycles any =
+                rng() % 8 == 0 ? kNoCycle : now - 20 + rng() % 40;
+            switch (rng() % 4) {
+              case 0:
+                pair.set(w, WarpState::Active, any, age);
+                break;
+              case 1:
+                // The issue path cleared a loading warp's ready cycle;
+                // one left from before the load lies in the past.
+                pair.set(w, WarpState::WaitMem,
+                         rng() % 2 ? kNoCycle : now - rng() % 20, age);
+                break;
+              case 2:
+                pair.set(w, WarpState::Finished, any, age);
+                break;
+              default:
+                pair.set(w, WarpState::Unassigned, any, age);
+                break;
+            }
+        }
+        // Greedy warp and rotation point from earlier issues.
+        for (std::uint64_t k = rng() % 4; k > 0; --k)
+            pair.noteIssued(rng() % slots);
+
+        pair.tick(now, [&](std::uint32_t) {
+            return std::pair{WarpState::Active, now + 1 + rng() % 5};
+        });
+        if (::testing::Test::HasFailure())
+            FAIL() << "trial " << trial;
+    }
+}
+
+TEST(SchedulerDiff, IssueStreamMatchesThreeScans)
+{
+    std::mt19937_64 rng(11);
+    for (int trial = 0; trial < 60; ++trial) {
+        const std::uint32_t schedulers = 1 + rng() % 4;
+        const std::uint32_t slots = 1 + rng() % 48;
+        SchedulerPair pair(randomPolicy(rng), schedulers, slots);
+
+        std::uint64_t age_clock = 0;
+        Cycles now = 0;
+        for (std::uint32_t w = 0; w < slots; ++w) {
+            if (rng() % 4 != 0)
+                pair.set(w, WarpState::Active, 1, age_clock++);
+        }
+        // Loads in flight: completion cycle per waiting slot.
+        std::map<std::uint32_t, Cycles> loads;
+
+        for (int step = 0; step < 2000; ++step) {
+            const Cycles next = pair.tick(now, [&](std::uint32_t slot) {
+                switch (rng() % 8) {
+                  case 0:
+                    loads[slot] = now + 1 + rng() % 300;
+                    return std::pair{WarpState::WaitMem, kNoCycle};
+                  case 1:
+                    return std::pair{WarpState::Finished, kNoCycle};
+                  case 2:
+                    return std::pair{WarpState::Active, now + 1};
+                  default:
+                    return std::pair{WarpState::Active,
+                                     now + 1 + rng() % 12};
+                }
+            });
+            if (::testing::Test::HasFailure())
+                FAIL() << "trial " << trial << " step " << step;
+
+            // The next event: a tick, a load completion, or (when the SM
+            // idles) new warps in the empty slots.
+            Cycles load_due = kNoCycle;
+            for (const auto &[slot, due] : loads)
+                load_due = std::min(load_due, due);
+            const Cycles prev = now;
+            now = std::min(next, load_due);
+            if (now == kNoCycle) {
+                now = prev + 1;
+                for (std::uint32_t w = 0; w < slots; ++w) {
+                    if (pair.warp(w).state != WarpState::WaitMem)
+                        pair.set(w, WarpState::Active, now, age_clock++);
+                }
+                continue;
+            }
+            for (auto it = loads.begin(); it != loads.end();) {
+                if (it->second != now) {
+                    ++it;
+                    continue;
+                }
+                pair.set(it->first, WarpState::Active, now + rng() % 3,
+                         pair.warp(it->first).age);
+                it = loads.erase(it);
+            }
+            // Finished slots drain to Unassigned, ready cycle untouched.
+            for (std::uint32_t w = 0; w < slots; ++w) {
+                if (pair.warp(w).state == WarpState::Finished &&
+                    rng() % 16 == 0) {
+                    pair.set(w, WarpState::Unassigned,
+                             pair.warp(w).readyAt, pair.warp(w).age);
+                }
+            }
+        }
+    }
 }
 
 // ----------------------------------------------------- whole-GPU runs
@@ -208,6 +517,23 @@ TEST(Gpu, WarpSlotLimitWithSmallCtas)
     }
     EXPECT_EQ(placed, 8u);
     EXPECT_EQ(sm.activeWarps(), 16u);
+}
+
+TEST(Gpu, CtaThatFitsNoSmInterrupts)
+{
+    MemoryImage mem;
+    GpuConfig cfg;
+    cfg.maxWarpsPerSm = 4;
+    Gpu gpu(cfg, &mem);
+
+    SyntheticKernel kernel(tinyKernel(4, 8, 5));
+    const RunResult result = gpu.runKernel(kernel);
+    EXPECT_FALSE(result.completed);
+    EXPECT_EQ(result.instructions, 0u);
+    ASSERT_TRUE(result.interrupt.has_value());
+    EXPECT_EQ(result.interrupt->code, RunErrorCode::InvalidConfig);
+    EXPECT_NE(result.interrupt->detail.find("8 warps"), std::string::npos)
+        << result.interrupt->detail;
 }
 
 TEST(Gpu, MultipleKernelsAccumulateClock)

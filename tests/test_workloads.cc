@@ -1,16 +1,21 @@
 /**
  * @file
  * Tests for the workload zoo and value generators: catalog integrity,
- * determinism, compression affinities of the value profiles, and the
- * kernel geometry limits the SM model depends on.
+ * determinism, compression affinities of the value profiles, the kernel
+ * geometry limits the SM model depends on, and line-level address
+ * generation against the per-lane definition.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
 #include <set>
 
 #include "compress/factory.hh"
 #include "compress/sc.hh"
+#include "workloads/synthetic_kernel.hh"
 #include "workloads/value_gens.hh"
 #include "workloads/zoo.hh"
 
@@ -72,6 +77,238 @@ TEST(Zoo, SetupPopulatesMemory)
         const auto &line = mem.line(0x10000000);
         (void)line;
         SUCCEED();
+    }
+}
+
+// ------------------------------------------- line-level address generation
+
+namespace
+{
+
+constexpr std::uint32_t kLanes = 32;
+
+/**
+ * Byte address lane @p lane of a memory instruction reads: the per-lane
+ * definition SyntheticKernel::fetch() once evaluated for all 32 lanes.
+ */
+Addr
+perLaneAddr(const KernelSpec &spec, const Pattern &pattern,
+            std::uint32_t global_warp, std::uint64_t iter,
+            std::uint32_t mem_idx, std::uint32_t lane)
+{
+    constexpr std::uint64_t kLine = 128;
+    const std::uint32_t cta = global_warp / spec.warpsPerCta;
+    const std::uint64_t h =
+        mixHash(spec.seed + mem_idx * 0x1000193u,
+                (static_cast<std::uint64_t>(global_warp) << 24) ^ iter);
+    const std::uint64_t slices =
+        std::max<std::uint64_t>(1, pattern.sizeBytes / pattern.sliceBytes);
+    const std::uint64_t slice_off = (cta % slices) * pattern.sliceBytes;
+    const auto hot_span = [&](std::uint64_t hash) {
+        const bool hot =
+            (hash % 1024) <
+            static_cast<std::uint64_t>(pattern.hotFraction * 1024.0);
+        return std::max<std::uint64_t>(kLine, hot ? pattern.hotBytes
+                                                  : pattern.sliceBytes);
+    };
+
+    switch (pattern.kind) {
+      case PatternKind::Streaming: {
+        const std::uint64_t total_threads =
+            static_cast<std::uint64_t>(spec.ctas) * spec.warpsPerCta *
+            kLanes;
+        const std::uint64_t tid =
+            static_cast<std::uint64_t>(global_warp) * kLanes + lane;
+        const std::uint64_t idx =
+            (tid + iter * total_threads + mem_idx * 977) *
+            pattern.elemBytes;
+        return pattern.base + idx % pattern.sizeBytes;
+      }
+      case PatternKind::HotReuse: {
+        const std::uint64_t line_idx =
+            mixHash(h, 0x51u) % (hot_span(h) / kLine);
+        return pattern.base + slice_off + line_idx * kLine +
+               (lane * 4) % kLine;
+      }
+      case PatternKind::Irregular: {
+        const std::uint32_t lanes_per_group = std::max<std::uint32_t>(
+            1, kLanes / std::max<std::uint32_t>(1,
+                                                pattern.divergentLanes));
+        const std::uint64_t hg = mixHash(h, lane / lanes_per_group + 11);
+        const std::uint64_t line_idx =
+            mixHash(hg, 0x7fu) % (hot_span(hg) / kLine);
+        return pattern.base + slice_off + line_idx * kLine +
+               (lane * 4) % kLine;
+      }
+      case PatternKind::Tiled: {
+        const std::uint64_t lines_in_slice =
+            std::max<std::uint64_t>(1, pattern.sliceBytes / kLine);
+        const std::uint64_t line_idx =
+            (iter + mem_idx * 7 + (global_warp % spec.warpsPerCta) * 3) %
+            lines_in_slice;
+        return pattern.base + slice_off + line_idx * kLine +
+               (lane * 4) % kLine;
+      }
+    }
+    return kBadAddr;
+}
+
+/** Body length of @p phase in instructions. */
+std::uint64_t
+bodyOf(const PhaseSpec &phase)
+{
+    return phase.loadsPerIter + phase.aluPerIter + phase.storesPerIter;
+}
+
+/**
+ * The lines instruction @p pc of @p global_warp touches, by definition:
+ * every lane's line, sorted and deduplicated (empty for ALU and Exit).
+ * Also reports the pattern of a memory instruction.
+ */
+std::vector<Addr>
+oracleLines(const KernelSpec &spec, std::uint32_t global_warp,
+            std::uint64_t pc, const Pattern **pattern_out = nullptr)
+{
+    std::uint64_t start = 0;
+    std::uint64_t iter_start = 0;
+    for (const PhaseSpec &phase : spec.phases) {
+        const std::uint64_t body = bodyOf(phase);
+        if (pc >= start + body * phase.iterations) {
+            start += body * phase.iterations;
+            iter_start += phase.iterations;
+            continue;
+        }
+        const std::uint64_t slot = (pc - start) % body;
+        const std::uint64_t iter = iter_start + (pc - start) / body;
+        std::uint32_t mem_idx = static_cast<std::uint32_t>(slot);
+        if (slot >= phase.loadsPerIter + phase.aluPerIter)
+            mem_idx += 64; // a store
+        else if (slot >= phase.loadsPerIter)
+            return {}; // ALU
+        std::vector<Addr> lines;
+        for (std::uint32_t lane = 0; lane < kLanes; ++lane) {
+            lines.push_back(MemoryImage::lineAddr(perLaneAddr(
+                spec, phase.pattern, global_warp, iter, mem_idx, lane)));
+        }
+        std::sort(lines.begin(), lines.end());
+        lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
+        if (pattern_out)
+            *pattern_out = &phase.pattern;
+        return lines;
+    }
+    return {};
+}
+
+/** Compare fetch() with the oracle; count compared memory instructions. */
+void
+expectOracleLines(SyntheticKernel &kernel, std::uint32_t global_warp,
+                  std::uint64_t pc, std::map<PatternKind, unsigned> &seen)
+{
+    const DecodedInstr instr = kernel.fetch(global_warp, pc);
+    const Pattern *pattern = nullptr;
+    const std::vector<Addr> expected =
+        oracleLines(kernel.spec(), global_warp, pc, &pattern);
+    const std::vector<Addr> lines(instr.laneAddrs.begin(),
+                                  instr.laneAddrs.end());
+    EXPECT_EQ(lines, expected)
+        << kernel.name() << " warp " << global_warp << " pc " << pc;
+    if (pattern)
+        ++seen[pattern->kind];
+}
+
+} // namespace
+
+TEST(LineFetch, ZooKernelsMatchPerLaneOracle)
+{
+    std::mt19937_64 rng(3);
+    std::map<PatternKind, unsigned> seen;
+    for (const auto &workload : workloadZoo()) {
+        for (const std::uint64_t seed : {0, 1}) {
+            for (const auto &kernel : makeKernels(workload, seed)) {
+                const std::uint32_t warps =
+                    kernel->numCtas() * kernel->warpsPerCta();
+                std::vector<std::uint32_t> sample = {
+                    0, 1, kernel->warpsPerCta(), warps - 1};
+                for (int i = 0; i < 4; ++i)
+                    sample.push_back(rng() % warps);
+                // The first bodies of every phase, then random pcs.
+                std::uint64_t start = 0;
+                for (const PhaseSpec &phase : kernel->spec().phases) {
+                    const std::uint64_t len =
+                        bodyOf(phase) * phase.iterations;
+                    for (const std::uint32_t warp : sample) {
+                        if (warp >= warps)
+                            continue;
+                        for (std::uint64_t pc = start;
+                             pc < start + std::min<std::uint64_t>(
+                                              len, 3 * bodyOf(phase));
+                             ++pc) {
+                            expectOracleLines(*kernel, warp, pc, seen);
+                        }
+                        for (int i = 0; i < 32; ++i) {
+                            expectOracleLines(*kernel, warp,
+                                              start + rng() % len, seen);
+                        }
+                    }
+                    start += len;
+                }
+                ASSERT_FALSE(::testing::Test::HasFailure());
+            }
+        }
+    }
+    for (const PatternKind kind :
+         {PatternKind::Streaming, PatternKind::HotReuse,
+          PatternKind::Irregular, PatternKind::Tiled}) {
+        EXPECT_GT(seen[kind], 1000u) << static_cast<int>(kind);
+    }
+}
+
+TEST(LineFetch, RandomPatternsMatchPerLaneOracle)
+{
+    std::mt19937_64 rng(5);
+    std::map<PatternKind, unsigned> seen;
+    const std::uint32_t divergent[] = {0, 1, 3, 5, 8, 32, 40};
+    for (int trial = 0; trial < 600; ++trial) {
+        KernelSpec spec;
+        spec.ctas = 1 + rng() % 300;
+        spec.warpsPerCta = 1 + rng() % 16;
+        spec.seed = rng();
+        for (std::uint64_t p = 1 + rng() % 3; p > 0; --p) {
+            PhaseSpec phase;
+            phase.iterations = 1 + rng() % 400;
+            phase.loadsPerIter = 1 + rng() % 3;
+            phase.aluPerIter = rng() % 3;
+            phase.storesPerIter = rng() % 3;
+            Pattern &pattern = phase.pattern;
+            pattern.kind = static_cast<PatternKind>(rng() % 4);
+            // Unaligned base and slice half the time; region sizes that
+            // are and are not powers of two, down to one line, so a
+            // Streaming warp often wraps at sizeBytes (several times
+            // for wide elements).
+            pattern.base = 0x10000000 + (rng() % 2 ? 0 : rng() % 4096);
+            pattern.sizeBytes = rng() % 2 ? std::uint64_t{128}
+                                                << (rng() % 16)
+                                          : 128 + rng() % (1 << 20);
+            pattern.sliceBytes =
+                rng() % 2 ? 128 * (1 + rng() % 64) : 1 + rng() % 20000;
+            pattern.hotBytes = rng() % (pattern.sliceBytes + 1);
+            pattern.hotFraction = static_cast<double>(rng() % 1001) / 1000;
+            pattern.divergentLanes = divergent[rng() % 7];
+            pattern.elemBytes = static_cast<std::uint32_t>(rng() % 257);
+            spec.phases.push_back(phase);
+        }
+        SyntheticKernel kernel(spec);
+        const std::uint32_t warps = spec.ctas * spec.warpsPerCta;
+        for (int i = 0; i < 200; ++i) {
+            expectOracleLines(kernel, rng() % warps,
+                              rng() % kernel.instructionsPerWarp(), seen);
+        }
+        ASSERT_FALSE(::testing::Test::HasFailure()) << "trial " << trial;
+    }
+    for (const PatternKind kind :
+         {PatternKind::Streaming, PatternKind::HotReuse,
+          PatternKind::Irregular, PatternKind::Tiled}) {
+        EXPECT_GT(seen[kind], 5000u) << static_cast<int>(kind);
     }
 }
 
