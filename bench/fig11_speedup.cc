@@ -7,8 +7,6 @@
  * Static-SC -8.2%, and LATTE-CC slightly above Kernel-OPT.
  */
 
-#include <chrono>
-
 #include "bench_util.hh"
 #include "common/logging.hh"
 
@@ -17,71 +15,6 @@ using namespace latte::bench;
 
 namespace
 {
-
-/**
- * --sim-threads scaling probe: time the C-Sens half of the fig11 mix
- * on a large (16-SM) configuration at 1, 2 and "auto" SM-stepping
- * threads and record cycles/sec plus speedup over sequential in the
- * --bench-out report. Runs latte::run() directly — the Sweep result
- * cache would collapse the thread settings into one cell, since
- * simThreads is deliberately not part of the RunKey fingerprint.
- * CI gates the "auto" speedup at >= 1.3x on >= 4-core runners.
- */
-void
-runScalingProbe(Sweep &sweep)
-{
-    DriverOptions options = sweep.defaults();
-    options.cfg.numSms = 16;
-
-    runner::Json::Array entries;
-    double sequential_cps = 0;
-    for (const char *threads : {"1", "2", "auto"}) {
-        std::uint64_t cycles = 0;
-        std::uint32_t resolved = 1;
-        const auto start = std::chrono::steady_clock::now();
-        for (const auto *workload : workloadsByCategory(true)) {
-            RunRequest request;
-            request.workload = workload;
-            request.policy = PolicyKind::LatteCc;
-            request.options = options;
-            request.options.simThreads = threads;
-            const RunOutcome outcome = latte::run(request);
-            if (!outcome.ok())
-                latte_fatal("scaling probe failed on {} at "
-                            "--sim-threads={}: {}",
-                            workload->abbr, threads,
-                            outcome.error.message);
-            cycles += outcome.value().cycles;
-            resolved = outcome.simThreads;
-        }
-        const double seconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        const double cps =
-            seconds > 0 ? static_cast<double>(cycles) / seconds : 0.0;
-        if (sequential_cps == 0)
-            sequential_cps = cps;
-
-        runner::Json::Object entry;
-        entry["sim_threads"] = std::string(threads);
-        entry["resolved_threads"] =
-            static_cast<std::uint64_t>(resolved);
-        entry["num_sms"] =
-            static_cast<std::uint64_t>(options.cfg.numSms);
-        entry["wall_seconds"] = seconds;
-        entry["sim_cycles"] = cycles;
-        entry["cycles_per_second"] = cps;
-        entry["speedup_vs_sequential"] =
-            sequential_cps > 0 ? cps / sequential_cps : 0.0;
-        entries.push_back(runner::Json(std::move(entry)));
-        std::cout << "scaling probe: --sim-threads=" << threads
-                  << " (resolved " << resolved << ") "
-                  << static_cast<std::uint64_t>(cps) << " cycles/s\n";
-    }
-    sweep.addBenchExtra("sim_thread_scaling",
-                        runner::Json(std::move(entries)));
-}
 
 /**
  * Compression-down-the-hierarchy probe: the fig11 grid with the L2
@@ -184,9 +117,7 @@ main(int argc, char **argv)
                  "Static-BDI > 1.0 > Static-SC; LATTE-CC >= Kernel-OPT. "
                  "C-InSens: LATTE/BDI ~1.0, SC < 1.0.\n";
 
-    if (!sweep.benchPath().empty()) {
-        runScalingProbe(sweep);
+    if (!sweep.benchPath().empty())
         runL2CompressGrid(sweep);
-    }
     return 0;
 }

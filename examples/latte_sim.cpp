@@ -144,8 +144,7 @@ main(int argc, char **argv)
                    options.compressBackend = v;
                });
     parser.add("--sim-threads", "", "N",
-               "SM-stepping threads: a count or 'auto' (speed only; "
-               "results are bit-identical)",
+               "a count or 'auto' (accepted for compatibility; ignored)",
                [&](const std::string &v) {
                    std::string error;
                    if (resolveSimThreads(v, &error) == 0) {

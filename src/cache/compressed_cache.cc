@@ -86,12 +86,6 @@ CompressedCache::queueFor(CompressorId mode) const
     return domain_.queueFor(mode);
 }
 
-void
-CompressedCache::recordHist(metrics::LatencyHistogram *hist, double value)
-{
-    hist->record(value);
-}
-
 LineMeta
 CompressedCache::probeForInsertion(CompressorId mode,
                                    std::span<const std::uint8_t> bytes)
@@ -135,13 +129,7 @@ CompressedCache::access(Cycles now, Addr addr, bool is_write)
                 tracer_->record(ev);
             }
         }
-        if (stage_) {
-            stage_->hasL2Write = true;
-            stage_->l2WriteAddr = line_addr;
-            stage_->noteSplit();
-        } else {
-            l2_->access(now, line_addr, true);
-        }
+        l2_->access(now, line_addr, true);
         provider_->observeAccess({now, set, was_hit, true, old_mode});
         return {was_hit, now + 1, false, false};
     }
@@ -158,8 +146,10 @@ CompressedCache::access(Cycles now, Addr addr, bool is_write)
             Compressor *engine = engines_->get(entry->mode);
             DecompressionQueue &queue = queueFor(entry->mode);
             ready = queue.enqueue(ready, engine->decompressLatency());
-            recordHitHist(decompWaitHist_, static_cast<double>(
-                              ready - (now + cfg_.l1.hitLatency)));
+            if (decompWaitHist_) {
+                decompWaitHist_->record(static_cast<double>(
+                    ready - (now + cfg_.l1.hitLatency)));
+            }
             if (tracer_) {
                 TraceEvent ev = makeTraceEvent(
                     now, TraceEventKind::DecompEnqueue, smId_);
@@ -184,7 +174,8 @@ CompressedCache::access(Cycles now, Addr addr, bool is_write)
                                     truth.begin()),
                          "round-trip mismatch at line {}", line_addr);
         }
-        recordHitHist(hitLatencyHist_, static_cast<double>(ready - now));
+        if (hitLatencyHist_)
+            hitLatencyHist_->record(static_cast<double>(ready - now));
         if (tracer_) {
             TraceEvent ev = makeTraceEvent(now, TraceEventKind::L1Hit, smId_);
             ev.arg0 = line_addr;
@@ -229,23 +220,6 @@ CompressedCache::access(Cycles now, Addr addr, bool is_write)
         return {false, now, false, true};
     }
 
-    if (stage_) {
-        // Parallel phase: the L2 is shared, so the whole miss tail —
-        // including the policy's access observation, whose EP boundary
-        // reads the miss-latency average this tail samples — runs at
-        // the epoch barrier via finishMiss().
-        stage_->deferredMiss = true;
-        stage_->missAddr = line_addr;
-        stage_->noteSplit();
-        return {false, 0, false, false, true};
-    }
-    return {false, finishMiss(now, line_addr), false, false};
-}
-
-Cycles
-CompressedCache::finishMiss(Cycles now, Addr line_addr)
-{
-    const std::uint32_t set = setIndexOf(line_addr);
     ++misses;
     const L2Result res = l2_->access(now, line_addr, false);
     missLatency.sample(static_cast<double>(res.readyCycle - now));
@@ -265,7 +239,7 @@ CompressedCache::finishMiss(Cycles now, Addr line_addr)
         tracer_->record(ev);
     }
     provider_->observeAccess({now, set, false, false, CompressorId::None});
-    return res.readyCycle;
+    return {false, res.readyCycle, false, false};
 }
 
 void

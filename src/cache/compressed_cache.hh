@@ -25,7 +25,6 @@
 #include "compress_memo.hh"
 #include "compress/compression_domain.hh"
 #include "compress/engines.hh"
-#include "l1_stage.hh"
 #include "mem/dueling_selector.hh"
 #include "mem/l2cache.hh"
 #include "mem/memory_image.hh"
@@ -78,12 +77,6 @@ struct L1AccessResult
     bool merged = false;
     /** Resource stall (MSHR full): the access must be retried. */
     bool rejected = false;
-    /**
-     * Parallel phase only: a primary miss whose shared-L2 tail was
-     * parked in the staging buffer. readyCycle is not yet known; the
-     * epoch barrier obtains it from finishMiss().
-     */
-    bool deferred = false;
 };
 
 /** Per-SM compressed L1 data cache. */
@@ -98,42 +91,8 @@ class CompressedCache : public StatGroup
     /** Install the compression management policy (not owned). */
     void setModeProvider(CompressionModeProvider *provider);
 
-    /** The installed policy (never null; defaults to uncompressed). */
-    CompressionModeProvider *modeProvider() { return provider_; }
-
     /** Attach the event tracer (not owned; nullptr disables tracing). */
     void setTracer(Tracer *tracer) { tracer_ = tracer; }
-
-    /**
-     * Enter/leave the parallel staging mode (nullptr leaves). While a
-     * stage is attached, access() parks its single shared-memory-system
-     * effect there instead of performing it: a write-through stages its
-     * L2 notification, a primary read miss returns `deferred` with its
-     * whole tail postponed, and hit-path samples into run-shared
-     * histograms are parked. The epoch barrier replays everything in
-     * canonical SM order via commitStagedWrite()/finishMiss().
-     */
-    void setStage(L1Stage *stage) { stage_ = stage; }
-
-    /**
-     * Barrier-side tail of a primary read miss detected during the
-     * parallel phase: exactly the sequential miss path from the L2
-     * access onwards. @return the warp's ready cycle.
-     */
-    Cycles finishMiss(Cycles now, Addr line_addr);
-
-    /** Barrier-side replay of a staged write-through L2 notification. */
-    void
-    commitStagedWrite(Cycles now, Addr line_addr)
-    {
-        l2_->access(now, line_addr, true);
-    }
-
-    /**
-     * Flush one staged histogram sample at the barrier (out of line:
-     * LatencyHistogram is only forward-declared here).
-     */
-    static void recordHist(metrics::LatencyHistogram *hist, double value);
 
     /**
      * Attach the metric registry (not owned; nullptr detaches). The
@@ -244,23 +203,11 @@ class CompressedCache : public StatGroup
     /** Size-only encode of an insertion (memoised when enabled). */
     LineMeta probeForInsertion(CompressorId mode,
                                std::span<const std::uint8_t> bytes);
-    /** Record into a run-shared hit-path histogram, staging if parked. */
-    void
-    recordHitHist(metrics::LatencyHistogram *hist, double value)
-    {
-        if (!hist)
-            return;
-        if (stage_)
-            stage_->histSamples.push_back({hist, value});
-        else
-            recordHist(hist, value);
-    }
 
     const GpuConfig &cfg_;
     CacheTuning tuning_;
     std::uint16_t smId_;
     Tracer *tracer_ = nullptr;
-    L1Stage *stage_ = nullptr;
     metrics::LatencyHistogram *hitLatencyHist_ = nullptr;
     metrics::LatencyHistogram *missLatencyHist_ = nullptr;
     metrics::LatencyHistogram *decompWaitHist_ = nullptr;

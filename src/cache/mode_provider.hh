@@ -31,11 +31,10 @@ class CompressionModeProvider
     virtual ~CompressionModeProvider() = default;
 
     /**
-     * Point the provider's event recording at @p tracer. The parallel
-     * simulation mode swaps in a per-SM staging tracer for the duration
-     * of a kernel so policy events (EP boundaries, mode changes, SC
-     * rebuilds) stay in canonical order; providers that do not trace
-     * ignore it.
+     * Point the provider's event recording at @p tracer. The simulator
+     * no longer calls it; it stays because wrapping providers (the
+     * benchmark's timing wrapper) forward it to their policy. Providers
+     * that do not trace ignore it.
      */
     virtual void
     redirectTracer(Tracer *tracer)

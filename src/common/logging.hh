@@ -10,10 +10,10 @@
  * level check when disabled.
  *
  * Every line goes through one process-wide writer under a mutex, so
- * output from --sim-threads workers, runner threads and service threads
- * never tears. Each record carries a monotonic timestamp, the emitting
- * thread's name and the thread's correlation context (see LogScope) —
- * in `--log-json` mode as one JSON object per line, otherwise as
+ * output from runner threads and service threads never tears. Each
+ * record carries a monotonic timestamp, the emitting thread's name and
+ * the thread's correlation context (see LogScope) — in `--log-json`
+ * mode as one JSON object per line, otherwise as
  *
  *   [     1.234567] warn  run-w2 job-4/cell-9: message
  *
@@ -103,7 +103,7 @@ void setLogJson(bool json);
 bool logJson();
 
 /**
- * Name the calling thread for every record it emits ("main", "sim-w3",
+ * Name the calling thread for every record it emits ("main", "run-w1",
  * "sched"...). Unnamed threads log as "t<n>" in spawn-ish order.
  */
 void setLogThreadName(std::string name);

@@ -5,6 +5,7 @@
 #include "common/logging.hh"
 #include "compress/backend.hh"
 #include "metrics/registry.hh"
+#include "sim/thread_pool.hh"
 
 namespace latte
 {
@@ -315,8 +316,6 @@ runConcrete(const RunRequest &request, const PolicyFactory &factory,
 
     Gpu gpu(options.cfg, &mem, options.tuning, request.tracer);
     gpu.setControl(&request.control);
-    // Validated by run(); resolveSimThreads cannot fail here.
-    gpu.setSimThreads(resolveSimThreads(options.simThreads, nullptr));
 
     std::vector<std::unique_ptr<Policy>> policies;
     policies.reserve(gpu.numSms());
@@ -539,10 +538,11 @@ run(const RunRequest &original)
         }
         setCompressorBackend(*backend);
     }
+    // --sim-threads is ignored, but a malformed value still fails the
+    // cell.
     std::string threads_error;
-    const unsigned sim_threads =
-        resolveSimThreads(request.options.simThreads, &threads_error);
-    if (sim_threads == 0) {
+    if (resolveSimThreads(request.options.simThreads, &threads_error) ==
+        0) {
         return RunOutcome::failure(cellError(
             request, RunErrorCode::InvalidConfig, threads_error));
     }
@@ -563,7 +563,6 @@ run(const RunRequest &original)
                               std::get<PolicyFactory>(request.policy),
                               PolicyKind::Baseline);
     }
-    outcome.simThreads = sim_threads;
     return outcome;
 }
 

@@ -140,13 +140,10 @@ struct DriverOptions
      */
     std::string compressBackend;
     /**
-     * SM-stepping threads inside one run ("auto" = hardware
-     * concurrency, a positive integer, or empty = LATTE_SIM_THREADS /
-     * default 1). The parallel cycle loop is barrier-synchronous and
-     * bit-identical to sequential, so like compressBackend this is
-     * execution speed only and deliberately NOT part of the
-     * result-cache fingerprint — a cached result is valid whichever
-     * thread count computed it.
+     * The `--sim-threads` value ("auto", a positive integer, or empty
+     * = LATTE_SIM_THREADS / default 1): accepted for compatibility;
+     * ignored. run() still rejects a malformed value as InvalidConfig.
+     * Not part of the result-cache fingerprint.
      */
     std::string simThreads;
 };
@@ -234,9 +231,9 @@ struct RunOutcome
     /** Errors of the failed attempts that preceded the last one. */
     std::vector<RunError> retryHistory;
     /**
-     * SM-stepping threads the run resolved to (metadata for the result
-     * envelope; never part of the cell fingerprint, since every thread
-     * count is bit-identical).
+     * Accepted for compatibility; ignored. Fresh runs record 1; an
+     * outcome restored from an older cache entry or journal keeps the
+     * value it was saved with. Never part of the cell fingerprint.
      */
     std::uint32_t simThreads = 1;
 

@@ -83,7 +83,7 @@ class Policy : public CompressionModeProvider
         traceSmId_ = sm_id;
     }
 
-    /** Swap the recording target (parallel staging); keeps the SM id. */
+    /** Swap the recording target; keeps the SM id. */
     void
     redirectTracer(Tracer *tracer) override
     {

@@ -4,9 +4,7 @@
  * (--l2-compress=latte). It runs the same DuelingModeSelector as the
  * L1's LATTE-CC policy on its own EP clock, but feeds it exclusively
  * from L2-visible signals: the per-EP hit/miss service latencies the L2
- * itself observes. No SM-side meter is consulted, so every decision
- * happens barrier-side in canonical access order and the parallel cycle
- * loop stays bit-identical to sequential.
+ * itself observes. No SM-side meter is consulted.
  *
  * SC is not a candidate below the L1: its code-book training and
  * generation rebuilds are wired to the per-SM policies. The candidate

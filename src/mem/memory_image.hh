@@ -49,12 +49,12 @@ class MemoryImage
 
     /**
      * Read the full line containing @p addr (materialising it). Safe to
-     * call concurrently from the parallel SM-stepping phase: resident
-     * lines are found under a shared lock, first-touch materialisation
-     * takes the lock exclusively, and node-based map storage keeps the
-     * returned reference stable across later insertions. Line content
-     * is a pure function of the address, so materialisation order
-     * cannot change what any reader sees.
+     * call from several threads at once: resident lines are found
+     * under a shared lock, first-touch materialisation takes the lock
+     * exclusively, and node-based map storage keeps the returned
+     * reference stable across later insertions. Line content is a pure
+     * function of the address, so materialisation order cannot change
+     * what any reader sees.
      */
     const Line &line(Addr addr);
 
@@ -89,7 +89,7 @@ class MemoryImage
 
     std::vector<Region> regions_;
     std::unordered_map<Addr, Line> lines_;
-    /** Guards lines_ against the parallel SM-stepping phase. */
+    /** Guards lines_ so line() may be called concurrently. */
     mutable std::shared_mutex mutex_;
 };
 

@@ -144,8 +144,7 @@ const ArgSpec kSpecs[] = {
          o.linkCompress = v;
      }},
     {"--sim-threads", nullptr, "<n|auto>",
-     "SM-stepping threads inside each run: a count or 'auto' (speed "
-     "only; results are bit-identical)",
+     "a count or 'auto' (accepted for compatibility; ignored)",
      [](SweepCliOptions &o, const std::string &v) {
          std::string error;
          if (resolveSimThreads(v, &error) == 0)

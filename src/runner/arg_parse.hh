@@ -27,8 +27,8 @@
  *   --no-progress         suppress the stderr progress/ETA lines
  *   --compress-backend B  compression kernel backend
  *                         (auto|scalar|sse4|avx2; speed only)
- *   --sim-threads N       SM-stepping threads inside each run
- *                         (count or "auto"; speed only)
+ *   --sim-threads N       accepted for compatibility; ignored
+ *                         (count or "auto")
  *   --log-level L         stderr log threshold
  *                         (error|warn|info|debug|trace)
  *   --log-json            JSON-lines log records
@@ -72,10 +72,10 @@ struct SweepCliOptions
      */
     std::string compressBackend;
     /**
-     * SM-stepping threads inside each run ("auto", a positive count, or
-     * empty = LATTE_SIM_THREADS / default 1). The parallel cycle loop
-     * is bit-identical to sequential, so like compressBackend this is
-     * speed only and not part of the result-cache key.
+     * The --sim-threads value ("auto", a positive count, or empty =
+     * LATTE_SIM_THREADS / default 1): accepted for compatibility;
+     * ignored. Validated at parse time; not part of the result-cache
+     * key.
      */
     std::string simThreads;
     /**

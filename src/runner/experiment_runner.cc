@@ -15,7 +15,6 @@
 #include "progress.hh"
 #include "resilience.hh"
 #include "result_cache.hh"
-#include "sim/thread_pool.hh"
 #include "trace/tracer.hh"
 
 namespace latte::runner
@@ -44,9 +43,9 @@ constexpr std::size_t kDiagTraceTail = 64;
 /**
  * Dump a correlation-tagged JSON snapshot of a failed cell: the outcome
  * envelope plus whatever observational state the process holds at that
- * moment (profiler zones, sim pool counters, trace tail). Best-effort —
- * a write failure is a warning, never an error, and the snapshot is
- * never read back by the runner itself.
+ * moment (profiler zones, trace tail). Best-effort — a write failure is
+ * a warning, never an error, and the snapshot is never read back by the
+ * runner itself.
  */
 void
 writeDiagnostics(const std::string &dir, std::size_t index,
@@ -85,15 +84,6 @@ writeDiagnostics(const std::string &dir, std::size_t index,
         }
         doc.emplace("profiler_zones", Json(std::move(zonesJson)));
     }
-
-    const SimPoolStats pool = simPoolGlobalStats();
-    Json::Object poolJson;
-    poolJson.emplace("epochs", pool.epochs);
-    poolJson.emplace("items", pool.items);
-    poolJson.emplace("caller_items", pool.callerItems);
-    poolJson.emplace("sleep_transitions", pool.sleepTransitions);
-    poolJson.emplace("barrier_waits", pool.barrierWaitNs.count());
-    doc.emplace("sim_pool", Json(std::move(poolJson)));
 
     if (request.tracer) {
         const std::size_t total = request.tracer->size();

@@ -842,11 +842,9 @@ toJson(const RunOutcome &outcome)
     // across backends), so fromJson() does not require or restore it.
     object["compressBackend"] =
         Json(std::string(activeCompressorBackend().name));
-    // Metadata only, like compressBackend: how many SM-stepping threads
-    // the run resolved to. Not part of the cell fingerprint (every
-    // thread count is bit-identical); fromJson() restores it when
-    // present so a cache-served cell reports the thread count of the
-    // run that actually computed it.
+    // Metadata only: fresh runs record 1 (--sim-threads is ignored).
+    // Not part of the cell fingerprint; fromJson() restores it when
+    // present so an older cache entry or journal replays byte-for-byte.
     object["simThreads"] =
         Json(static_cast<std::uint64_t>(outcome.simThreads));
     object["error"] =
@@ -1084,10 +1082,9 @@ toJson(const DriverOptions &options)
          Json(options.maxInstructionsPerKernel)},
         // options.compressBackend and options.simThreads are
         // deliberately absent: this JSON is the result-cache
-        // fingerprint (RunKey.configHash), and every backend and every
-        // SM-stepping thread count produce bit-identical results, so a
-        // cached result must stay valid whichever computed it. Both
-        // reach the sweep envelope via the RunOutcome JSON instead.
+        // fingerprint (RunKey.configHash), every backend produces
+        // bit-identical results and --sim-threads is ignored, so a
+        // cached result stays valid whichever value was given.
     });
 }
 

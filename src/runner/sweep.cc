@@ -7,7 +7,6 @@
 #include "json.hh"
 #include "metrics/profiler.hh"
 #include "metrics/registry.hh"
-#include "sim/thread_pool.hh"
 #include "trace/sink.hh"
 
 namespace latte::runner
@@ -61,18 +60,10 @@ Sweep::Sweep(SweepCliOptions cli, DriverOptions defaults)
     if (!cli.linkCompress.empty())
         parseLinkCompressSpec(cli.linkCompress,
                               defaults_.cfg.linkCompress);
-    // --sim-threads is per-run, not process-wide: the driver resolves
-    // it when each cell starts. Also speed-only, also not cache-keyed.
-    if (!cli.simThreads.empty()) {
+    // --sim-threads is accepted for compatibility and ignored; it was
+    // validated at parse time and is not cache-keyed.
+    if (!cli.simThreads.empty())
         defaults_.simThreads = cli.simThreads;
-        // -j worker threads each drive their own SM pool, so the two
-        // knobs multiply; epoch barriers thrash once threads exceed
-        // cores.
-        if (cli.jobs != 1 &&
-            resolveSimThreads(cli.simThreads, nullptr) > 1)
-            latte_warn("--sim-threads with -j != 1 multiplies thread "
-                       "counts; prefer -j 1 for parallel-SM sweeps");
-    }
 }
 
 void
@@ -384,26 +375,6 @@ Sweep::writeBench() const
                         : 0.0;
     report["near_miss_cells"] =
         static_cast<std::uint64_t>(stats.nearMisses);
-
-    // Runtime introspection of the --sim-threads pool: process-wide
-    // aggregate over every pool the sweep's runs created. Purely
-    // observational — deliberately outside the result documents.
-    {
-        const SimPoolStats pool = simPoolGlobalStats();
-        Json::Object poolJson;
-        poolJson["epochs"] = pool.epochs;
-        poolJson["items"] = pool.items;
-        poolJson["caller_items"] = pool.callerItems;
-        poolJson["sleep_transitions"] = pool.sleepTransitions;
-        Json::Object wait;
-        wait["count"] = pool.barrierWaitNs.count();
-        wait["p50_ns"] = pool.barrierWaitNs.percentile(50.0);
-        wait["p90_ns"] = pool.barrierWaitNs.percentile(90.0);
-        wait["p99_ns"] = pool.barrierWaitNs.percentile(99.0);
-        wait["max_ns"] = pool.barrierWaitNs.max();
-        poolJson["barrier_wait"] = Json(std::move(wait));
-        report["sim_pool"] = Json(std::move(poolJson));
-    }
 
     // Cell wall-time distribution of this sweep, in milliseconds.
     {

@@ -122,7 +122,7 @@ class Sweep
 
     /**
      * Merge one extra top-level entry into the --bench-out report
-     * (e.g. the fig11 --sim-threads scaling probe). Last writer wins
+     * (e.g. the fig11 compressed-L2 probe grid). Last writer wins
      * on key collisions, including with the built-in fields.
      */
     void addBenchExtra(const std::string &key, Json value);

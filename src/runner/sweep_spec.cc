@@ -195,10 +195,9 @@ const OptionEntry kOptionTable[] = {
      [](DriverOptions &o, const Json &v, std::string *e) {
          if (v.type() != Json::Type::String)
              return setError(e, "sim_threads: expected a string");
-         // Validated here so a bad spelling fails at submit time, not
-         // per cell. The parallel cycle loop is bit-identical to
-         // sequential, so like compress_backend this is execution
-         // speed only and excluded from the RunKey fingerprint.
+         // Accepted for compatibility and ignored, but validated here
+         // so a bad spelling still fails at submit time, not per cell.
+         // Excluded from the RunKey fingerprint.
          std::string resolve_error;
          if (resolveSimThreads(v.asString(), &resolve_error) == 0)
              return setError(e, "sim_threads: " + resolve_error);

@@ -97,7 +97,7 @@ class HttpServer
 /**
  * Wire the standard observability endpoints of @p service onto
  * @p server: /metrics (Prometheus exposition including live cell
- * gauges and sim-pool histograms), /healthz (JSON liveness summary)
+ * gauges), /healthz (JSON liveness summary)
  * and /jobs (JSON job list, the HTTP mirror of the dispatcher's
  * "jobs" verb). Shared by latted and the tests so both serve
  * byte-identical content. @p service must outlive @p server.

@@ -9,7 +9,6 @@
 #include "metrics/live.hh"
 #include "metrics/registry.hh"
 #include "runner/experiment_runner.hh"
-#include "sim/thread_pool.hh"
 
 namespace latte::service
 {
@@ -519,10 +518,9 @@ SweepService::metricsPrometheus() const
     metrics::writeHistogramPrometheus(os, "service_cell_wall_ms",
                                       cellWallMs_);
 
-    // Live mid-run gauges and the sim-pool aggregate ride along, so
-    // the wire "metrics" verb and GET /metrics serve identical text.
+    // Live mid-run gauges ride along, so the wire "metrics" verb and
+    // GET /metrics serve identical text.
     metrics::live::writePrometheus(os);
-    os << simPoolPrometheus();
     return os.str();
 }
 

@@ -31,19 +31,6 @@ Gpu::Gpu(const GpuConfig &cfg, MemoryImage *mem, CacheTuning tuning,
 }
 
 void
-Gpu::setSimThreads(unsigned threads)
-{
-    simThreads_ = std::max(1u, threads);
-    pool_.reset();
-    if (simThreads_ > 1) {
-        pool_ = std::make_unique<SimThreadPool>(simThreads_ - 1);
-        epochJob_ = [this](std::size_t k) {
-            sms_[due_[k]]->stagedTick(epochNow_);
-        };
-    }
-}
-
-void
 Gpu::setMetrics(metrics::MetricRegistry *metrics)
 {
     metrics_ = metrics;
@@ -141,16 +128,6 @@ Gpu::runKernel(KernelProgram &program, std::uint64_t max_instructions,
     for (auto &sm : sms_)
         sm->startKernel(&program);
 
-    // An epoch with fewer due SMs than this runs staged-but-inline:
-    // commit follows each tick immediately (same canonical order), so
-    // drain phases never pay the pool's wakeup latency.
-    constexpr std::size_t kMinParallelDue = 4;
-    const bool parallel = simThreads_ > 1;
-    if (parallel) {
-        for (auto &sm : sms_)
-            sm->beginStaged();
-    }
-
     std::uint32_t next_cta = 0;
     const std::uint32_t num_ctas = program.numCtas();
 
@@ -210,7 +187,8 @@ Gpu::runKernel(KernelProgram &program, std::uint64_t max_instructions,
             break;
         }
 
-        due_.clear();
+        // Due SMs step in index order; an SM's idle gap only feeds its
+        // own tolerance meter, so it is settled just before its tick.
         for (std::uint32_t i = 0; i < sms_.size(); ++i) {
             if (next_tick[i] > now_)
                 continue;
@@ -218,26 +196,7 @@ Gpu::runKernel(KernelProgram &program, std::uint64_t max_instructions,
             if (gap > 1)
                 sms_[i]->noteIdle(gap - 1);
             last_tick[i] = now_;
-            due_.push_back(i);
-        }
-
-        if (parallel && due_.size() >= kMinParallelDue) {
-            // Phase A: due SMs tick concurrently against private state.
-            epochNow_ = now_;
-            pool_->run(due_.size(), epochJob_);
-            // Phase B: shared effects commit in canonical SM order.
-            for (const std::uint32_t i : due_)
-                next_tick[i] = sms_[i]->commitStage(now_);
-        } else if (parallel) {
-            for (const std::uint32_t i : due_) {
-                sms_[i]->stagedTick(now_);
-                next_tick[i] = sms_[i]->commitStage(now_);
-            }
-        } else {
-            for (const std::uint32_t i : due_)
-                next_tick[i] = sms_[i]->tick(now_);
-        }
-        for (const std::uint32_t i : due_) {
+            next_tick[i] = sms_[i]->tick(now_);
             latte_assert(next_tick[i] == kNoCycle || next_tick[i] > now_,
                          "SM must request a future tick");
         }
@@ -259,11 +218,6 @@ Gpu::runKernel(KernelProgram &program, std::uint64_t max_instructions,
             metrics::live::CellScope::publish(now_, executed);
             next_live_publish = now_ + kLivePublishPeriod;
         }
-    }
-
-    if (parallel) {
-        for (auto &sm : sms_)
-            sm->endStaged();
     }
 
     const Cycles duration = now_ - start;

@@ -8,7 +8,6 @@
 #ifndef LATTE_SIM_GPU_HH
 #define LATTE_SIM_GPU_HH
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -21,7 +20,6 @@
 #include "mem/l2cache.hh"
 #include "mem/memory_image.hh"
 #include "sm.hh"
-#include "thread_pool.hh"
 
 namespace latte
 {
@@ -94,15 +92,10 @@ class Gpu : public StatGroup
     void setControl(const RunControl *control) { control_ = control; }
 
     /**
-     * Step SMs with @p threads threads (1 = the classic sequential
-     * loop). The parallel mode is barrier-synchronous and bit-identical
-     * to sequential: SMs due at the current cycle tick concurrently on
-     * a persistent pool against private state, while every shared
-     * memory-system effect is staged and committed at the epoch
-     * barrier in canonical SM-index order.
+     * Accepted for compatibility and ignored: SMs always step in index
+     * order on the calling thread.
      */
-    void setSimThreads(unsigned threads);
-    unsigned simThreads() const { return simThreads_; }
+    void setSimThreads(unsigned) {}
 
     /**
      * Run @p program to completion or until the whole launch has issued
@@ -136,14 +129,6 @@ class Gpu : public StatGroup
     L2Cache l2_;
     std::vector<std::unique_ptr<StreamingMultiprocessor>> sms_;
     Cycles now_ = 0;
-
-    unsigned simThreads_ = 1;
-    std::unique_ptr<SimThreadPool> pool_;
-    /** SMs due this epoch, ascending (the canonical commit order). */
-    std::vector<std::uint32_t> due_;
-    /** The epoch job, built once so epochs allocate nothing. */
-    std::function<void(std::size_t)> epochJob_;
-    Cycles epochNow_ = 0;
 };
 
 } // namespace latte

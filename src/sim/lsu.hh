@@ -79,33 +79,20 @@ class LoadStoreUnit : public StatGroup
         retryAt_ = 0;
         ++accessesIssued;
         queue_.pop_front();
-        if (res.deferred) {
-            // Parallel phase: the miss tail (and hence the warp's ready
-            // cycle) is only known at the epoch barrier, which calls
-            // completeDeferred() with it.
-            latte_assert(!hasDeferred_);
-            hasDeferred_ = true;
-            deferredSlot_ = req.warpSlot;
+        if (req.warpSlot < 0)
             return std::nullopt;
-        }
-        return complete(req.warpSlot, res.readyCycle, warps);
-    }
-
-    /** True when this tick's access was deferred to the barrier. */
-    bool hasDeferred() const { return hasDeferred_; }
-
-    /** Finish a deferred access with its now-known @p ready cycle. */
-    std::optional<LoadWake>
-    completeDeferred(Cycles ready, std::span<Warp> warps)
-    {
-        latte_assert(hasDeferred_);
-        hasDeferred_ = false;
-        return complete(deferredSlot_, ready, warps);
+        Warp &warp = warps[req.warpSlot];
+        latte_assert(warp.pendingAccesses > 0);
+        warp.memReady = std::max(warp.memReady, res.readyCycle);
+        if (--warp.pendingAccesses != 0)
+            return std::nullopt;
+        warp.state = WarpState::Active;
+        return LoadWake{warp.slot, warp.memReady};
     }
 
     bool busy() const { return !queue_.empty(); }
     std::size_t depth() const { return queue_.size(); }
-    void clear() { queue_.clear(); retryAt_ = 0; hasDeferred_ = false; }
+    void clear() { queue_.clear(); retryAt_ = 0; }
 
     /** Next cycle the LSU can make progress (valid while busy()). */
     Cycles
@@ -118,21 +105,6 @@ class LoadStoreUnit : public StatGroup
     Counter retries;
 
   private:
-    /** One access of @p warp_slot's load (-1: a store) is due at @p ready. */
-    static std::optional<LoadWake>
-    complete(int warp_slot, Cycles ready, std::span<Warp> warps)
-    {
-        if (warp_slot < 0)
-            return std::nullopt;
-        Warp &warp = warps[warp_slot];
-        latte_assert(warp.pendingAccesses > 0);
-        warp.memReady = std::max(warp.memReady, ready);
-        if (--warp.pendingAccesses != 0)
-            return std::nullopt;
-        warp.state = WarpState::Active;
-        return LoadWake{warp.slot, warp.memReady};
-    }
-
     struct Request
     {
         Addr lineAddr;
@@ -142,8 +114,6 @@ class LoadStoreUnit : public StatGroup
 
     std::deque<Request> queue_;
     Cycles retryAt_ = 0;
-    bool hasDeferred_ = false;
-    int deferredSlot_ = -1;
 };
 
 } // namespace latte

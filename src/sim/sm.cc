@@ -117,22 +117,13 @@ StreamingMultiprocessor::noteIdle(std::uint64_t cycles)
 Cycles
 StreamingMultiprocessor::tick(Cycles now)
 {
-    wake(lsu_.tick(now, cache_, warps_));
-    return issueAndNext(now);
-}
-
-void
-StreamingMultiprocessor::wake(std::optional<LoadWake> load)
-{
-    if (load) {
+    // A load that completes this cycle hands its warp's wake cycle to
+    // the warp's scheduler before the issue phase scans.
+    if (const auto load = lsu_.tick(now, cache_, warps_)) {
         schedulers_[load->slot % cfg_.schedulersPerSm].setWake(
             load->slot / cfg_.schedulersPerSm, load->readyAt);
     }
-}
 
-Cycles
-StreamingMultiprocessor::issueAndNext(Cycles now)
-{
     // A warp that issues wakes at now + 1 or later, so the SM's next
     // tick is now + 1 after any issue and otherwise the earliest of the
     // schedulers' pending wakes and the LSU's next event.
@@ -156,89 +147,6 @@ StreamingMultiprocessor::issueAndNext(Cycles now)
         return now + 1;
     if (lsu_.busy())
         next = std::min(next, lsu_.nextEvent(now));
-    return next;
-}
-
-void
-StreamingMultiprocessor::beginStaged()
-{
-    latte_assert(!stagedMode_);
-    stagedMode_ = true;
-    realTracer_ = tracer_;
-    if (tracer_) {
-        if (!stagingTracer_) {
-            stagingTracer_ = std::make_unique<Tracer>(256);
-            stagingTracer_->setStaging(true);
-        }
-        tracer_ = stagingTracer_.get();
-        cache_.setTracer(tracer_);
-        cache_.modeProvider()->redirectTracer(tracer_);
-        stage_.events = tracer_;
-    }
-    stage_.reset();
-    cache_.setStage(&stage_);
-}
-
-void
-StreamingMultiprocessor::endStaged()
-{
-    latte_assert(stagedMode_);
-    stagedMode_ = false;
-    cache_.setStage(nullptr);
-    tracer_ = realTracer_;
-    cache_.setTracer(realTracer_);
-    cache_.modeProvider()->redirectTracer(realTracer_);
-    stage_.events = nullptr;
-    realTracer_ = nullptr;
-}
-
-void
-StreamingMultiprocessor::stagedTick(Cycles now)
-{
-    wake(lsu_.tick(now, cache_, warps_));
-    // A deferred miss postpones the issue phase too: the scheduler feeds
-    // the tolerance meter that the policy harvests at EP boundaries, and
-    // the sequential order is miss tail first, issue phase second.
-    stagedNext_ = lsu_.hasDeferred() ? kNoCycle : issueAndNext(now);
-}
-
-void
-StreamingMultiprocessor::drainStaged(std::size_t begin, std::size_t end)
-{
-    for (std::size_t i = begin; i < end; ++i)
-        realTracer_->record(stagingTracer_->stagedAt(i));
-}
-
-Cycles
-StreamingMultiprocessor::commitStage(Cycles now)
-{
-    for (const StagedHistSample &sample : stage_.histSamples)
-        CompressedCache::recordHist(sample.hist, sample.value);
-
-    const bool hasL2Op = stage_.hasL2Write || stage_.deferredMiss;
-    const std::size_t staged = stage_.events ? stage_.events->size() : 0;
-    const std::size_t split = hasL2Op ? stage_.split : staged;
-    if (stage_.events)
-        drainStaged(0, split);
-
-    Cycles next = stagedNext_;
-    if (stage_.deferredMiss) {
-        // The L2/NOC/DRAM events of finishMiss() go straight to the
-        // real tracer; the L1-side tail and the issue phase append to
-        // the staging buffer after `split`, exactly as the sequential
-        // loop interleaves them.
-        const Cycles ready = cache_.finishMiss(now, stage_.missAddr);
-        wake(lsu_.completeDeferred(ready, warps_));
-        next = issueAndNext(now);
-    } else if (stage_.hasL2Write) {
-        cache_.commitStagedWrite(now, stage_.l2WriteAddr);
-    }
-
-    if (stage_.events) {
-        drainStaged(split, stage_.events->size());
-        stagingTracer_->clear();
-    }
-    stage_.reset();
     return next;
 }
 

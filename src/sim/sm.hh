@@ -9,8 +9,6 @@
 #ifndef LATTE_SIM_SM_HH
 #define LATTE_SIM_SM_HH
 
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "cache/compressed_cache.hh"
@@ -59,34 +57,6 @@ class StreamingMultiprocessor : public StatGroup
      */
     Cycles tick(Cycles now);
 
-    // --- Barrier-synchronous parallel stepping -------------------------
-    /**
-     * Enter staged mode for a parallel kernel run: tracing (SM, cache
-     * and policy) is redirected into a private growable staging tracer
-     * and the cache parks shared-memory-system effects in the stage.
-     * Paired with endStaged() around each runKernel().
-     */
-    void beginStaged();
-    void endStaged();
-
-    /**
-     * The parallel (phase A) half of tick(): safe to run concurrently
-     * with other SMs' stagedTick() because every shared effect lands in
-     * the stage. When the tick's access was a primary miss the issue
-     * phase is postponed too (the policy's EP accounting must see the
-     * miss tail first); commitStage() runs it.
-     */
-    void stagedTick(Cycles now);
-
-    /**
-     * The barrier (phase B) half: called once per staged tick, in
-     * canonical SM-index order, from the simulation thread. Replays
-     * staged histogram samples and trace events around the parked L2
-     * operation, completes a deferred miss, and returns what tick()
-     * would have returned.
-     */
-    Cycles commitStage(Cycles now);
-
     /** Account @p cycles of skipped (idle) time to the tolerance meter. */
     void noteIdle(std::uint64_t cycles);
 
@@ -111,12 +81,6 @@ class StreamingMultiprocessor : public StatGroup
     /** Execute @p warp's next instruction; returns its new wake cycle. */
     Cycles issueWarp(Warp &warp, Cycles now);
     void finishWarp(Warp &warp);
-    /** Hand a completed load's wake cycle to the warp's scheduler. */
-    void wake(std::optional<LoadWake> load);
-    /** The issue phase and next-tick computation shared by both modes. */
-    Cycles issueAndNext(Cycles now);
-    /** Replay staged events [begin, end) into the run's real tracer. */
-    void drainStaged(std::size_t begin, std::size_t end);
 
     const GpuConfig &cfg_;
     SmId smId_;
@@ -132,15 +96,6 @@ class StreamingMultiprocessor : public StatGroup
     std::vector<Warp> warps_;
     std::vector<WarpScheduler> schedulers_;
     std::vector<std::uint32_t> freeSlots_;
-
-    // --- Staged-mode state (parallel kernel runs only) -----------------
-    L1Stage stage_;
-    /** The run's tracer while tracer_ points at the staging buffer. */
-    Tracer *realTracer_ = nullptr;
-    std::unique_ptr<Tracer> stagingTracer_;
-    /** issueAndNext() result computed in phase A (non-deferred ticks). */
-    Cycles stagedNext_ = kNoCycle;
-    bool stagedMode_ = false;
 
     /** Remaining unfinished warps per resident CTA handle. */
     std::vector<std::uint32_t> ctaRemaining_;

@@ -15,7 +15,6 @@
 #ifndef LATTE_TRACE_TRACER_HH
 #define LATTE_TRACE_TRACER_HH
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -42,32 +41,12 @@ class Tracer
     bool enabled() const { return enabled_; }
     void setEnabled(bool enabled) { enabled_ = enabled; }
 
-    /**
-     * Staging mode, for the parallel simulation phase: the buffer grows
-     * instead of wrapping (so no event is ever lost before the barrier
-     * replays it into the run's real tracer) and the per-kind counters
-     * are left untouched (the replay will count each event exactly
-     * once). A staging tracer is a per-SM holding pen, never exported.
-     */
-    void setStaging(bool staging) { staging_ = staging; }
-    bool staging() const { return staging_; }
-
-    /** Event @p i of a staging tracer, in record order. */
-    const TraceEvent &stagedAt(std::size_t i) const { return ring_[i]; }
-
     /** Record one event (hot path). */
     void
     record(const TraceEvent &event)
     {
         if (!enabled_)
             return;
-        if (staging_) {
-            if (head_ == ring_.size())
-                ring_.resize(std::max<std::size_t>(ring_.size() * 2, 64));
-            ring_[head_++] = event;
-            ++size_;
-            return;
-        }
         counts_[static_cast<std::size_t>(event.kind)]++;
         ++recorded_;
         ring_[head_] = event;
@@ -111,7 +90,6 @@ class Tracer
 
   private:
     bool enabled_ = true;
-    bool staging_ = false;
     std::vector<TraceEvent> ring_;
     std::size_t head_ = 0;
     std::size_t size_ = 0;

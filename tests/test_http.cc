@@ -242,13 +242,10 @@ TEST(Http, ServiceEndpointsExposeTheQueue)
     EXPECT_NE(metrics.body.find(
                   "latte_service_jobs{state=\"queued\"} 1"),
               std::string::npos);
-    // The live gauges and the sim-pool aggregate ride along.
+    // The live gauges ride along; the retired sim-pool families do not.
     EXPECT_NE(metrics.body.find("latte_live_cells_in_flight"),
               std::string::npos);
-    EXPECT_NE(metrics.body.find("latte_sim_pool_epochs_total"),
-              std::string::npos);
-    EXPECT_NE(metrics.body.find("latte_sim_pool_barrier_wait_ns"),
-              std::string::npos);
+    EXPECT_EQ(metrics.body.find("latte_sim_pool"), std::string::npos);
 
     // /healthz: machine-readable liveness summary.
     HttpReply healthz = httpGet(server.port(), "/healthz");

@@ -393,29 +393,6 @@ TEST(L2Compress, L2LatteRowBackfillsTheRunTrace)
     }
 }
 
-TEST(L2Compress, SimThreadsBitIdenticalForL2Rows)
-{
-    // NW under l2-static-bdi exercises the compressed-fill and the
-    // decompression-queue paths; both must stay bit-identical across
-    // the parallel cycle loop (KM covers the catalogue-wide sweep in
-    // Runner.SimThreadsAreBitIdentical; this pins the BDI-heavy case).
-    const Workload *nw = findWorkload("NW");
-    ASSERT_NE(nw, nullptr);
-
-    const auto runOnce = [&](const char *threads) {
-        RunRequest request;
-        request.workload = nw;
-        request.policy = PolicyKind::L2StaticBdi;
-        request.options = tinyOptions();
-        request.options.cfg.numSms = 8;
-        request.options.simThreads = threads;
-        const RunOutcome outcome = run(request);
-        EXPECT_TRUE(outcome.ok()) << to_string(outcome.error);
-        return toJson(outcome.value()).dump();
-    };
-    EXPECT_EQ(runOnce("1"), runOnce("4"));
-}
-
 // ------------------------------------------------------- sweep surface
 
 TEST(L2Compress, SweepSpecValidatesTheDottedAxes)

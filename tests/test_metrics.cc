@@ -133,6 +133,36 @@ TEST(LatencyHistogram, StatsAndReset)
     EXPECT_DOUBLE_EQ(h.percentile(50), 0.0);
 }
 
+TEST(LatencyHistogram, MergePreservesMoments)
+{
+    LatencyHistogram a;
+    LatencyHistogram b;
+    for (int i = 1; i <= 50; ++i)
+        a.record(static_cast<double>(i));
+    for (int i = 51; i <= 100; ++i)
+        b.record(static_cast<double>(i));
+
+    LatencyHistogram whole;
+    for (int i = 1; i <= 100; ++i)
+        whole.record(static_cast<double>(i));
+
+    a.merge(b);
+    EXPECT_EQ(a.count(), whole.count());
+    EXPECT_DOUBLE_EQ(a.sum(), whole.sum());
+    EXPECT_EQ(a.min(), whole.min());
+    EXPECT_EQ(a.max(), whole.max());
+    EXPECT_EQ(a.percentile(50), whole.percentile(50));
+    EXPECT_EQ(a.percentile(99), whole.percentile(99));
+
+    // Merging an empty histogram is a no-op in both directions.
+    LatencyHistogram empty;
+    const std::uint64_t count = a.count();
+    a.merge(empty);
+    EXPECT_EQ(a.count(), count);
+    empty.merge(a);
+    EXPECT_EQ(empty.count(), count);
+}
+
 // --- Fixed-width common/stats.hh Histogram edges -----------------------
 
 TEST(FixedHistogram, BucketEdgesAndOverflow)

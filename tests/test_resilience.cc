@@ -437,11 +437,10 @@ TEST(Resilience, ResumedSweepIsByteIdenticalToUninterrupted)
 
 TEST(Resilience, ResumeWithSimThreadsIsByteIdentical)
 {
-    // Kill-and-resume with the parallel cycle loop enabled: a sweep
-    // computed at --sim-threads=4 must journal, resume and replay
-    // byte-identically to an uninterrupted run — including the
-    // simThreads envelope field, which fromJson restores so
-    // cache-served cells report the computing run's value.
+    // Kill-and-resume with --sim-threads=4 given: the option is ignored,
+    // so the sweep must journal, resume and replay byte-identically to
+    // an uninterrupted run, with every cell's simThreads envelope
+    // field at 1.
     const std::string dir =
         ::testing::TempDir() + "/latte_resilience_simthreads_test";
     std::filesystem::remove_all(dir);
@@ -461,7 +460,7 @@ TEST(Resilience, ResumeWithSimThreadsIsByteIdentical)
     const auto reference = ExperimentRunner(plain).runAll(grid);
     for (const RunOutcome &outcome : reference) {
         ASSERT_TRUE(outcome.ok()) << to_string(outcome.error);
-        EXPECT_EQ(outcome.simThreads, 4u);
+        EXPECT_EQ(outcome.simThreads, 1u);
     }
 
     // "Crash" after the first cell, then resume the whole grid.

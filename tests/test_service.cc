@@ -164,7 +164,16 @@ TEST(Service, InvalidSpecsAreRejected)
     spec.options["cfg.no_such_knob"] = runner::Json(std::uint64_t{1});
     EXPECT_EQ(service.submit(spec, "tester", 0, &error), 0u);
     EXPECT_NE(error.find("invalid spec"), std::string::npos) << error;
-    EXPECT_EQ(service.counters().rejected, 2u);
+
+    // sim_threads is ignored, but old specs that set it still load and
+    // a malformed value is still refused.
+    spec = tinySpec();
+    spec.options["sim_threads"] = runner::Json("4");
+    EXPECT_EQ(spec.validate(), "");
+    spec.options["sim_threads"] = runner::Json("0");
+    EXPECT_EQ(service.submit(spec, "tester", 0, &error), 0u);
+    EXPECT_NE(error.find("sim_threads"), std::string::npos) << error;
+    EXPECT_EQ(service.counters().rejected, 3u);
 }
 
 TEST(Service, UnrunnableConfigFailsCellsNotTheService)

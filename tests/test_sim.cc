@@ -4,17 +4,14 @@
  * schedulers (and their equivalence with the three-scan scheduler they
  * replaced), CTA placement, end-to-end kernel execution, idle-gap
  * skipping, the memory pipeline under the full GPU, and the
- * barrier-synchronous parallel SM stepping (SimThreadPool, the
- * --sim-threads resolver, and parallel-vs-sequential bit-identity).
+ * --sim-threads resolver, which still validates the ignored option.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdlib>
 #include <map>
 #include <random>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -638,7 +635,7 @@ TEST(SyntheticKernel, AddressesStayInRegion)
     }
 }
 
-// ------------------------------------------------- parallel SM stepping
+// ---------------------------------------------------- --sim-threads input
 
 TEST(SimParallel, ResolveSimThreads)
 {
@@ -665,56 +662,4 @@ TEST(SimParallel, ResolveSimThreads)
     ::setenv("LATTE_SIM_THREADS", "banana", 1);
     EXPECT_EQ(resolveSimThreads("", nullptr), 1u);
     ::unsetenv("LATTE_SIM_THREADS");
-}
-
-TEST(SimParallel, ThreadPoolRunsEveryItemExactlyOnce)
-{
-    SimThreadPool pool(3);
-    // Spawn count is clamped to spare cores; zero workers means every
-    // epoch runs inline on the caller, which this test still covers.
-    EXPECT_LE(pool.workers(), 3u);
-
-    // Many epochs of varying width against the same pool: every item
-    // index must be visited exactly once per epoch, including widths
-    // below, equal to and above the worker count, and width 0/1 (which
-    // run inline on the caller).
-    for (const std::size_t count : {0u, 1u, 2u, 3u, 4u, 7u, 64u, 257u}) {
-        std::vector<std::atomic<int>> visits(count ? count : 1);
-        for (auto &v : visits)
-            v.store(0);
-        pool.run(count, [&](std::size_t i) {
-            visits[i].fetch_add(1, std::memory_order_relaxed);
-        });
-        for (std::size_t i = 0; i < count; ++i)
-            EXPECT_EQ(visits[i].load(), 1) << "count " << count
-                                           << " item " << i;
-    }
-}
-
-TEST(SimParallel, GpuMatchesSequentialBitForBit)
-{
-    // The barrier-synchronous parallel loop must be indistinguishable
-    // from the sequential one: same cycle count, same instruction
-    // count, same L1 totals, same full stat dump. 16 SMs so epochs
-    // clear the kMinParallelDue inline threshold and actually exercise
-    // the pool.
-    const auto runOnce = [](unsigned threads) {
-        MemoryImage mem;
-        GpuConfig cfg;
-        cfg.numSms = 16;
-        Gpu gpu(cfg, &mem);
-        gpu.setSimThreads(threads);
-        SyntheticKernel kernel(tinyKernel(32, 2, 16));
-        const RunResult result = gpu.runKernel(kernel);
-        std::map<std::string, double> stats;
-        gpu.collect(stats);
-        return std::tuple(result.cycles, result.instructions,
-                          gpu.totalL1Hits(), gpu.totalL1Misses(),
-                          std::move(stats));
-    };
-
-    const auto sequential = runOnce(1);
-    for (const unsigned threads : {2u, 4u, 8u})
-        EXPECT_EQ(runOnce(threads), sequential)
-            << "sim-threads " << threads;
 }
