@@ -43,31 +43,6 @@ std::atomic<unsigned> g_nextThreadSeq{0};
 thread_local std::string t_threadName;
 thread_local std::string t_context;
 
-/** JSON string escaping for the --log-json sink (common has no Json). */
-void
-appendJsonEscaped(std::string &out, const std::string &text)
-{
-    for (const char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
 /** Emit one finished line (adds the newline). Caller holds no locks. */
 void
 emitLine(const std::string &line)
@@ -97,17 +72,15 @@ renderRecord(LogLevel level, const std::string &msg)
         line += ts_buf;
         line += ",\"level\":\"";
         line += logLevelName(level);
-        line += "\",\"thread\":\"";
-        appendJsonEscaped(line, thread);
-        line += "\"";
+        line += "\",\"thread\":";
+        appendJsonString(line, thread);
         if (!context.empty()) {
-            line += ",\"ctx\":\"";
-            appendJsonEscaped(line, context);
-            line += "\"";
+            line += ",\"ctx\":";
+            appendJsonString(line, context);
         }
-        line += ",\"msg\":\"";
-        appendJsonEscaped(line, msg);
-        line += "\"}";
+        line += ",\"msg\":";
+        appendJsonString(line, msg);
+        line += "}";
         return line;
     }
 
@@ -125,6 +98,31 @@ renderRecord(LogLevel level, const std::string &msg)
 }
 
 } // namespace
+
+void
+appendJsonString(std::string &out, std::string_view text)
+{
+    out += '"';
+    for (const char c : text) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x",
+                              static_cast<unsigned>(c));
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    out += '"';
+}
 
 const char *
 logLevelName(LogLevel level)

@@ -26,6 +26,7 @@
 
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace latte
 {
@@ -68,6 +69,21 @@ strfmt(const char *fmt, Args &&...args)
     std::ostringstream os;
     detail::strfmtAppend(os, fmt, std::forward<Args>(args)...);
     return os.str();
+}
+
+/**
+ * Append @p text to @p out as a quoted JSON string literal. The one
+ * escaper behind Json::dump, --log-json, Chrome traces and JSONL metrics.
+ */
+void appendJsonString(std::string &out, std::string_view text);
+
+/** appendJsonString() into a fresh string. */
+inline std::string
+jsonString(std::string_view text)
+{
+    std::string out;
+    appendJsonString(out, text);
+    return out;
 }
 
 // --- Leveled structured logger ------------------------------------------

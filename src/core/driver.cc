@@ -483,25 +483,7 @@ runKernelOpt(const RunRequest &request)
         result.instructions += snap.instructions;
         result.hits += snap.hits;
         result.misses += snap.misses;
-        total_usage.cycles += snap.usage.cycles;
-        total_usage.instructions += snap.usage.instructions;
-        total_usage.l1Accesses += snap.usage.l1Accesses;
-        total_usage.l2Accesses += snap.usage.l2Accesses;
-        total_usage.nocBytes += snap.usage.nocBytes;
-        total_usage.dramBytes += snap.usage.dramBytes;
-        total_usage.bdiCompressions += snap.usage.bdiCompressions;
-        total_usage.scCompressions += snap.usage.scCompressions;
-        total_usage.bpcCompressions += snap.usage.bpcCompressions;
-        total_usage.bdiDecompressions += snap.usage.bdiDecompressions;
-        total_usage.scDecompressions += snap.usage.scDecompressions;
-        total_usage.bpcDecompressions += snap.usage.bpcDecompressions;
-        total_usage.l2BdiCompressions += snap.usage.l2BdiCompressions;
-        total_usage.l2BpcCompressions += snap.usage.l2BpcCompressions;
-        total_usage.l2BdiDecompressions +=
-            snap.usage.l2BdiDecompressions;
-        total_usage.l2BpcDecompressions +=
-            snap.usage.l2BpcDecompressions;
-        total_usage.linkTransfers += snap.usage.linkTransfers;
+        total_usage += snap.usage;
     }
 
     const EnergyModel energy_model(request.options.cfg);

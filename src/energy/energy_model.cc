@@ -6,27 +6,18 @@ namespace latte
 UsageCounts
 UsageCounts::operator-(const UsageCounts &rhs) const
 {
-    UsageCounts out;
-    out.cycles = cycles - rhs.cycles;
-    out.instructions = instructions - rhs.instructions;
-    out.l1Accesses = l1Accesses - rhs.l1Accesses;
-    out.l2Accesses = l2Accesses - rhs.l2Accesses;
-    out.nocBytes = nocBytes - rhs.nocBytes;
-    out.dramBytes = dramBytes - rhs.dramBytes;
-    out.bdiCompressions = bdiCompressions - rhs.bdiCompressions;
-    out.scCompressions = scCompressions - rhs.scCompressions;
-    out.bpcCompressions = bpcCompressions - rhs.bpcCompressions;
-    out.bdiDecompressions = bdiDecompressions - rhs.bdiDecompressions;
-    out.scDecompressions = scDecompressions - rhs.scDecompressions;
-    out.bpcDecompressions = bpcDecompressions - rhs.bpcDecompressions;
-    out.l2BdiCompressions = l2BdiCompressions - rhs.l2BdiCompressions;
-    out.l2BpcCompressions = l2BpcCompressions - rhs.l2BpcCompressions;
-    out.l2BdiDecompressions =
-        l2BdiDecompressions - rhs.l2BdiDecompressions;
-    out.l2BpcDecompressions =
-        l2BpcDecompressions - rhs.l2BpcDecompressions;
-    out.linkTransfers = linkTransfers - rhs.linkTransfers;
+    UsageCounts out = *this;
+    for (const UsageCounter &counter : kUsageCounters)
+        out.*counter.member -= rhs.*counter.member;
     return out;
+}
+
+UsageCounts &
+UsageCounts::operator+=(const UsageCounts &rhs)
+{
+    for (const UsageCounter &counter : kUsageCounters)
+        this->*counter.member += rhs.*counter.member;
+    return *this;
 }
 
 UsageCounts

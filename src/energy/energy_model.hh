@@ -13,6 +13,7 @@
 #define LATTE_ENERGY_ENERGY_MODEL_HH
 
 #include <cstdint>
+#include <iterator>
 
 #include "common/config.hh"
 #include "sim/gpu.hh"
@@ -44,7 +45,45 @@ struct UsageCounts
     std::uint64_t linkTransfers = 0;
 
     UsageCounts operator-(const UsageCounts &rhs) const;
+    UsageCounts &operator+=(const UsageCounts &rhs);
 };
+
+/** One UsageCounts counter: its document name and its member. */
+struct UsageCounter
+{
+    const char *name;
+    std::uint64_t UsageCounts::*member;
+    /** L2 or link event: zero unless those levels compress. */
+    bool belowL1;
+};
+
+/**
+ * Every counter, once. Drives operator-, operator+= and the JSON field
+ * list, which leaves out a zero below-L1 counter.
+ */
+inline constexpr UsageCounter kUsageCounters[] = {
+    {"cycles", &UsageCounts::cycles, false},
+    {"instructions", &UsageCounts::instructions, false},
+    {"l1Accesses", &UsageCounts::l1Accesses, false},
+    {"l2Accesses", &UsageCounts::l2Accesses, false},
+    {"nocBytes", &UsageCounts::nocBytes, false},
+    {"dramBytes", &UsageCounts::dramBytes, false},
+    {"bdiCompressions", &UsageCounts::bdiCompressions, false},
+    {"scCompressions", &UsageCounts::scCompressions, false},
+    {"bpcCompressions", &UsageCounts::bpcCompressions, false},
+    {"bdiDecompressions", &UsageCounts::bdiDecompressions, false},
+    {"scDecompressions", &UsageCounts::scDecompressions, false},
+    {"bpcDecompressions", &UsageCounts::bpcDecompressions, false},
+    {"l2BdiCompressions", &UsageCounts::l2BdiCompressions, true},
+    {"l2BpcCompressions", &UsageCounts::l2BpcCompressions, true},
+    {"l2BdiDecompressions", &UsageCounts::l2BdiDecompressions, true},
+    {"l2BpcDecompressions", &UsageCounts::l2BpcDecompressions, true},
+    {"linkTransfers", &UsageCounts::linkTransfers, true},
+};
+
+static_assert(sizeof(UsageCounts) ==
+                  std::size(kUsageCounters) * sizeof(std::uint64_t),
+              "every UsageCounts member needs a kUsageCounters entry");
 
 /** Pull current totals out of the simulated GPU. */
 UsageCounts harvestUsage(Gpu &gpu);

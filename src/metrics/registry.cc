@@ -13,20 +13,6 @@ namespace latte::metrics
 namespace
 {
 
-/** Minimal JSON string escape (names/labels are near-ASCII already). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
 /** visit() adapter: flat (path.name, stat*) list in tree order. */
 class SeriesCollector : public StatVisitor
 {
@@ -317,8 +303,7 @@ MetricRegistry::exportJsonl(std::ostream &os, const Labels &labels) const
     for (const auto &[key, value] : labels) {
         if (!first)
             os << ",";
-        os << "\"" << jsonEscape(key) << "\":\"" << jsonEscape(value)
-           << "\"";
+        os << jsonString(key) << ":" << jsonString(value);
         first = false;
     }
     os << "},\"series\":[";
@@ -326,7 +311,7 @@ MetricRegistry::exportJsonl(std::ostream &os, const Labels &labels) const
     for (const std::string &name : seriesNames()) {
         if (!first)
             os << ",";
-        os << "\"" << jsonEscape(name) << "\"";
+        os << jsonString(name);
         first = false;
     }
     os << "],\"type\":\"schema\"}\n";
@@ -352,8 +337,8 @@ MetricRegistry::exportJsonl(std::ostream &os, const Labels &labels) const
         os << "],\"count\":" << hist.count()
            << ",\"max\":" << prometheusNumber(hist.max())
            << ",\"mean\":" << prometheusNumber(hist.mean())
-           << ",\"min\":" << prometheusNumber(hist.min()) << ",\"name\":\""
-           << jsonEscape(name) << "\""
+           << ",\"min\":" << prometheusNumber(hist.min()) << ",\"name\":"
+           << jsonString(name)
            << ",\"overflow\":" << hist.overflow()
            << ",\"p50\":" << prometheusNumber(hist.percentile(50))
            << ",\"p90\":" << prometheusNumber(hist.percentile(90))

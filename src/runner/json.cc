@@ -9,6 +9,7 @@
 #include "common/logging.hh"
 #include "compress/backend.hh"
 #include "compress/compressor.hh"
+#include "json_fields.hh"
 
 namespace latte::runner
 {
@@ -87,30 +88,6 @@ namespace
 {
 
 void
-appendEscaped(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
-
-void
 appendDouble(std::string &out, double d)
 {
     char buf[32];
@@ -149,7 +126,7 @@ dumpTo(const Json &json, std::string &out, int indent, int depth)
         appendDouble(out, json.asDouble());
         break;
       case Json::Type::String:
-        appendEscaped(out, json.asString());
+        appendJsonString(out, json.asString());
         break;
       case Json::Type::Array: {
         const auto &array = json.asArray();
@@ -183,7 +160,7 @@ dumpTo(const Json &json, std::string &out, int indent, int depth)
                 out += ',';
             first = false;
             newline(depth + 1);
-            appendEscaped(out, key);
+            appendJsonString(out, key);
             out += indent < 0 ? ":" : ": ";
             dumpTo(value, out, indent, depth + 1);
         }
@@ -437,425 +414,170 @@ Json::parse(const std::string &text, std::string *error)
 
 // --- Result serialization ----------------------------------------------
 
-namespace
+const CompressorId *
+enumFromName(const std::string &name, CompressorId)
 {
-
-const char *
-modeName(CompressorId id)
-{
-    return compressorName(id);
-}
-
-bool
-modeFromName(const std::string &name, CompressorId &id)
-{
-    for (std::size_t m = 0; m < kNumModes; ++m) {
-        const auto candidate = static_cast<CompressorId>(m);
-        if (name == compressorName(candidate)) {
-            id = candidate;
-            return true;
-        }
+    static constexpr CompressorId kIds[] = {
+        CompressorId::None, CompressorId::Bdi, CompressorId::Fpc,
+        CompressorId::CpackZ, CompressorId::Bpc, CompressorId::Sc};
+    for (const CompressorId &id : kIds) {
+        if (name == compressorName(id))
+            return &id;
     }
-    return false;
+    return nullptr;
 }
 
-Json
-modeAccessesJson(const std::array<std::uint64_t, kNumModes> &counts)
-{
-    Json::Array array;
-    for (const std::uint64_t count : counts)
-        array.emplace_back(count);
-    return Json(std::move(array));
-}
+// The field lists live in the named namespace, where argument-dependent
+// lookup from json_fields.hh finds them.
 
-bool
-modeAccessesFromJson(const Json &json,
-                     std::array<std::uint64_t, kNumModes> &counts)
+template <typename Io, Of<UsageCounts> S>
+void
+describe(Io &io, S &usage)
 {
-    if (json.type() != Json::Type::Array ||
-        json.asArray().size() != kNumModes)
-        return false;
-    for (std::size_t m = 0; m < kNumModes; ++m)
-        counts[m] = json.asArray()[m].asUint();
-    return true;
-}
-
-} // namespace
-
-Json
-toJson(const UsageCounts &usage)
-{
-    Json::Object object{
-        {"cycles", Json(usage.cycles)},
-        {"instructions", Json(usage.instructions)},
-        {"l1Accesses", Json(usage.l1Accesses)},
-        {"l2Accesses", Json(usage.l2Accesses)},
-        {"nocBytes", Json(usage.nocBytes)},
-        {"dramBytes", Json(usage.dramBytes)},
-        {"bdiCompressions", Json(usage.bdiCompressions)},
-        {"scCompressions", Json(usage.scCompressions)},
-        {"bpcCompressions", Json(usage.bpcCompressions)},
-        {"bdiDecompressions", Json(usage.bdiDecompressions)},
-        {"scDecompressions", Json(usage.scDecompressions)},
-        {"bpcDecompressions", Json(usage.bpcDecompressions)},
-    };
-    // L2/link counts appear only when those levels compressed
-    // anything, so documents of L1-only runs stay byte-identical.
-    if (usage.l2BdiCompressions)
-        object["l2BdiCompressions"] = Json(usage.l2BdiCompressions);
-    if (usage.l2BpcCompressions)
-        object["l2BpcCompressions"] = Json(usage.l2BpcCompressions);
-    if (usage.l2BdiDecompressions)
-        object["l2BdiDecompressions"] = Json(usage.l2BdiDecompressions);
-    if (usage.l2BpcDecompressions)
-        object["l2BpcDecompressions"] = Json(usage.l2BpcDecompressions);
-    if (usage.linkTransfers)
-        object["linkTransfers"] = Json(usage.linkTransfers);
-    return Json(std::move(object));
-}
-
-bool
-fromJson(const Json &json, UsageCounts &usage)
-{
-    if (json.type() != Json::Type::Object)
-        return false;
-    for (const char *key :
-         {"cycles", "instructions", "l1Accesses", "l2Accesses",
-          "nocBytes", "dramBytes", "bdiCompressions", "scCompressions",
-          "bpcCompressions", "bdiDecompressions", "scDecompressions",
-          "bpcDecompressions"}) {
-        if (!json.contains(key))
-            return false;
+    for (const UsageCounter &counter : kUsageCounters) {
+        // Below-L1 counts appear only when those levels compressed
+        // anything, so documents of L1-only runs keep their bytes.
+        io.field(counter.name, usage.*counter.member,
+                 counter.belowL1 ? Presence::NonDefault
+                                 : Presence::Required);
     }
-    usage.cycles = json.at("cycles").asUint();
-    usage.instructions = json.at("instructions").asUint();
-    usage.l1Accesses = json.at("l1Accesses").asUint();
-    usage.l2Accesses = json.at("l2Accesses").asUint();
-    usage.nocBytes = json.at("nocBytes").asUint();
-    usage.dramBytes = json.at("dramBytes").asUint();
-    usage.bdiCompressions = json.at("bdiCompressions").asUint();
-    usage.scCompressions = json.at("scCompressions").asUint();
-    usage.bpcCompressions = json.at("bpcCompressions").asUint();
-    usage.bdiDecompressions = json.at("bdiDecompressions").asUint();
-    usage.scDecompressions = json.at("scDecompressions").asUint();
-    usage.bpcDecompressions = json.at("bpcDecompressions").asUint();
-    // Optional: emitted only by runs with a compressed L2 or link.
-    if (json.contains("l2BdiCompressions"))
-        usage.l2BdiCompressions = json.at("l2BdiCompressions").asUint();
-    if (json.contains("l2BpcCompressions"))
-        usage.l2BpcCompressions = json.at("l2BpcCompressions").asUint();
-    if (json.contains("l2BdiDecompressions")) {
-        usage.l2BdiDecompressions =
-            json.at("l2BdiDecompressions").asUint();
-    }
-    if (json.contains("l2BpcDecompressions")) {
-        usage.l2BpcDecompressions =
-            json.at("l2BpcDecompressions").asUint();
-    }
-    if (json.contains("linkTransfers"))
-        usage.linkTransfers = json.at("linkTransfers").asUint();
-    return true;
 }
 
-Json
-toJson(const EnergyReport &energy)
+template <typename Io, Of<EnergyReport> S>
+void
+describe(Io &io, S &energy)
 {
-    Json::Object object{
-        {"coreDynamicMj", Json(energy.coreDynamicMj)},
-        {"l1Mj", Json(energy.l1Mj)},
-        {"l2Mj", Json(energy.l2Mj)},
-        {"nocMj", Json(energy.nocMj)},
-        {"dramMj", Json(energy.dramMj)},
-        {"compressionMj", Json(energy.compressionMj)},
-        {"staticMj", Json(energy.staticMj)},
-    };
-    // Per-level terms appear only when nonzero (L1-only documents stay
-    // byte-identical).
-    if (energy.l2CompressionMj != 0)
-        object["l2CompressionMj"] = Json(energy.l2CompressionMj);
-    if (energy.linkCompressionMj != 0)
-        object["linkCompressionMj"] = Json(energy.linkCompressionMj);
-    return Json(std::move(object));
+    using enum Presence;
+    io.field("coreDynamicMj", energy.coreDynamicMj);
+    io.field("l1Mj", energy.l1Mj);
+    io.field("l2Mj", energy.l2Mj);
+    io.field("nocMj", energy.nocMj);
+    io.field("dramMj", energy.dramMj);
+    io.field("compressionMj", energy.compressionMj);
+    io.field("staticMj", energy.staticMj);
+    // Per-level terms appear only when nonzero (L1-only documents keep
+    // their bytes).
+    io.field("l2CompressionMj", energy.l2CompressionMj, NonDefault);
+    io.field("linkCompressionMj", energy.linkCompressionMj, NonDefault);
 }
 
-bool
-fromJson(const Json &json, EnergyReport &energy)
+template <typename Io, Of<KernelSnapshot> S>
+void
+describe(Io &io, S &snapshot)
 {
-    if (json.type() != Json::Type::Object)
-        return false;
-    for (const char *key : {"coreDynamicMj", "l1Mj", "l2Mj", "nocMj",
-                            "dramMj", "compressionMj", "staticMj"}) {
-        if (!json.contains(key))
-            return false;
-    }
-    energy.coreDynamicMj = json.at("coreDynamicMj").asDouble();
-    energy.l1Mj = json.at("l1Mj").asDouble();
-    energy.l2Mj = json.at("l2Mj").asDouble();
-    energy.nocMj = json.at("nocMj").asDouble();
-    energy.dramMj = json.at("dramMj").asDouble();
-    energy.compressionMj = json.at("compressionMj").asDouble();
-    energy.staticMj = json.at("staticMj").asDouble();
-    if (json.contains("l2CompressionMj"))
-        energy.l2CompressionMj = json.at("l2CompressionMj").asDouble();
-    if (json.contains("linkCompressionMj")) {
-        energy.linkCompressionMj =
-            json.at("linkCompressionMj").asDouble();
-    }
-    return true;
+    io.field("name", snapshot.name);
+    io.field("cycles", snapshot.cycles);
+    io.field("instructions", snapshot.instructions);
+    io.field("hits", snapshot.hits);
+    io.field("misses", snapshot.misses);
+    io.field("usage", snapshot.usage);
+    io.field("modeAccesses", snapshot.modeAccesses);
 }
 
-Json
-toJson(const KernelSnapshot &snapshot)
+template <typename Io, Of<PolicyTracePoint> S>
+void
+describe(Io &io, S &point)
 {
-    return Json(Json::Object{
-        {"name", Json(snapshot.name)},
-        {"cycles", Json(snapshot.cycles)},
-        {"instructions", Json(snapshot.instructions)},
-        {"hits", Json(snapshot.hits)},
-        {"misses", Json(snapshot.misses)},
-        {"usage", toJson(snapshot.usage)},
-        {"modeAccesses", modeAccessesJson(snapshot.modeAccesses)},
-    });
-}
-
-bool
-fromJson(const Json &json, KernelSnapshot &snapshot)
-{
-    if (json.type() != Json::Type::Object || !json.contains("name") ||
-        !json.contains("usage") || !json.contains("modeAccesses"))
-        return false;
-    snapshot.name = json.at("name").asString();
-    snapshot.cycles = json.at("cycles").asUint();
-    snapshot.instructions = json.at("instructions").asUint();
-    snapshot.hits = json.at("hits").asUint();
-    snapshot.misses = json.at("misses").asUint();
-    return fromJson(json.at("usage"), snapshot.usage) &&
-           modeAccessesFromJson(json.at("modeAccesses"),
-                                snapshot.modeAccesses);
-}
-
-Json
-toJson(const PolicyTracePoint &point)
-{
-    Json::Object object{
-        {"cycle", Json(point.cycle)},
-        {"tolerance", Json(point.latencyTolerance)},
-        {"mode", Json(modeName(point.mode))},
-        {"capacityBytes", Json(point.effectiveCapacityBytes)},
-        {"decompQueueDepth", Json(point.decompQueueDepth)},
-        {"samplerHits", modeAccessesJson(point.samplerHits)},
-        {"samplerMisses", modeAccessesJson(point.samplerMisses)},
-    };
+    io.field("cycle", point.cycle);
+    io.field("tolerance", point.latencyTolerance);
+    io.field("mode", point.mode);
+    io.field("capacityBytes", point.effectiveCapacityBytes);
+    io.field("decompQueueDepth", point.decompQueueDepth);
+    io.field("samplerHits", point.samplerHits);
+    io.field("samplerMisses", point.samplerMisses);
     // L2-level fields only when a compressed-L2 controller ran.
-    if (point.hasL2) {
-        object["l2Mode"] = Json(modeName(point.l2Mode));
-        object["l2Tolerance"] = Json(point.l2Tolerance);
+    if (io.guard("l2Mode", point.hasL2)) {
+        io.field("l2Mode", point.l2Mode);
+        io.field("l2Tolerance", point.l2Tolerance, Presence::Optional);
     }
-    return Json(std::move(object));
 }
 
-bool
-fromJson(const Json &json, PolicyTracePoint &point)
+template <typename Io, Of<WorkloadRunResult> S>
+void
+describe(Io &io, S &result)
 {
-    if (json.type() != Json::Type::Object || !json.contains("cycle") ||
-        !json.contains("tolerance") || !json.contains("mode") ||
-        !json.contains("capacityBytes") ||
-        !json.contains("decompQueueDepth") ||
-        !json.contains("samplerHits") || !json.contains("samplerMisses"))
-        return false;
-    point.cycle = json.at("cycle").asUint();
-    point.latencyTolerance = json.at("tolerance").asDouble();
-    point.effectiveCapacityBytes = json.at("capacityBytes").asUint();
-    point.decompQueueDepth =
-        static_cast<std::uint32_t>(json.at("decompQueueDepth").asUint());
-    if (!modeAccessesFromJson(json.at("samplerHits"),
-                              point.samplerHits) ||
-        !modeAccessesFromJson(json.at("samplerMisses"),
-                              point.samplerMisses))
-        return false;
-    if (json.contains("l2Mode")) {
-        point.hasL2 = true;
-        point.l2Tolerance = json.contains("l2Tolerance")
-                                ? json.at("l2Tolerance").asDouble()
-                                : 0.0;
-        if (!modeFromName(json.at("l2Mode").asString(), point.l2Mode))
-            return false;
-    }
-    return modeFromName(json.at("mode").asString(), point.mode);
+    // Bumped 2 -> 3 when the cell document grew the RunOutcome
+    // envelope (status/error/attempts/retryHistory); stale cache
+    // entries degrade to misses.
+    io.constant("schema", 3);
+    io.field("workload", result.workload);
+    io.field("policyKind", result.policy);
+    io.field("policyLabel", result.policyLabel);
+    io.field("seed", result.seed);
+    io.field("cycles", result.cycles);
+    io.field("instructions", result.instructions);
+    io.field("hits", result.hits);
+    io.field("misses", result.misses);
+    io.field("energy", result.energy);
+    io.field("kernels", result.kernels);
+    io.field("kernelBestModes", result.kernelBestModes);
+    io.field("trace", result.trace);
+    io.field("modeAccesses", result.modeAccesses);
+    io.field("stats", result.stats);
 }
 
-Json
-toJson(const WorkloadRunResult &result)
+template <typename Io, Of<RunError> S>
+void
+describe(Io &io, S &error)
 {
-    Json::Array kernels;
-    for (const KernelSnapshot &snapshot : result.kernels)
-        kernels.push_back(toJson(snapshot));
-
-    Json::Array best_modes;
-    for (const CompressorId mode : result.kernelBestModes)
-        best_modes.emplace_back(modeName(mode));
-
-    Json::Array trace;
-    for (const PolicyTracePoint &point : result.trace)
-        trace.push_back(toJson(point));
-
-    Json::Object stats;
-    for (const auto &[name, value] : result.stats)
-        stats.emplace(name, Json(value));
-
-    return Json(Json::Object{
-        // Bumped 2 -> 3 when the cell document grew the RunOutcome
-        // envelope (status/error/attempts/retryHistory); stale cache
-        // entries degrade to misses.
-        {"schema", Json(std::uint64_t{3})},
-        {"workload", Json(result.workload)},
-        {"policyKind", Json(policyName(result.policy))},
-        {"policyLabel", Json(result.policyLabel)},
-        {"seed", Json(result.seed)},
-        {"cycles", Json(result.cycles)},
-        {"instructions", Json(result.instructions)},
-        {"hits", Json(result.hits)},
-        {"misses", Json(result.misses)},
-        {"energy", toJson(result.energy)},
-        {"kernels", Json(std::move(kernels))},
-        {"kernelBestModes", Json(std::move(best_modes))},
-        {"trace", Json(std::move(trace))},
-        {"modeAccesses", modeAccessesJson(result.modeAccesses)},
-        {"stats", Json(std::move(stats))},
-    });
+    io.field("code", error.code);
+    io.field("message", error.message);
+    io.field("workload", error.workload);
+    io.field("policyLabel", error.policyLabel);
+    io.field("seed", error.seed);
+    io.field("cycle", error.cycle);
 }
 
-bool
-fromJson(const Json &json, WorkloadRunResult &result)
+/** The outcome envelope, around the body; "error" is null when ok. */
+template <typename Io, Of<RunOutcome> S>
+void
+describeEnvelope(Io &io, S &outcome)
 {
-    if (json.type() != Json::Type::Object)
-        return false;
-    for (const char *key :
-         {"schema", "workload", "policyKind", "policyLabel", "seed",
-          "cycles", "instructions", "hits", "misses", "energy",
-          "kernels", "kernelBestModes", "trace", "modeAccesses",
-          "stats"}) {
-        if (!json.contains(key))
-            return false;
-    }
-    if (json.at("schema").asUint() != 3)
-        return false;
-
-    result = WorkloadRunResult{};
-    result.workload = json.at("workload").asString();
-    const PolicyKind *kind =
-        policyKindFromName(json.at("policyKind").asString());
-    if (!kind)
-        return false;
-    result.policy = *kind;
-    result.policyLabel = json.at("policyLabel").asString();
-    result.seed = json.at("seed").asUint();
-    result.cycles = json.at("cycles").asUint();
-    result.instructions = json.at("instructions").asUint();
-    result.hits = json.at("hits").asUint();
-    result.misses = json.at("misses").asUint();
-    if (!fromJson(json.at("energy"), result.energy))
-        return false;
-
-    for (const Json &elem : json.at("kernels").asArray()) {
-        KernelSnapshot snapshot;
-        if (!fromJson(elem, snapshot))
-            return false;
-        result.kernels.push_back(std::move(snapshot));
-    }
-    for (const Json &elem : json.at("kernelBestModes").asArray()) {
-        CompressorId mode;
-        if (!modeFromName(elem.asString(), mode))
-            return false;
-        result.kernelBestModes.push_back(mode);
-    }
-    for (const Json &elem : json.at("trace").asArray()) {
-        PolicyTracePoint point;
-        if (!fromJson(elem, point))
-            return false;
-        result.trace.push_back(point);
-    }
-    if (!modeAccessesFromJson(json.at("modeAccesses"),
-                              result.modeAccesses))
-        return false;
-    for (const auto &[name, value] : json.at("stats").asObject())
-        result.stats[name] = value.asDouble();
-    return true;
+    io.field("status", outcome.status);
+    io.field("attempts", outcome.attempts);
+    // Optional so pre-simThreads schema-3 cache entries stay valid.
+    io.field("simThreads", outcome.simThreads, Presence::Optional);
+    io.field("retryHistory", outcome.retryHistory);
 }
 
-Json
-toJson(const RunError &error)
-{
-    return Json(Json::Object{
-        {"code", Json(runErrorCodeName(error.code))},
-        {"message", Json(error.message)},
-        {"workload", Json(error.workload)},
-        {"policyLabel", Json(error.policyLabel)},
-        {"seed", Json(error.seed)},
-        {"cycle", Json(error.cycle)},
-    });
-}
-
-bool
-fromJson(const Json &json, RunError &error)
-{
-    if (json.type() != Json::Type::Object)
-        return false;
-    for (const char *key : {"code", "message", "workload",
-                            "policyLabel", "seed", "cycle"}) {
-        if (!json.contains(key))
-            return false;
+// The public entry points of the field lists above.
+#define LATTE_JSON_CODEC(TYPE)                                           \
+    Json toJson(const TYPE &value) { return encodeJson(value); }         \
+    bool fromJson(const Json &json, TYPE &value)                         \
+    {                                                                    \
+        return decodeJson(json, value);                                  \
     }
-    const RunErrorCode *code =
-        runErrorCodeFromName(json.at("code").asString());
-    if (!code)
-        return false;
-    error.code = *code;
-    error.message = json.at("message").asString();
-    error.workload = json.at("workload").asString();
-    error.policyLabel = json.at("policyLabel").asString();
-    error.seed = json.at("seed").asUint();
-    error.cycle = json.at("cycle").asUint();
-    return true;
-}
+LATTE_JSON_CODEC(UsageCounts)
+LATTE_JSON_CODEC(EnergyReport)
+LATTE_JSON_CODEC(KernelSnapshot)
+LATTE_JSON_CODEC(PolicyTracePoint)
+LATTE_JSON_CODEC(WorkloadRunResult)
+LATTE_JSON_CODEC(RunError)
+#undef LATTE_JSON_CODEC
 
 Json
 toJson(const RunOutcome &outcome)
 {
-    Json::Object object;
-    if (outcome.result) {
-        object = toJson(*outcome.result).asObject();
-    } else {
-        // No result was produced: emit a zeroed body carrying the cell
-        // context, so the export array stays uniformly shaped and
-        // failed cells are still attributable.
-        WorkloadRunResult stub;
+    // No result was produced: emit a zeroed body carrying the cell
+    // context, so the export array stays uniformly shaped and failed
+    // cells are still attributable.
+    WorkloadRunResult stub;
+    if (!outcome.result) {
         stub.workload = outcome.error.workload;
         stub.policyLabel = outcome.error.policyLabel;
         stub.seed = outcome.error.seed;
-        object = toJson(stub).asObject();
     }
-
-    object["status"] = Json(runStatusName(outcome.status));
+    FieldWriter writer;
+    describe(writer, outcome.result ? *outcome.result : stub);
+    describeEnvelope(writer, outcome);
+    writer.field("error",
+                 outcome.error.ok() ? Json() : encodeJson(outcome.error));
     // Metadata only: which SIMD backend the compressors dispatched to.
     // Not part of the cell fingerprint (results are bit-identical
     // across backends), so fromJson() does not require or restore it.
-    object["compressBackend"] =
-        Json(std::string(activeCompressorBackend().name));
-    // Metadata only: fresh runs record 1 (--sim-threads is ignored).
-    // Not part of the cell fingerprint; fromJson() restores it when
-    // present so an older cache entry or journal replays byte-for-byte.
-    object["simThreads"] =
-        Json(static_cast<std::uint64_t>(outcome.simThreads));
-    object["error"] =
-        outcome.error.ok() ? Json() : toJson(outcome.error);
-    object["attempts"] =
-        Json(static_cast<std::uint64_t>(outcome.attempts));
-    Json::Array history;
-    for (const RunError &error : outcome.retryHistory)
-        history.push_back(toJson(error));
-    object["retryHistory"] = Json(std::move(history));
-    return Json(std::move(object));
+    writer.field("compressBackend",
+                 std::string(activeCompressorBackend().name));
+    return writer.take();
 }
 
 Json
@@ -869,47 +591,23 @@ outcomesToJson(const std::vector<RunOutcome> &outcomes)
 }
 
 bool
-fromJson(const Json &json, RunOutcome &outcome)
+fromJson(const Json &json, RunOutcome &outcome, std::string *error)
 {
-    if (json.type() != Json::Type::Object)
+    RunOutcome fresh;
+    Json error_json;
+    const auto fields = [&](FieldReader &io) {
+        describeEnvelope(io, fresh);
+        io.field("error", error_json);
+        if (error_json.type() != Json::Type::Null)
+            io.field("error", fresh.error);
+    };
+    if (!decodeJson(json, fields, error))
         return false;
-    for (const char *key :
-         {"status", "error", "attempts", "retryHistory"}) {
-        if (!json.contains(key))
-            return false;
-    }
-    const RunStatus *status =
-        runStatusFromName(json.at("status").asString());
-    if (!status)
-        return false;
-
-    outcome = RunOutcome{};
-    outcome.status = *status;
-    if (json.at("error").type() != Json::Type::Null &&
-        !fromJson(json.at("error"), outcome.error))
-        return false;
-    outcome.attempts =
-        static_cast<std::uint32_t>(json.at("attempts").asUint());
-    // Optional so pre-simThreads schema-3 cache entries stay valid.
-    if (json.contains("simThreads")) {
-        outcome.simThreads = static_cast<std::uint32_t>(
-            json.at("simThreads").asUint());
-    }
-    for (const Json &elem : json.at("retryHistory").asArray()) {
-        RunError error;
-        if (!fromJson(elem, error))
-            return false;
-        outcome.retryHistory.push_back(std::move(error));
-    }
-
     // The result body is only authoritative on successful outcomes;
     // failed cells keep their context in the error instead.
-    if (outcome.ok()) {
-        WorkloadRunResult result;
-        if (!fromJson(json, result))
-            return false;
-        outcome.result = std::move(result);
-    }
+    if (fresh.ok() && !decodeJson(json, fresh.result.emplace(), error))
+        return false;
+    outcome = std::move(fresh);
     return true;
 }
 

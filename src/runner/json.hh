@@ -154,14 +154,18 @@ Json timelineToJson(const std::vector<WorkloadRunResult> &results);
 void flattenNumeric(const Json &json, const std::string &prefix,
                     std::map<std::string, double> &out);
 
-/** Reconstruction, for disk-cache hits. False on schema mismatch. */
+/**
+ * Reconstruction, for disk-cache hits and journal replay. False on a
+ * missing or mistyped field, which @p error (when given) names by path.
+ */
 bool fromJson(const Json &json, UsageCounts &usage);
 bool fromJson(const Json &json, EnergyReport &energy);
 bool fromJson(const Json &json, KernelSnapshot &snapshot);
 bool fromJson(const Json &json, PolicyTracePoint &point);
 bool fromJson(const Json &json, WorkloadRunResult &result);
 bool fromJson(const Json &json, RunError &error);
-bool fromJson(const Json &json, RunOutcome &outcome);
+bool fromJson(const Json &json, RunOutcome &outcome,
+              std::string *error = nullptr);
 
 } // namespace latte::runner
 

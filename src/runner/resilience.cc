@@ -5,6 +5,7 @@
 
 #include "common/logging.hh"
 #include "json.hh"
+#include "json_fields.hh"
 
 namespace latte::runner
 {
@@ -26,10 +27,15 @@ SweepJournal::SweepJournal(std::string path) : path_(std::move(path))
                 continue;
             std::string error;
             const Json json = Json::parse(line, &error);
+            std::string fingerprint;
+            Json body;
+            const auto line_fields = [&](FieldReader &io) {
+                io.field("fingerprint", fingerprint);
+                io.field("outcome", body);
+            };
             RunOutcome outcome;
-            if (!error.empty() || !json.contains("fingerprint") ||
-                !json.contains("outcome") ||
-                !fromJson(json.at("outcome"), outcome)) {
+            if (!error.empty() || !decodeJson(json, line_fields) ||
+                !fromJson(body, outcome)) {
                 // A truncated tail line is the expected SIGKILL scar;
                 // the cell simply counts as unfinished.
                 ++bad;
@@ -40,8 +46,8 @@ SweepJournal::SweepJournal(std::string path) : path_(std::move(path))
             // result cache.
             if (outcome.ok())
                 outcome.result.reset();
-            entries_.insert_or_assign(
-                json.at("fingerprint").asString(), std::move(outcome));
+            entries_.insert_or_assign(std::move(fingerprint),
+                                      std::move(outcome));
         }
         if (bad > 0)
             latte_warn("sweep journal {}: skipped {} unreadable line(s)",

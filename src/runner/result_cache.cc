@@ -94,8 +94,9 @@ ResultCache::lookup(const RunKey &key) const
         return std::nullopt;
     }
     RunOutcome outcome;
-    if (!fromJson(json, outcome) || !outcome.ok()) {
-        latte_warn("result cache: ignoring stale-schema {}", path(key));
+    if (!fromJson(json, outcome, &error) || !outcome.ok()) {
+        latte_warn("result cache: ignoring stale-schema {} {}", path(key),
+                   error);
         return std::nullopt;
     }
     return outcome;

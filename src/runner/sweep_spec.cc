@@ -22,25 +22,6 @@ setError(std::string *error, std::string text)
     return false;
 }
 
-/** A whole-number JSON value (Uint, or a Double that is integral). */
-bool
-uintOf(const Json &value, std::uint64_t &out)
-{
-    if (value.type() == Json::Type::Uint) {
-        out = value.asUint();
-        return true;
-    }
-    if (value.type() == Json::Type::Double) {
-        const double d = value.asDouble();
-        if (d < 0 || d != static_cast<double>(
-                              static_cast<std::uint64_t>(d)))
-            return false;
-        out = static_cast<std::uint64_t>(d);
-        return true;
-    }
-    return false;
-}
-
 /** One settable DriverOptions knob. */
 struct OptionEntry
 {
@@ -48,80 +29,64 @@ struct OptionEntry
     bool (*apply)(DriverOptions &, const Json &, std::string *);
 };
 
+/** Decode a numeric knob through the shared codec of its field type. */
 template <typename Field>
 bool
-applyUint(Field &field, const char *key, const Json &value,
-          std::string *error)
-{
-    std::uint64_t v = 0;
-    if (!uintOf(value, v)) {
-        return setError(error, std::string(key) +
-                                   ": expected a non-negative integer");
-    }
-    field = static_cast<Field>(v);
-    return true;
-}
-
-bool
-applyDouble(double &field, const char *key, const Json &value,
+applyNumber(Field &field, const char *key, const Json &value,
             std::string *error)
 {
-    if (!value.isNumber())
-        return setError(error, std::string(key) + ": expected a number");
-    field = value.asDouble();
+    std::string problem;
+    if (!decodeJson(value, field, &problem))
+        return setError(error, std::string(key) + ": " + problem);
     return true;
 }
 
 // Each entry is a lambda decayed to a function pointer: no captures, so
 // the table stays constexpr-friendly and cheap to scan.
-#define LATTE_UINT_OPTION(KEY, FIELD)                                    \
+#define LATTE_NUMBER_OPTION(KEY, FIELD)                                  \
     {KEY, [](DriverOptions &o, const Json &v, std::string *e) {          \
-         return applyUint(o.FIELD, KEY, v, e);                           \
-     }}
-#define LATTE_DOUBLE_OPTION(KEY, FIELD)                                  \
-    {KEY, [](DriverOptions &o, const Json &v, std::string *e) {          \
-         return applyDouble(o.FIELD, KEY, v, e);                         \
+         return applyNumber(o.FIELD, KEY, v, e);                         \
      }}
 
 const OptionEntry kOptionTable[] = {
-    LATTE_UINT_OPTION("max_instructions_per_kernel",
+    LATTE_NUMBER_OPTION("max_instructions_per_kernel",
                       maxInstructionsPerKernel),
     // --- SM organisation ---
-    LATTE_UINT_OPTION("cfg.num_sms", cfg.numSms),
-    LATTE_UINT_OPTION("cfg.max_warps_per_sm", cfg.maxWarpsPerSm),
-    LATTE_UINT_OPTION("cfg.max_blocks_per_sm", cfg.maxBlocksPerSm),
-    LATTE_UINT_OPTION("cfg.schedulers_per_sm", cfg.schedulersPerSm),
+    LATTE_NUMBER_OPTION("cfg.num_sms", cfg.numSms),
+    LATTE_NUMBER_OPTION("cfg.max_warps_per_sm", cfg.maxWarpsPerSm),
+    LATTE_NUMBER_OPTION("cfg.max_blocks_per_sm", cfg.maxBlocksPerSm),
+    LATTE_NUMBER_OPTION("cfg.schedulers_per_sm", cfg.schedulersPerSm),
     // --- L1 ---
-    LATTE_UINT_OPTION("cfg.l1_size_bytes", cfg.l1.sizeBytes),
-    LATTE_UINT_OPTION("cfg.l1_line_bytes", cfg.l1.lineBytes),
-    LATTE_UINT_OPTION("cfg.l1_assoc", cfg.l1.assoc),
-    LATTE_UINT_OPTION("cfg.l1_hit_latency", cfg.l1.hitLatency),
-    LATTE_UINT_OPTION("cfg.l1_tag_factor", cfg.l1.tagFactor),
-    LATTE_UINT_OPTION("cfg.l1_sub_block_bytes", cfg.l1.subBlockBytes),
-    LATTE_UINT_OPTION("cfg.l1_mshr_entries", cfg.l1.mshrEntries),
+    LATTE_NUMBER_OPTION("cfg.l1_size_bytes", cfg.l1.sizeBytes),
+    LATTE_NUMBER_OPTION("cfg.l1_line_bytes", cfg.l1.lineBytes),
+    LATTE_NUMBER_OPTION("cfg.l1_assoc", cfg.l1.assoc),
+    LATTE_NUMBER_OPTION("cfg.l1_hit_latency", cfg.l1.hitLatency),
+    LATTE_NUMBER_OPTION("cfg.l1_tag_factor", cfg.l1.tagFactor),
+    LATTE_NUMBER_OPTION("cfg.l1_sub_block_bytes", cfg.l1.subBlockBytes),
+    LATTE_NUMBER_OPTION("cfg.l1_mshr_entries", cfg.l1.mshrEntries),
     // --- L2 / DRAM ---
-    LATTE_UINT_OPTION("cfg.l2_size_bytes", cfg.l2.sizeBytes),
-    LATTE_UINT_OPTION("cfg.l2_assoc", cfg.l2.assoc),
-    LATTE_UINT_OPTION("cfg.l2_banks", cfg.l2.banks),
-    LATTE_UINT_OPTION("cfg.l2_min_latency", cfg.l2.minLatency),
-    LATTE_UINT_OPTION("cfg.l2_bank_service_cycles",
+    LATTE_NUMBER_OPTION("cfg.l2_size_bytes", cfg.l2.sizeBytes),
+    LATTE_NUMBER_OPTION("cfg.l2_assoc", cfg.l2.assoc),
+    LATTE_NUMBER_OPTION("cfg.l2_banks", cfg.l2.banks),
+    LATTE_NUMBER_OPTION("cfg.l2_min_latency", cfg.l2.minLatency),
+    LATTE_NUMBER_OPTION("cfg.l2_bank_service_cycles",
                       cfg.l2.bankServiceCycles),
-    LATTE_UINT_OPTION("cfg.l2_miss_penalty_cycles",
+    LATTE_NUMBER_OPTION("cfg.l2_miss_penalty_cycles",
                       cfg.l2.missPenaltyCycles),
-    LATTE_UINT_OPTION("cfg.dram_min_latency", cfg.dramMinLatency),
-    LATTE_DOUBLE_OPTION("cfg.dram_bytes_per_cycle",
+    LATTE_NUMBER_OPTION("cfg.dram_min_latency", cfg.dramMinLatency),
+    LATTE_NUMBER_OPTION("cfg.dram_bytes_per_cycle",
                         cfg.dramBytesPerCycle),
-    LATTE_DOUBLE_OPTION("cfg.noc_bytes_per_cycle", cfg.nocBytesPerCycle),
+    LATTE_NUMBER_OPTION("cfg.noc_bytes_per_cycle", cfg.nocBytesPerCycle),
     // --- Decompression engine ---
-    LATTE_UINT_OPTION("cfg.decomp_queue_entries",
+    LATTE_NUMBER_OPTION("cfg.decomp_queue_entries",
                       cfg.decompQueueEntries),
     // --- LATTE-CC controller ---
-    LATTE_UINT_OPTION("cfg.latte.ep_accesses", cfg.latte.epAccesses),
-    LATTE_UINT_OPTION("cfg.latte.period_eps", cfg.latte.periodEps),
-    LATTE_UINT_OPTION("cfg.latte.learning_eps", cfg.latte.learningEps),
-    LATTE_UINT_OPTION("cfg.latte.dedicated_sets_per_mode",
+    LATTE_NUMBER_OPTION("cfg.latte.ep_accesses", cfg.latte.epAccesses),
+    LATTE_NUMBER_OPTION("cfg.latte.period_eps", cfg.latte.periodEps),
+    LATTE_NUMBER_OPTION("cfg.latte.learning_eps", cfg.latte.learningEps),
+    LATTE_NUMBER_OPTION("cfg.latte.dedicated_sets_per_mode",
                       cfg.latte.dedicatedSetsPerMode),
-    LATTE_UINT_OPTION("cfg.latte.vft_entries", cfg.latte.vftEntries),
+    LATTE_NUMBER_OPTION("cfg.latte.vft_entries", cfg.latte.vftEntries),
     // --- Enumerated knobs (string-valued) ---
     {"cfg.sched_policy",
      [](DriverOptions &o, const Json &v, std::string *e) {
@@ -206,8 +171,7 @@ const OptionEntry kOptionTable[] = {
      }},
 };
 
-#undef LATTE_UINT_OPTION
-#undef LATTE_DOUBLE_OPTION
+#undef LATTE_NUMBER_OPTION
 
 /** Human-readable axis value for cell labels ("32768", "lrr"). */
 std::string
@@ -377,130 +341,15 @@ SweepSpec::expand(std::vector<RunRequest> &out, std::string *error,
 Json
 SweepSpec::toJson() const
 {
-    Json::Object object;
-    object["name"] = Json(name);
-
-    Json::Array workload_array;
-    for (const std::string &abbr : workloads)
-        workload_array.push_back(Json(abbr));
-    object["workloads"] = Json(std::move(workload_array));
-
-    Json::Array policy_array;
-    for (const std::string &policy : policies)
-        policy_array.push_back(Json(policy));
-    object["policies"] = Json(std::move(policy_array));
-
-    Json::Array seed_array;
-    for (const std::uint64_t seed : seeds)
-        seed_array.push_back(Json(seed));
-    object["seeds"] = Json(std::move(seed_array));
-
-    Json::Object option_object;
-    for (const auto &[key, value] : options)
-        option_object[key] = value;
-    object["options"] = Json(std::move(option_object));
-
-    Json::Array axis_array;
-    for (const SweepAxis &axis : axes) {
-        Json::Object axis_object;
-        axis_object["key"] = Json(axis.key);
-        axis_object["values"] = Json(Json::Array(axis.values));
-        axis_array.push_back(Json(std::move(axis_object)));
-    }
-    object["axes"] = Json(std::move(axis_array));
-
-    object["retries"] = Json(static_cast<std::uint64_t>(retries));
-    object["retry_backoff_ms"] = Json(retryBackoffMs);
-    object["cell_timeout_ms"] = Json(cellTimeoutMs);
-    object["cell_cycle_budget"] = Json(cellCycleBudget);
-    return Json(std::move(object));
+    return encodeJson(*this);
 }
 
 bool
 SweepSpec::fromJson(const Json &json, SweepSpec &spec,
                     std::string *error)
 {
-    if (json.type() != Json::Type::Object)
-        return setError(error, "spec: expected a JSON object");
     spec = SweepSpec{};
-
-    auto stringList = [&](const char *key,
-                          std::vector<std::string> &out) {
-        if (!json.contains(key))
-            return true;
-        const Json &value = json.at(key);
-        if (value.type() != Json::Type::Array)
-            return setError(error,
-                            std::string(key) + ": expected an array");
-        for (const Json &item : value.asArray()) {
-            if (item.type() != Json::Type::String)
-                return setError(error, std::string(key) +
-                                           ": expected strings");
-            out.push_back(item.asString());
-        }
-        return true;
-    };
-    auto uintField = [&](const char *key, auto &out) {
-        if (!json.contains(key))
-            return true;
-        std::uint64_t value = 0;
-        if (!uintOf(json.at(key), value))
-            return setError(error, std::string(key) +
-                                       ": expected an integer");
-        out = static_cast<std::decay_t<decltype(out)>>(value);
-        return true;
-    };
-
-    if (json.contains("name")) {
-        if (json.at("name").type() != Json::Type::String)
-            return setError(error, "name: expected a string");
-        spec.name = json.at("name").asString();
-    }
-    if (!stringList("workloads", spec.workloads) ||
-        !stringList("policies", spec.policies))
-        return false;
-    if (json.contains("seeds")) {
-        const Json &value = json.at("seeds");
-        if (value.type() != Json::Type::Array)
-            return setError(error, "seeds: expected an array");
-        for (const Json &item : value.asArray()) {
-            std::uint64_t seed = 0;
-            if (!uintOf(item, seed))
-                return setError(error, "seeds: expected integers");
-            spec.seeds.push_back(seed);
-        }
-    }
-    if (json.contains("options")) {
-        const Json &value = json.at("options");
-        if (value.type() != Json::Type::Object)
-            return setError(error, "options: expected an object");
-        for (const auto &[key, item] : value.asObject())
-            spec.options.emplace(key, item);
-    }
-    if (json.contains("axes")) {
-        const Json &value = json.at("axes");
-        if (value.type() != Json::Type::Array)
-            return setError(error, "axes: expected an array");
-        for (const Json &item : value.asArray()) {
-            if (item.type() != Json::Type::Object ||
-                !item.contains("key") || !item.contains("values") ||
-                item.at("key").type() != Json::Type::String ||
-                item.at("values").type() != Json::Type::Array) {
-                return setError(
-                    error, "axes: expected {key, values[]} objects");
-            }
-            SweepAxis axis;
-            axis.key = item.at("key").asString();
-            axis.values = item.at("values").asArray();
-            spec.axes.push_back(std::move(axis));
-        }
-    }
-    if (!uintField("retries", spec.retries) ||
-        !uintField("retry_backoff_ms", spec.retryBackoffMs) ||
-        !uintField("cell_timeout_ms", spec.cellTimeoutMs) ||
-        !uintField("cell_cycle_budget", spec.cellCycleBudget))
-        return false;
-    return true;
+    return decodeJson(json, spec, error);
 }
 
 std::uint64_t

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "json.hh"
+#include "json_fields.hh"
 
 namespace latte::runner
 {
@@ -91,13 +92,39 @@ struct SweepSpec
     /** Canonical JSON (sorted keys; every field always present). */
     Json toJson() const;
 
-    /** Parse; false + @p error on malformed input (not validated). */
+    /** Parse; false + @p error naming the bad field. Not validated. */
     static bool fromJson(const Json &json, SweepSpec &spec,
                          std::string *error);
 
     /** FNV-1a of the canonical dump — the spec's identity. */
     std::uint64_t hash() const;
 };
+
+template <typename Io, Of<SweepAxis> S>
+void
+describe(Io &io, S &axis)
+{
+    io.field("key", axis.key);
+    io.field("values", axis.values);
+}
+
+/** Every field is optional on read and always written. */
+template <typename Io, Of<SweepSpec> S>
+void
+describe(Io &io, S &spec)
+{
+    using enum Presence;
+    io.field("name", spec.name, Optional);
+    io.field("workloads", spec.workloads, Optional);
+    io.field("policies", spec.policies, Optional);
+    io.field("seeds", spec.seeds, Optional);
+    io.field("options", spec.options, Optional);
+    io.field("axes", spec.axes, Optional);
+    io.field("retries", spec.retries, Optional);
+    io.field("retry_backoff_ms", spec.retryBackoffMs, Optional);
+    io.field("cell_timeout_ms", spec.cellTimeoutMs, Optional);
+    io.field("cell_cycle_budget", spec.cellCycleBudget, Optional);
+}
 
 /** Every option key applyOption() understands, sorted. */
 const std::vector<std::string> &sweepOptionKeys();

@@ -83,13 +83,11 @@ RequestDispatcher::handle(const std::string &line, Session &session)
                                          &spec_error))
             return errorResponse("invalid_spec", spec_error, request);
         std::int64_t priority = 0;
-        if (request.contains("priority")) {
-            const Json &p = request.at("priority");
-            if (p.type() == Json::Type::Uint)
-                priority = static_cast<std::int64_t>(p.asUint());
-            else if (p.type() == Json::Type::Double)
-                priority = static_cast<std::int64_t>(p.asDouble());
-        }
+        if (request.contains("priority") &&
+            !runner::decodeJson(request.at("priority"), priority,
+                                &spec_error))
+            return errorResponse("invalid_spec", "priority: " + spec_error,
+                                 request);
 
         std::string submit_error;
         const std::uint64_t id =

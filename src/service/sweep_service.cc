@@ -49,7 +49,7 @@ jobStateName(JobState state)
 }
 
 const JobState *
-jobStateFromName(const std::string &name)
+enumFromName(const std::string &name, JobState)
 {
     for (const StateEntry &entry : kStateTable) {
         if (name == entry.name)
@@ -61,29 +61,7 @@ jobStateFromName(const std::string &name)
 runner::Json
 JobInfo::toJson() const
 {
-    runner::Json::Object object;
-    object["id"] = runner::Json(id);
-    object["client"] = runner::Json(client);
-    object["priority"] =
-        priority >= 0
-            ? runner::Json(static_cast<std::uint64_t>(priority))
-            : runner::Json(static_cast<double>(priority));
-    object["state"] = runner::Json(jobStateName(state));
-    object["spec"] = spec.toJson();
-    object["cells_total"] = runner::Json(
-        static_cast<std::uint64_t>(cellsTotal));
-    object["cells_done"] =
-        runner::Json(static_cast<std::uint64_t>(cellsDone));
-    object["cells_failed"] =
-        runner::Json(static_cast<std::uint64_t>(cellsFailed));
-    object["cells_cached"] =
-        runner::Json(static_cast<std::uint64_t>(cellsCached));
-    object["cells_executed"] =
-        runner::Json(static_cast<std::uint64_t>(cellsExecuted));
-    object["served_from_cache"] = runner::Json(servedFromCache);
-    object["result_path"] = runner::Json(resultPath);
-    object["error"] = runner::Json(error);
-    return runner::Json(std::move(object));
+    return runner::encodeJson(*this);
 }
 
 SweepService::SweepService(ServiceOptions options)
@@ -173,72 +151,43 @@ SweepService::replayJournal()
                        error);
             continue;
         }
-        if (record.type() != runner::Json::Type::Object ||
-            !record.contains("type") || !record.contains("job"))
-            continue;
-        const std::string &type = record.at("type").asString();
-        const std::uint64_t id = record.at("job").asUint();
-
-        if (type == "submit") {
-            runner::SweepSpec spec;
-            std::string spec_error;
-            if (!record.contains("spec") ||
-                !runner::SweepSpec::fromJson(record.at("spec"), spec,
-                                             &spec_error)) {
-                latte_warn("latted: dropping journaled job {} with "
-                           "unreadable spec ({})",
-                           id, spec_error);
-                continue;
+        // Decoded into a copy and applied only when every field it
+        // carries is well-formed.
+        std::string type;
+        std::uint64_t id = 0;
+        JobInfo info;
+        const auto read = [&](runner::FieldReader &io) {
+            io.field("type", type);
+            io.field("job", id);
+            if (type == "submit") {
+                describeSubmit(io, info);
+            } else if (type == "done" && jobs_.count(id)) {
+                info = jobs_.at(id).info;
+                describeProgress(io, info);
             }
+        };
+        if (!runner::decodeJson(record, read, &error)) {
+            latte_warn("latted: skipping journal record ({})", error);
+            continue;
+        }
+        const auto it = jobs_.find(id);
+        if (type == "submit") {
+            info.id = id;
+            info.cellsTotal = info.spec.cellCount();
             // try_emplace: Job holds a CancelToken (atomics), so it is
             // built in place rather than moved.
             Job &job = jobs_.try_emplace(id).first->second;
-            job.info.id = id;
-            if (record.contains("client"))
-                job.info.client = record.at("client").asString();
-            if (record.contains("priority")) {
-                const runner::Json &p = record.at("priority");
-                job.info.priority =
-                    p.type() == runner::Json::Type::Uint
-                        ? static_cast<std::int64_t>(p.asUint())
-                        : static_cast<std::int64_t>(p.asDouble());
-            }
-            job.info.spec = std::move(spec);
-            job.info.cellsTotal = job.info.spec.cellCount();
+            job.info = std::move(info);
             job.enqueuedAt = std::chrono::steady_clock::now();
             nextJobId_ = std::max(nextJobId_, id + 1);
-        } else if (type == "done") {
-            const auto it = jobs_.find(id);
-            if (it == jobs_.end())
-                continue;
-            JobInfo &info = it->second.info;
-            if (record.contains("state")) {
-                if (const JobState *state = jobStateFromName(
-                        record.at("state").asString()))
-                    info.state = *state;
-            }
-            auto counter = [&](const char *key, std::size_t &out) {
-                if (record.contains(key))
-                    out = record.at(key).asUint();
-            };
-            counter("cells_total", info.cellsTotal);
-            counter("cells_done", info.cellsDone);
-            counter("cells_failed", info.cellsFailed);
-            counter("cells_cached", info.cellsCached);
-            counter("cells_executed", info.cellsExecuted);
-            if (record.contains("served_from_cache"))
-                info.servedFromCache =
-                    record.at("served_from_cache").asBool();
-            if (record.contains("error"))
-                info.error = record.at("error").asString();
+        } else if (type == "done" && it != jobs_.end()) {
             if (info.state == JobState::Done)
                 info.resultPath = resultPathFor(id);
-        } else if (type == "cancel") {
-            const auto it = jobs_.find(id);
-            if (it != jobs_.end() && !it->second.info.terminal()) {
-                it->second.info.state = JobState::Cancelled;
-                it->second.info.error = "cancelled before restart";
-            }
+            it->second.info = std::move(info);
+        } else if (type == "cancel" && it != jobs_.end() &&
+                   !it->second.info.terminal()) {
+            it->second.info.state = JobState::Cancelled;
+            it->second.info.error = "cancelled before restart";
         }
     }
 
@@ -266,7 +215,7 @@ SweepService::submit(const runner::SweepSpec &spec,
         return 0;
     }
 
-    runner::Json::Object record;
+    runner::Json record;
     std::uint64_t id = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -300,19 +249,16 @@ SweepService::submit(const runner::SweepSpec &spec,
         job.enqueuedAt = std::chrono::steady_clock::now();
         ++counters_.submitted;
 
-        record["type"] = runner::Json("submit");
-        record["job"] = runner::Json(id);
-        record["client"] = runner::Json(client);
-        record["priority"] =
-            priority >= 0
-                ? runner::Json(static_cast<std::uint64_t>(priority))
-                : runner::Json(static_cast<double>(priority));
-        record["spec"] = spec.toJson();
+        runner::FieldWriter writer;
+        writer.field("type", std::string("submit"));
+        writer.field("job", id);
+        describeSubmit(writer, job.info);
+        record = writer.take();
     }
 
     // Flushed before the caller sees the id: an acknowledged submit
     // survives SIGKILL.
-    journal(runner::Json(std::move(record)));
+    journal(record);
 
     runner::Json::Object event;
     event["event"] = runner::Json("job_queued");
@@ -801,24 +747,11 @@ SweepService::finishJob(Job &job, JobState state, std::string error)
                  job.info.error.empty() ? std::string()
                                         : " — " + job.info.error);
 
-    runner::Json::Object record;
-    record["type"] = runner::Json("done");
-    record["job"] = runner::Json(job.info.id);
-    record["state"] = runner::Json(jobStateName(state));
-    record["cells_total"] = runner::Json(
-        static_cast<std::uint64_t>(job.info.cellsTotal));
-    record["cells_done"] =
-        runner::Json(static_cast<std::uint64_t>(job.info.cellsDone));
-    record["cells_failed"] =
-        runner::Json(static_cast<std::uint64_t>(job.info.cellsFailed));
-    record["cells_cached"] =
-        runner::Json(static_cast<std::uint64_t>(job.info.cellsCached));
-    record["cells_executed"] = runner::Json(
-        static_cast<std::uint64_t>(job.info.cellsExecuted));
-    record["served_from_cache"] =
-        runner::Json(job.info.servedFromCache);
-    record["error"] = runner::Json(job.info.error);
-    journal(runner::Json(std::move(record)));
+    runner::FieldWriter record;
+    record.field("type", std::string("done"));
+    record.field("job", job.info.id);
+    describeProgress(record, job.info);
+    journal(record.take());
 
     runner::Json::Object event;
     event["event"] = runner::Json("job_done");

@@ -37,6 +37,7 @@
 
 #include "metrics/latency_histogram.hh"
 #include "runner/json.hh"
+#include "runner/json_fields.hh"
 #include "runner/sweep_spec.hh"
 
 namespace latte::service
@@ -56,7 +57,8 @@ enum class JobState
 const char *jobStateName(JobState state);
 
 /** Reverse lookup; nullptr if @p name is unknown. */
-const JobState *jobStateFromName(const std::string &name);
+const JobState *enumFromName(const std::string &name, JobState);
+inline const char *enumName(JobState state) { return jobStateName(state); }
 
 struct ServiceOptions
 {
@@ -109,6 +111,44 @@ struct JobInfo
 
     runner::Json toJson() const;
 };
+
+/** The fields a jobs.jsonl submit record carries. */
+template <typename Io, runner::Of<JobInfo> S>
+void
+describeSubmit(Io &io, S &info)
+{
+    using enum runner::Presence;
+    io.field("client", info.client, Optional);
+    io.field("priority", info.priority, Optional);
+    io.field("spec", info.spec);
+}
+
+/** The fields a jobs.jsonl done record carries. */
+template <typename Io, runner::Of<JobInfo> S>
+void
+describeProgress(Io &io, S &info)
+{
+    using enum runner::Presence;
+    io.field("state", info.state, Optional);
+    io.field("cells_total", info.cellsTotal, Optional);
+    io.field("cells_done", info.cellsDone, Optional);
+    io.field("cells_failed", info.cellsFailed, Optional);
+    io.field("cells_cached", info.cellsCached, Optional);
+    io.field("cells_executed", info.cellsExecuted, Optional);
+    io.field("served_from_cache", info.servedFromCache, Optional);
+    io.field("error", info.error, Optional);
+}
+
+/** The field list of JobInfo::toJson(): both record bodies, and more. */
+template <typename Io, runner::Of<JobInfo> S>
+void
+describe(Io &io, S &info)
+{
+    io.field("id", info.id);
+    describeSubmit(io, info);
+    describeProgress(io, info);
+    io.field("result_path", info.resultPath);
+}
 
 /** Daemon-lifetime counters (monotonic; survive nothing — see journal). */
 struct ServiceCounters

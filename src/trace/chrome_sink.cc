@@ -11,29 +11,6 @@ namespace latte
 namespace
 {
 
-/** JSON string literal with the escapes a run label can need. */
-std::string
-quoted(const std::string &s)
-{
-    std::string out = "\"";
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-    return out;
-}
-
 std::string
 number(std::uint64_t u)
 {
@@ -68,7 +45,7 @@ ChromeTraceSink::writeRun(const std::string &label, const Tracer &tracer)
         os_ << ',';
     firstEvent_ = false;
     os_ << "\n{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << pid
-        << ",\"tid\":0,\"args\":{\"name\":" << quoted(label) << "}}";
+        << ",\"tid\":0,\"args\":{\"name\":" << jsonString(label) << "}}";
 
     tracer.forEach([&](const TraceEvent &event) { emit(event, pid); });
 

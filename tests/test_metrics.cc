@@ -309,6 +309,39 @@ TEST(MetricRegistry, ExportFormatsParse)
     EXPECT_EQ(text.find("gpu.hits"), std::string::npos);
 }
 
+TEST(MetricRegistry, JsonlEscapesControlCharacters)
+{
+    StatGroup root("gpu");
+    Counter hits(&root, "hits", "test counter");
+    MetricRegistry registry(100);
+    registry.attachStats(&root);
+    registry.addGauge("g\t\"1\"", [](Cycles) { return 1.0; });
+    registry.histogram("lat\n").record(3.0);
+    registry.sample(100);
+
+    const std::string label = "a\nb\x01";
+    std::ostringstream jsonl;
+    registry.exportJsonl(jsonl, {{"run", label}});
+    std::istringstream lines(jsonl.str());
+    std::string line;
+    std::size_t parsed_lines = 0;
+    while (std::getline(lines, line)) {
+        std::string error;
+        const runner::Json parsed = runner::Json::parse(line, &error);
+        ASSERT_TRUE(error.empty()) << error << " in: " << line;
+        ++parsed_lines;
+        const std::string &type = parsed.at("type").asString();
+        if (type == "schema") {
+            EXPECT_EQ(parsed.at("labels").at("run").asString(), label);
+            EXPECT_EQ(parsed.at("series").asArray()[1].asString(),
+                      "g\t\"1\"");
+        } else if (type == "histogram") {
+            EXPECT_EQ(parsed.at("name").asString(), "lat\n");
+        }
+    }
+    EXPECT_EQ(parsed_lines, 3u);
+}
+
 TEST(MetricRegistry, DetachKeepsSeriesStable)
 {
     StatGroup root("gpu");

@@ -297,10 +297,7 @@ main(int argc, char **argv)
         const SweepSpec spec = loadSpec(spec_path);
         Json::Object object = request("submit");
         object["spec"] = spec.toJson();
-        object["priority"] =
-            priority >= 0
-                ? Json(static_cast<std::uint64_t>(priority))
-                : Json(static_cast<double>(priority));
+        object["priority"] = runner::encodeJson(priority);
         const Json response = roundTrip(socket_path, Json(object));
         job_id = response.at("job").asUint();
         std::cout << "job " << job_id << "\n";
