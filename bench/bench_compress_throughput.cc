@@ -8,8 +8,10 @@
  * are probe >= 2x compress on at least three of the five algorithms
  * (measured on the scalar reference kernels, so the ratio stays a
  * property of the algorithm design), and batched probeLines() on the
- * best SIMD backend >= 2x the scalar per-line BDI+FPC mix (the L1
- * fill path's hot blend).
+ * best SIMD backend >= 2x the scalar per-line BDI+FPC mix (the blend
+ * the L1 fill path probes most, one fill at a time). The batch measures
+ * the kernels, not the simulator: every probeLines() is a per-line
+ * loop over the backend kernel.
  *
  *   bench_compress_throughput [--json out.json] [--lines N] [--reps R]
  */
@@ -239,10 +241,10 @@ main(int argc, char **argv)
     }
 
     // --- Backend sweep: batched probeLines() per dispatch tier. The
-    // baseline is the pre-batching fill path — per-line probe() on the
-    // scalar kernels — and the headline number is how much faster the
-    // best backend runs the batched BDI+FPC blend (the two modes the
-    // adaptive policies lean on hardest).
+    // baseline is per-line probe() on the scalar kernels — the call the
+    // L1 fill path makes — and the headline number is how much faster
+    // the best backend runs the batched BDI+FPC blend (the two modes
+    // the adaptive policies lean on hardest).
     const double scalar_bdi_perline = measure(
         lines, reps, sink, [&](const Line &line) {
             return engines.at(CompressorId::Bdi)->probe(line).sizeBits;

@@ -1,13 +1,14 @@
 /**
  * @file
- * A per-SM memo of probe() results. GPU workloads re-fetch the same
- * line contents over and over (working sets cycle through the small L1,
- * and many lines share a handful of value patterns), so most insertions
- * re-encode bytes the SM has already seen. The memo is a direct-mapped
- * table keyed by (line content, mode, SC code generation); a hit skips
- * the encoder entirely. Entries store the full 128 B line and compare it
- * exactly, so a hash collision can never change a simulation result —
- * the memo is purely an execution shortcut.
+ * A per-SM memo of probe() results, asked once per compressed L1 fill.
+ * GPU workloads re-fetch the same line contents over and over (working
+ * sets cycle through the small L1, and many lines share a handful of
+ * value patterns), so most insertions re-encode bytes the SM has
+ * already seen. The memo is a direct-mapped table keyed by (line
+ * content, mode, SC code generation); a hit skips the encoder entirely.
+ * Entries store the full 128 B line and compare it exactly, so a hash
+ * collision can never change a simulation result — the memo is purely
+ * an execution shortcut.
  */
 
 #ifndef LATTE_CACHE_COMPRESS_MEMO_HH
@@ -66,138 +67,10 @@ class CompressMemo : public StatGroup
         return entry.meta;
     }
 
-    /**
-     * Batched probe() over out.size() lines (concatenated in @p lines,
-     * engine and generation given per line), exactly equivalent to
-     * calling probe() sequentially: the same hits/misses counters, the
-     * same returned metas and the same table end state, including the
-     * collision corner cases (a hit on an entry a miss earlier in the
-     * batch just claimed, and two misses fighting over one index). The
-     * win is that all missed probes of one engine reach it as a single
-     * probeLines() call, so the backend's SIMD kernels amortise.
-     */
-    void
-    probeLines(std::span<Compressor *const> engines,
-               std::span<const std::uint8_t> lines,
-               std::span<const std::uint32_t> generations,
-               std::span<LineMeta> out)
-    {
-        const std::size_t n = out.size();
-        latte_assert(lines.size() == n * kLineBytes);
-        latte_assert(engines.size() == n && generations.size() == n);
-
-        missList_.clear();
-        aliasList_.clear();
-
-        // Pass 1: replay the sequential hit/miss walk on the key
-        // fields only, deferring every probe. Misses claim their entry
-        // (key fields, not meta) immediately so later batch lines see
-        // the table exactly as the sequential walk would.
-        for (std::size_t i = 0; i < n; ++i) {
-            const auto line = lines.subspan(i * kLineBytes, kLineBytes);
-            const CompressorId mode = engines[i]->id();
-            const std::uint32_t generation = generations[i];
-            const auto idx = static_cast<std::uint32_t>(
-                indexOf(line, mode, generation));
-            Entry &entry = entries_[idx];
-            if (entry.valid && entry.mode == mode &&
-                entry.generation == generation &&
-                std::memcmp(entry.bytes.data(), line.data(),
-                            kLineBytes) == 0) {
-                ++hits;
-                // A hit on an entry claimed by an earlier miss of this
-                // batch: its meta is still pending, so alias to the
-                // miss's slot instead of reading the stale entry.meta.
-                bool aliased = false;
-                for (std::size_t m = missList_.size(); m-- > 0;) {
-                    if (missList_[m].tableIdx == idx) {
-                        aliasList_.push_back(
-                            {static_cast<std::uint32_t>(i),
-                             static_cast<std::uint32_t>(m)});
-                        aliased = true;
-                        break;
-                    }
-                }
-                if (!aliased)
-                    out[i] = entry.meta;
-                continue;
-            }
-            ++misses;
-            entry.valid = true;
-            entry.mode = mode;
-            entry.generation = generation;
-            std::memcpy(entry.bytes.data(), line.data(), kLineBytes);
-            missList_.push_back({static_cast<std::uint32_t>(i), idx});
-        }
-
-        // Pass 2: batch the missed probes per engine. Probes have no
-        // side effects on the engine, so regrouping them is free; only
-        // the memo walk above had to stay in fill order.
-        missMeta_.resize(missList_.size());
-        missDone_.assign(missList_.size(), false);
-        for (std::size_t m = 0; m < missList_.size(); ++m) {
-            if (missDone_[m])
-                continue;
-            Compressor *engine = engines[missList_[m].lineIdx];
-            scratchLines_.clear();
-            scratchSlots_.clear();
-            for (std::size_t j = m; j < missList_.size(); ++j) {
-                if (missDone_[j] ||
-                    engines[missList_[j].lineIdx] != engine) {
-                    continue;
-                }
-                const auto line = lines.subspan(
-                    missList_[j].lineIdx * kLineBytes, kLineBytes);
-                scratchLines_.insert(scratchLines_.end(), line.begin(),
-                                     line.end());
-                scratchSlots_.push_back(j);
-                missDone_[j] = true;
-            }
-            scratchMeta_.resize(scratchSlots_.size());
-            engine->probeLines(scratchLines_, scratchMeta_);
-            for (std::size_t k = 0; k < scratchSlots_.size(); ++k)
-                missMeta_[scratchSlots_[k]] = scratchMeta_[k];
-        }
-
-        // Pass 3: resolve misses in sequential order. Two misses at
-        // one index always carry different keys (the second would have
-        // hit otherwise), so an entry keeps a meta only if its key
-        // fields still belong to this miss — i.e. no later miss
-        // reclaimed the slot. That reproduces the sequential end state.
-        for (std::size_t m = 0; m < missList_.size(); ++m) {
-            const PendingMiss &miss = missList_[m];
-            out[miss.lineIdx] = missMeta_[m];
-            Entry &entry = entries_[miss.tableIdx];
-            const auto line =
-                lines.subspan(miss.lineIdx * kLineBytes, kLineBytes);
-            if (entry.mode == engines[miss.lineIdx]->id() &&
-                entry.generation == generations[miss.lineIdx] &&
-                std::memcmp(entry.bytes.data(), line.data(),
-                            kLineBytes) == 0) {
-                entry.meta = missMeta_[m];
-            }
-        }
-
-        for (const Alias &alias : aliasList_)
-            out[alias.outIdx] = missMeta_[alias.missPos];
-    }
-
     Counter hits;
     Counter misses;
 
   private:
-    struct PendingMiss
-    {
-        std::uint32_t lineIdx;  //!< position in the batch
-        std::uint32_t tableIdx; //!< claimed entries_ slot
-    };
-
-    struct Alias
-    {
-        std::uint32_t outIdx;   //!< batch line waiting on a miss
-        std::uint32_t missPos;  //!< position in missList_
-    };
-
     struct Entry
     {
         bool valid = false;
@@ -227,16 +100,6 @@ class CompressMemo : public StatGroup
     }
 
     std::vector<Entry> entries_;
-
-    // probeLines() scratch, kept as members so a per-fill-batch call
-    // does not allocate once the vectors have grown to steady state.
-    std::vector<PendingMiss> missList_;
-    std::vector<Alias> aliasList_;
-    std::vector<LineMeta> missMeta_;
-    std::vector<bool> missDone_;
-    std::vector<std::uint8_t> scratchLines_;
-    std::vector<std::size_t> scratchSlots_;
-    std::vector<LineMeta> scratchMeta_;
 };
 
 } // namespace latte

@@ -86,21 +86,6 @@ CompressedCache::queueFor(CompressorId mode) const
     return domain_.queueFor(mode);
 }
 
-LineMeta
-CompressedCache::probeForInsertion(CompressorId mode,
-                                   std::span<const std::uint8_t> bytes)
-{
-    metrics::ProfileScope profile(metrics::ProfileZone::CompressorProbe);
-    Compressor *engine = engines_->get(mode);
-    if (!tuning_.compressionMemo)
-        return engine->probe(bytes);
-    // SC's probe depends on the live code book; its generation counter
-    // captures that state exactly. The other algorithms are stateless.
-    const std::uint32_t generation =
-        mode == CompressorId::Sc ? engines_->sc.generation() : 0;
-    return memo_.probe(*engine, bytes, generation);
-}
-
 L1AccessResult
 CompressedCache::access(Cycles now, Addr addr, bool is_write)
 {
@@ -249,123 +234,17 @@ CompressedCache::processFills(Cycles now)
         return;
     std::size_t keep = 0;
     nextFillCycle_ = kNoCycle;
-    dueFills_.clear();
     for (std::size_t i = 0; i < pendingFills_.size(); ++i) {
         const PendingFill fill = pendingFills_[i];
         if (fill.fillCycle <= now) {
-            dueFills_.push_back(fill);
+            insertLine(fill.fillCycle, fill.lineAddr);
         } else {
             nextFillCycle_ = std::min(nextFillCycle_, fill.fillCycle);
             pendingFills_[keep++] = fill;
         }
     }
     pendingFills_.resize(keep);
-    insertLines(dueFills_);
     mshrs.retire(now);
-}
-
-void
-CompressedCache::insertLines(std::span<const PendingFill> due)
-{
-    // The batch is equivalent to the per-fill walk only if every fill
-    // is guaranteed to insert: a resident line or a duplicate address
-    // would make a sequential insertLine() skip (and the round-trip
-    // verification path materialises payloads one by one), so those
-    // cases take the fallback. Eviction is the only other way the set
-    // contents change mid-batch, and it never *adds* a line.
-    bool batch = due.size() > 1 && !tuning_.verifyRoundTrip;
-    if (batch) {
-        for (std::size_t i = 0; i < due.size() && batch; ++i) {
-            if (domain_.findLine(due[i].lineAddr))
-                batch = false;
-            for (std::size_t j = 0; j < i && batch; ++j) {
-                if (due[j].lineAddr == due[i].lineAddr)
-                    batch = false;
-            }
-        }
-    }
-    if (!batch) {
-        for (const PendingFill &fill : due)
-            insertLine(fill.fillCycle, fill.lineAddr);
-        return;
-    }
-
-    const std::size_t n = due.size();
-    fillSets_.resize(n);
-    fillModes_.resize(n);
-    fillMeta_.resize(n);
-    probeBytes_.clear();
-    probeEngines_.clear();
-    probeGens_.clear();
-    probeSlots_.clear();
-
-    // Decide set and mode per fill in order. modeForInsertion() reads
-    // only sampling-window state that changes at EP boundaries, never
-    // on observeInsertion(), so hoisting it ahead of the insertions is
-    // bit-identical to the sequential walk.
-    for (std::size_t i = 0; i < n; ++i) {
-        fillSets_[i] = setIndexOf(due[i].lineAddr);
-        fillModes_[i] = provider_->modeForInsertion(fillSets_[i]);
-        if (fillModes_[i] == CompressorId::None) {
-            fillMeta_[i] = makeRawMeta(CompressorId::None);
-            continue;
-        }
-        const auto &bytes = mem_->line(due[i].lineAddr);
-        probeBytes_.insert(probeBytes_.end(), bytes.begin(), bytes.end());
-        probeEngines_.push_back(engines_->get(fillModes_[i]));
-        // SC's probe depends on the live code book; the generation
-        // captures that state (stable for the whole batch — codes only
-        // rebuild at EP boundaries). Stateless algorithms use 0.
-        probeGens_.push_back(fillModes_[i] == CompressorId::Sc
-                                 ? engines_->sc.generation() : 0);
-        probeSlots_.push_back(static_cast<std::uint32_t>(i));
-    }
-
-    // One batched probe pass over everything that compresses. The memo
-    // replays its sequential hit/miss walk internally; without the memo
-    // the probes regroup per engine (probes are side-effect-free, so
-    // only the memo walk ever had an order to preserve).
-    if (!probeSlots_.empty()) {
-        metrics::ProfileScope profile(
-            metrics::ProfileZone::CompressorProbe);
-        probeMeta_.resize(probeSlots_.size());
-        if (tuning_.compressionMemo) {
-            memo_.probeLines(probeEngines_, probeBytes_, probeGens_,
-                             probeMeta_);
-        } else {
-            probeDone_.assign(probeSlots_.size(), false);
-            std::vector<std::uint8_t> &lines = probeBytes_;
-            for (std::size_t m = 0; m < probeSlots_.size(); ++m) {
-                if (probeDone_[m])
-                    continue;
-                Compressor *engine = probeEngines_[m];
-                scratchBytes_.clear();
-                scratchSlots_.clear();
-                for (std::size_t j = m; j < probeSlots_.size(); ++j) {
-                    if (probeDone_[j] || probeEngines_[j] != engine)
-                        continue;
-                    scratchBytes_.insert(
-                        scratchBytes_.end(),
-                        lines.begin() + j * kLineBytes,
-                        lines.begin() + (j + 1) * kLineBytes);
-                    scratchSlots_.push_back(
-                        static_cast<std::uint32_t>(j));
-                    probeDone_[j] = true;
-                }
-                scratchMeta_.resize(scratchSlots_.size());
-                engine->probeLines(scratchBytes_, scratchMeta_);
-                for (std::size_t k = 0; k < scratchSlots_.size(); ++k)
-                    probeMeta_[scratchSlots_[k]] = scratchMeta_[k];
-            }
-        }
-        for (std::size_t m = 0; m < probeSlots_.size(); ++m)
-            fillMeta_[probeSlots_[m]] = probeMeta_[m];
-    }
-
-    for (std::size_t i = 0; i < n; ++i) {
-        insertPrepared(due[i].fillCycle, due[i].lineAddr, fillSets_[i],
-                       fillModes_[i], fillMeta_[i], nullptr);
-    }
 }
 
 void
@@ -379,33 +258,31 @@ CompressedCache::insertLine(Cycles now, Addr line_addr)
     const auto &bytes = mem_->line(line_addr);
 
     const CompressorId mode = provider_->modeForInsertion(set);
-    LineMeta meta;
+    LineMeta meta = makeRawMeta(CompressorId::None);
     CompressedLine full_line;    //!< materialised only under verifyRoundTrip
-    if (mode == CompressorId::None) {
-        meta = makeRawMeta(CompressorId::None);
-    } else {
+    if (mode != CompressorId::None) {
+        Compressor *engine = engines_->get(mode);
         // The simulation only needs the encoded size (admission, sampler
         // votes, sub-block accounting) — probe, don't materialise. The
         // payload is built only when round-trip verification wants it.
         if (tuning_.verifyRoundTrip) {
             metrics::ProfileScope profile(
                 metrics::ProfileZone::CompressorCompress);
-            full_line = engines_->get(mode)->compress(bytes);
+            full_line = engine->compress(bytes);
             meta = full_line.meta();
         } else {
-            meta = probeForInsertion(mode, bytes);
+            metrics::ProfileScope profile(
+                metrics::ProfileZone::CompressorProbe);
+            // SC's probe depends on the live code book; its generation
+            // counter captures that state exactly. The other algorithms
+            // are stateless.
+            meta = tuning_.compressionMemo
+                       ? memo_.probe(*engine, bytes,
+                                     mode == CompressorId::Sc
+                                         ? engines_->sc.generation() : 0)
+                       : engine->probe(bytes);
         }
     }
-    insertPrepared(now, line_addr, set, mode, meta,
-                   tuning_.verifyRoundTrip ? &full_line : nullptr);
-}
-
-void
-CompressedCache::insertPrepared(Cycles now, Addr line_addr,
-                                std::uint32_t set, CompressorId mode,
-                                const LineMeta &meta,
-                                const CompressedLine *full_line)
-{
     switch (mode) {
       case CompressorId::Bdi: ++bdiCompressions; break;
       case CompressorId::Sc: ++scCompressions; break;
@@ -428,11 +305,7 @@ CompressedCache::insertPrepared(Cycles now, Addr line_addr,
             }
         });
     domain_.commitFill(slot, domain_.tagOf(line_addr), meta, need, set);
-    if (full_line && mode != CompressorId::None)
-        slot.payload.assign(full_line->payload.begin(),
-                            full_line->payload.end());
-    else
-        slot.payload.clear();
+    slot.payload.assign(full_line.payload.begin(), full_line.payload.end());
 
     ++insertions;
     if (meta.compressed() && meta.encoding != kRawEncoding)
@@ -448,7 +321,7 @@ CompressedCache::insertPrepared(Cycles now, Addr line_addr,
         tracer_->record(ev);
     }
 
-    provider_->observeInsertion(now, set, mode, mem_->line(line_addr));
+    provider_->observeInsertion(now, set, mode, bytes);
 }
 
 std::uint64_t

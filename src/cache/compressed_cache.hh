@@ -16,7 +16,6 @@
 #define LATTE_CACHE_COMPRESSED_CACHE_HH
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/config.hh"
@@ -105,7 +104,10 @@ class CompressedCache : public StatGroup
     /** Perform a (coalesced) line access. */
     L1AccessResult access(Cycles now, Addr addr, bool is_write);
 
-    /** Insert lines whose fills completed by @p now. */
+    /**
+     * Insert the lines whose fills completed by @p now, one at a time in
+     * arrival order, each at its own fill cycle.
+     */
     void processFills(Cycles now);
 
     // --- Geometry (delegated to the compression domain) ---
@@ -186,23 +188,12 @@ class CompressedCache : public StatGroup
         Cycles fillCycle;
     };
 
-    void insertLine(Cycles now, Addr line_addr);
     /**
-     * Insert the due fills of one processFills() sweep. When the batch
-     * can be proven equivalent to the sequential per-fill walk (no
-     * round-trip verification, no line already resident, no duplicate
-     * addresses) all probes are funnelled through one batched
-     * probeLines() pass so the backend's SIMD kernels amortise;
-     * otherwise it falls back to per-fill insertLine().
+     * Insert one completed fill: pick the set's mode, size the line
+     * (memoised probe, or a full compress under verifyRoundTrip), evict
+     * until it fits, commit it and report it to the mode provider.
      */
-    void insertLines(std::span<const PendingFill> due);
-    /** The tail of an insertion once set, mode and meta are known. */
-    void insertPrepared(Cycles now, Addr line_addr, std::uint32_t set,
-                        CompressorId mode, const LineMeta &meta,
-                        const CompressedLine *full_line);
-    /** Size-only encode of an insertion (memoised when enabled). */
-    LineMeta probeForInsertion(CompressorId mode,
-                               std::span<const std::uint8_t> bytes);
+    void insertLine(Cycles now, Addr line_addr);
 
     const GpuConfig &cfg_;
     CacheTuning tuning_;
@@ -225,21 +216,6 @@ class CompressedCache : public StatGroup
      */
     CompressionDomain domain_;
     std::vector<PendingFill> pendingFills_;
-    // insertLines() scratch, kept as members so a fill batch does not
-    // allocate once the vectors have grown to steady state.
-    std::vector<PendingFill> dueFills_;
-    std::vector<std::uint32_t> fillSets_;
-    std::vector<CompressorId> fillModes_;
-    std::vector<LineMeta> fillMeta_;
-    std::vector<std::uint8_t> probeBytes_;
-    std::vector<Compressor *> probeEngines_;
-    std::vector<std::uint32_t> probeGens_;
-    std::vector<std::uint32_t> probeSlots_;
-    std::vector<LineMeta> probeMeta_;
-    std::vector<bool> probeDone_;
-    std::vector<std::uint8_t> scratchBytes_;
-    std::vector<std::uint32_t> scratchSlots_;
-    std::vector<LineMeta> scratchMeta_;
     Cycles nextFillCycle_ = kNoCycle;
 };
 

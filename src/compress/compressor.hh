@@ -157,24 +157,20 @@ class Compressor
      * alignment requirement beyond what the caller's buffer gives),
      * the exact LineMeta compress() would produce — same algo,
      * encoding, sizeBits and generation — without materialising any
-     * bit stream. Batching is the primitive: it amortises the virtual
-     * dispatch and the backend's SIMD setup across the whole set, so
-     * hot callers (the compressed L1 fill path, the mode-provider
-     * sampler, the throughput bench) should hand over every line they
-     * have rather than loop over probe(). Results are independent per
-     * line and bit-identical across backends and batch sizes. Pinned
-     * to compress() by the ProbeMatchesCompress property test.
+     * bit stream. Implementations loop over the active backend's
+     * per-line kernel, so a batch saves one dispatch-table read and one
+     * virtual call per line; the throughput bench and the backend
+     * fuzzer sweep whole corpora, while the compressed L1 probes one
+     * fill at a time through probe(). Results are independent per line
+     * and bit-identical across backends and batch sizes. Pinned to
+     * compress() by the ProbeMatchesCompress property test.
      *
      * @pre lines.size() == out.size() * kLineBytes.
      */
     virtual void probeLines(std::span<const std::uint8_t> lines,
                             std::span<LineMeta> out) = 0;
 
-    /**
-     * Single-line convenience over probeLines() — source-compatible
-     * with the pre-batching interface for external callers; hot paths
-     * should batch.
-     */
+    /** Single-line convenience over probeLines(). */
     LineMeta
     probe(std::span<const std::uint8_t> line)
     {

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
@@ -74,20 +73,13 @@ class MshrFile : public StatGroup
         return it->second;
     }
 
-    /** Release entries whose fill has arrived by @p now; returns them. */
-    std::vector<Addr>
+    /** Release entries whose fill has arrived by @p now. */
+    void
     retire(Cycles now)
     {
-        std::vector<Addr> done;
-        for (auto it = entries_.begin(); it != entries_.end();) {
-            if (it->second <= now) {
-                done.push_back(it->first);
-                it = entries_.erase(it);
-            } else {
-                ++it;
-            }
-        }
-        return done;
+        std::erase_if(entries_, [now](const auto &entry) {
+            return entry.second <= now;
+        });
     }
 
     /** Earliest outstanding fill completion; kNoCycle when empty. */

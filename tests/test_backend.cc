@@ -1,16 +1,17 @@
 /**
  * @file
  * The CompressorBackend dispatch layer: registry shape, name
- * resolution, the batched probeLines() API contract, and — the
- * load-bearing property — bit-identical LineMeta output from every
- * SIMD tier, pinned by a randomized differential fuzzer against the
- * scalar kernels. Also pins that the backend never leaks into the
- * result-cache fingerprint: a result computed by one backend must be
- * a cache hit for every other.
+ * resolution, the batched probeLines() API contract, the L1's probe
+ * memo, and — the load-bearing property — bit-identical LineMeta output
+ * from every SIMD tier, pinned by a randomized differential fuzzer
+ * against the scalar kernels. Also pins that the backend never leaks
+ * into the result-cache fingerprint: a result computed by one backend
+ * must be a cache hit for every other.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <random>
@@ -243,25 +244,23 @@ TEST(Backend, DriverRejectsUnknownBackend)
     EXPECT_EQ(outcome.error.code, RunErrorCode::InvalidConfig);
 }
 
-TEST(Backend, MemoBatchedMatchesSequential)
+TEST(Backend, MemoMatchesEngineProbe)
 {
     BackendGuard guard;
-    // A small pool sampled with reuse: repeats guarantee memo hits,
-    // in-batch duplicates exercise the alias path, and ~4x as many
-    // distinct keys as table entries force index collisions (two
-    // misses fighting over one slot).
+    // Twice as many lines as table entries, each under three engines,
+    // so most keys share an index with others: entries get reclaimed,
+    // and a key probed again after a reclaim must miss and still answer
+    // what the engine answers.
     const auto gens = profileGens(23);
     std::vector<Line> pool;
-    for (unsigned i = 0; i < 4096; ++i) {
+    for (unsigned i = 0; i < 2 * CompressMemo::kEntries; ++i) {
         Line line;
         gens[i % gens.size()]->generate(i * kLineBytes, line);
         pool.push_back(line);
     }
 
-    StatGroup root_a("seq"), root_b("batch");
-    CompressMemo memo_seq(&root_a);
-    CompressMemo memo_batch(&root_b);
-
+    StatGroup root("root");
+    CompressMemo memo(&root);
     auto bdi = makeCompressor(CompressorId::Bdi);
     auto fpc = makeCompressor(CompressorId::Fpc);
     auto sc = trainedEngine(CompressorId::Sc, pool);
@@ -270,55 +269,83 @@ TEST(Backend, MemoBatchedMatchesSequential)
     Compressor *cycle[] = {bdi.get(), fpc.get(), sc.get()};
 
     std::mt19937_64 rng(99);
-    std::size_t cursor = 0;
-    for (unsigned chunk = 0; chunk < 64; ++chunk) {
-        const std::size_t n = 1 + rng() % 48;
-        std::vector<std::uint8_t> bytes;
-        std::vector<Compressor *> engines;
-        std::vector<std::uint32_t> generations;
-        for (std::size_t i = 0; i < n; ++i) {
-            // Mostly a fresh pool line; sometimes repeat the previous
-            // batch line so a hit lands on a just-claimed entry.
-            const std::size_t pick =
-                (i > 0 && rng() % 4 == 0) ? cursor : rng() % pool.size();
-            cursor = pick;
-            const Line &line = pool[pick];
-            bytes.insert(bytes.end(), line.begin(), line.end());
-            Compressor *engine = cycle[rng() % 3];
-            engines.push_back(engine);
-            generations.push_back(
-                engine->id() == CompressorId::Sc ? sc_gen : 0);
-        }
-
-        std::vector<LineMeta> batched(n);
-        memo_batch.probeLines(engines, bytes, generations, batched);
-        for (std::size_t i = 0; i < n; ++i) {
-            const LineMeta expected = memo_seq.probe(
-                *engines[i],
-                std::span<const std::uint8_t>(bytes.data() + i * kLineBytes,
-                                              kLineBytes),
-                generations[i]);
-            expectSameMeta(batched[i], expected, "memo", i);
-        }
-        ASSERT_EQ(memo_batch.hits.count(), memo_seq.hits.count())
-            << "chunk " << chunk;
-        ASSERT_EQ(memo_batch.misses.count(), memo_seq.misses.count())
-            << "chunk " << chunk;
-    }
-
-    // End-state equivalence: replaying a sample sequentially on both
-    // memos must produce the same hit/miss pattern and metas.
-    for (unsigned i = 0; i < 512; ++i) {
-        const Line &line = pool[rng() % pool.size()];
-        Compressor *engine = cycle[rng() % 3];
+    std::uint64_t calls = 0;
+    std::uint64_t reprobe_misses = 0;
+    std::vector<std::array<bool, 3>> seen(pool.size());
+    for (unsigned i = 0; i < 8 * pool.size(); ++i) {
+        const std::size_t pick = rng() % pool.size();
+        const unsigned which = static_cast<unsigned>(rng() % 3);
+        Compressor &engine = *cycle[which];
         const std::uint32_t generation =
-            engine->id() == CompressorId::Sc ? sc_gen : 0;
-        const LineMeta a = memo_batch.probe(*engine, line, generation);
-        const LineMeta b = memo_seq.probe(*engine, line, generation);
-        expectSameMeta(a, b, "memo end state", i);
+            engine.id() == CompressorId::Sc ? sc_gen : 0;
+
+        const std::uint64_t misses_before = memo.misses.count();
+        const LineMeta answer = memo.probe(engine, pool[pick], generation);
+        ++calls;
+        expectSameMeta(answer, engine.probe(pool[pick]), "memo", i);
+        if (memo.misses.count() != misses_before && seen[pick][which])
+            ++reprobe_misses;
+        seen[pick][which] = true;
+
+        // An immediate repeat finds the entry the first call left.
+        const std::uint64_t hits_before = memo.hits.count();
+        const LineMeta repeat = memo.probe(engine, pool[pick], generation);
+        ++calls;
+        EXPECT_EQ(memo.hits.count(), hits_before + 1) << "repeat " << i;
+        expectSameMeta(repeat, answer, "repeat", i);
     }
-    EXPECT_EQ(memo_batch.hits.count(), memo_seq.hits.count());
-    EXPECT_EQ(memo_batch.misses.count(), memo_seq.misses.count());
+    EXPECT_GT(reprobe_misses, 0u) << "no index collision was exercised";
+    EXPECT_EQ(memo.hits.count() + memo.misses.count(), calls);
+}
+
+TEST(Backend, MemoMissesOnNewScGeneration)
+{
+    BackendGuard guard;
+    const auto gens = profileGens(29);
+    std::vector<Line> pool;
+    for (unsigned i = 0; i < 64; ++i) {
+        Line line;
+        gens[i % gens.size()]->generate(i * kLineBytes, line);
+        pool.push_back(line);
+    }
+    std::sort(pool.begin(), pool.end());
+    pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
+
+    StatGroup root("root");
+    CompressMemo memo(&root);
+    auto engine = trainedEngine(CompressorId::Sc, pool);
+    auto *sc = static_cast<ScCompressor *>(engine.get());
+    const std::uint32_t old_gen = sc->generation();
+    std::uint64_t calls = 0;
+    for (const Line &line : pool) {
+        memo.probe(*sc, line, old_gen);
+        ++calls;
+    }
+    // The last line is certainly resident: an immediate repeat hits.
+    const std::uint64_t hits_before = memo.hits.count();
+    memo.probe(*sc, pool.back(), old_gen);
+    ++calls;
+    ASSERT_EQ(memo.hits.count(), hits_before + 1);
+
+    // Retrain on other values and rebuild: the same bytes under the
+    // new code book miss and take the new book's sizes. Walk back from
+    // the line known to be resident under the old generation.
+    for (unsigned i = 0; i < 64; ++i) {
+        Line line;
+        gens[1]->generate((1000 + i) * kLineBytes, line);
+        sc->trainLine(line);
+    }
+    const std::uint32_t new_gen = sc->rebuildCodes();
+    ASSERT_NE(new_gen, old_gen);
+    for (std::size_t i = pool.size(); i-- > 0;) {
+        const std::uint64_t misses_before = memo.misses.count();
+        const LineMeta meta = memo.probe(*sc, pool[i], new_gen);
+        ++calls;
+        EXPECT_EQ(memo.misses.count(), misses_before + 1) << "line " << i;
+        expectSameMeta(meta, sc->probe(pool[i]), "new generation", i);
+        EXPECT_EQ(meta.generation, new_gen);
+    }
+    EXPECT_EQ(memo.hits.count() + memo.misses.count(), calls);
 }
 
 TEST(BackendFuzz, DifferentialScalarVsSimd)

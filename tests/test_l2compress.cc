@@ -214,8 +214,8 @@ TEST(L2Compress, StaticInsertHitDecompressAndEvict)
     EXPECT_EQ(h.l2.compressStats()->bdiCompressions.value(), 1u);
 
     // Read hit on the compressed line: pays the BDI decompression
-    // queue, so it is strictly slower than the raw-line hit the
-    // uncompressed L2 would serve.
+    // queue (Eq. 3 at an empty queue: latency + 1) on top of the
+    // raw-line hit the uncompressed L2 would serve.
     const Cycles later = miss.readyCycle + 100;
     const L2Result hit = h.l2.access(later, 0x1000, false);
     EXPECT_TRUE(hit.hit);
@@ -224,7 +224,8 @@ TEST(L2Compress, StaticInsertHitDecompressAndEvict)
     L2Harness plain(smallL2Config(LevelCompress::Off));
     plain.l2.access(0, 0x1000, false);
     const L2Result plain_hit = plain.l2.access(later, 0x1000, false);
-    EXPECT_GT(hit.readyCycle, plain_hit.readyCycle);
+    EXPECT_EQ(hit.readyCycle,
+              plain_hit.readyCycle + h.cfg.timings.bdiDecompress + 1);
 
     // Overflow one set: distinct tags mapping to set 0 eventually
     // exhaust its 4x tag array and force compressed evictions.

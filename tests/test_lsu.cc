@@ -2,7 +2,8 @@
  * @file
  * Tests for the load/store unit: one L1 access per cycle, warp wakeup
  * (reported back with its ready cycle) on the last outstanding access,
- * MSHR-full back-off, and store fire-and-forget behaviour.
+ * the Eq. 3 decompression wait of a compressed hit, MSHR-full back-off,
+ * and store fire-and-forget behaviour.
  */
 
 #include <gtest/gtest.h>
@@ -52,6 +53,17 @@ class LsuFixture : public ::testing::Test
     std::vector<Warp> warps;
 };
 
+/** Stores every fill BDI-compressed. */
+class BdiEverywhere : public CompressionModeProvider
+{
+  public:
+    CompressorId
+    modeForInsertion(std::uint32_t) override
+    {
+        return CompressorId::Bdi;
+    }
+};
+
 } // namespace
 
 TEST_F(LsuFixture, OneAccessPerCycle)
@@ -78,6 +90,40 @@ TEST_F(LsuFixture, WarpWakesAfterLastAccess)
     // Both are misses: the wakeup is the slower of the two fills.
     EXPECT_EQ(wake->readyAt, warps[0].memReady);
     EXPECT_GE(wake->readyAt, cfg.l2.minLatency);
+}
+
+TEST_F(LsuFixture, CompressedHitWakesAfterDecompression)
+{
+    BdiEverywhere bdi;
+    cache.setModeProvider(&bdi);
+
+    // Miss, then issue the hit once the fill has landed: the (all-zero)
+    // line sits BDI-compressed by then.
+    startLoad(0, {0x1000});
+    const auto fill = lsu.tick(0, cache, warps);
+    ASSERT_TRUE(fill);
+    const Cycles issue = fill->readyAt;
+    const Cycles hit = cfg.l1.hitLatency;
+    const Cycles decompress = cfg.timings.bdiDecompress;
+
+    startLoad(1, {0x1000});
+    const auto first = lsu.tick(issue, cache, warps);
+    ASSERT_TRUE(first);
+    EXPECT_EQ(cache.hits.count(), 1u);
+    EXPECT_EQ(cache.compressedInsertions.count(), 1u);
+    EXPECT_EQ(first->readyAt, issue + hit + decompress + 1);
+
+    // A second hit one cycle later finds the first still decompressing
+    // and queues behind it by its Eq. 3 insertion position.
+    const DecompressionQueue &queue = cache.queueFor(CompressorId::Bdi);
+    const Cycles position = queue.expectedPos(issue + 1 + hit);
+    EXPECT_EQ(position, 1u);
+    startLoad(2, {0x1000});
+    const auto second = lsu.tick(issue + 1, cache, warps);
+    ASSERT_TRUE(second);
+    EXPECT_EQ(second->slot, 2u);
+    EXPECT_EQ(second->readyAt, issue + 1 + hit + decompress + 1 + position);
+    EXPECT_EQ(queue.requests.count(), 2u);
 }
 
 TEST_F(LsuFixture, StoresDoNotTouchWarps)

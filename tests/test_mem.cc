@@ -108,12 +108,16 @@ TEST(Mshr, AllocateMergeRetire)
     EXPECT_EQ(mshrs.merge(0x100), 500u);
     EXPECT_EQ(mshrs.fillCycle(0x100), 500u);
 
-    const auto none = mshrs.retire(499);
-    EXPECT_TRUE(none.empty());
-    const auto done = mshrs.retire(500);
-    ASSERT_EQ(done.size(), 1u);
-    EXPECT_EQ(done[0], 0x100u);
+    mshrs.allocate(0x200, 600);
+    EXPECT_EQ(mshrs.inUse(), 2u);
+
+    mshrs.retire(499);
+    EXPECT_TRUE(mshrs.outstanding(0x100));
+    EXPECT_EQ(mshrs.inUse(), 2u);
+    mshrs.retire(500);
     EXPECT_FALSE(mshrs.outstanding(0x100));
+    EXPECT_TRUE(mshrs.outstanding(0x200));
+    EXPECT_EQ(mshrs.inUse(), 1u);
 }
 
 TEST(Mshr, CapacityEnforced)
