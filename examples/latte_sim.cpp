@@ -105,19 +105,25 @@ main(int argc, char **argv)
                });
     parser.add("--l1-kb", "", "N", "L1 data cache size in KiB (default 16)",
                [&](const std::string &v) {
-                   options.cfg.l1.sizeBytes = std::stoul(v) * 1024;
+                   options.cfg.l1.sizeBytes =
+                       runner::parseFlag<std::uint32_t>(
+                           "--l1-kb", v, 0, UINT32_MAX / 1024) *
+                       1024;
                });
     parser.add("--sms", "", "N", "number of SMs (default 15)",
                [&](const std::string &v) {
-                   options.cfg.numSms = std::stoul(v);
+                   options.cfg.numSms =
+                       runner::parseFlag<std::uint32_t>("--sms", v);
                });
     parser.add("--hit-latency", "", "N", "base L1 hit latency in cycles",
                [&](const std::string &v) {
-                   options.cfg.l1.hitLatency = std::stoul(v);
+                   options.cfg.l1.hitLatency =
+                       runner::parseFlag<Cycles>("--hit-latency", v);
                });
     parser.add("--ep", "", "N", "LATTE-CC EP length in L1 accesses",
                [&](const std::string &v) {
-                   options.cfg.latte.epAccesses = std::stoul(v);
+                   options.cfg.latte.epAccesses =
+                       runner::parseFlag<std::uint32_t>("--ep", v);
                });
     parser.add("--scheduler", "", "gto|lrr", "warp scheduler",
                [&](const std::string &v) {
@@ -127,7 +133,8 @@ main(int argc, char **argv)
                });
     parser.add("--max-instr", "", "N", "per-kernel instruction budget",
                [&](const std::string &v) {
-                   options.maxInstructionsPerKernel = std::stoull(v);
+                   options.maxInstructionsPerKernel =
+                       runner::parseFlag<std::uint64_t>("--max-instr", v);
                });
     parser.add("--compress-backend", "", "NAME",
                "compression kernel backend: auto|scalar|sse4|avx2 "
@@ -172,7 +179,8 @@ main(int argc, char **argv)
     parser.add("--metrics-interval", "", "N",
                "cycles between metric samples (default 100000)",
                [&](const std::string &v) {
-                   metrics_interval = std::stoull(v);
+                   metrics_interval = runner::parseFlag<std::uint64_t>(
+                       "--metrics-interval", v);
                });
     parser.add("--profile", "", "",
                "measure wall-clock time per simulator zone (reported "

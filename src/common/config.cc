@@ -133,8 +133,6 @@ GpuConfig::validationError() const
 {
     if (numSms == 0)
         return "numSms must be nonzero";
-    if (warpSize == 0)
-        return "warpSize must be nonzero";
     if (maxWarpsPerSm == 0)
         return "maxWarpsPerSm must be nonzero";
     if (maxBlocksPerSm == 0)

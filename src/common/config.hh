@@ -164,16 +164,11 @@ struct GpuConfig
     std::uint32_t schedulersPerSm = 2;
     /** The latency-tolerance meter tracks issue runs of this many. */
     static constexpr std::uint32_t kMaxSchedulersPerSm = 4;
-    std::uint32_t warpSize = 32;
-    std::uint32_t registersPerSm = 32768;
     std::uint32_t sharedMemBytes = 48 * 1024;
 
     // --- Cache hierarchy ---
     CacheLevelConfig l1 = CacheLevelConfig::l1Defaults();
     CacheLevelConfig l2 = CacheLevelConfig::l2Defaults();
-
-    // --- L1 instruction cache (modelled as always-hit; kernels are tiny) --
-    std::uint32_t l1iSizeBytes = 2 * 1024;
 
     // --- DRAM / NoC ---
     /** Minimum L1-miss-to-DRAM-data latency. */

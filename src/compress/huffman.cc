@@ -1,27 +1,12 @@
 #include "huffman.hh"
 
 #include <algorithm>
-#include <queue>
+#include <numeric>
 
 #include "common/logging.hh"
 
 namespace latte
 {
-
-namespace
-{
-
-struct TreeNode
-{
-    std::uint64_t weight;
-    int index;              //!< entry in the symbol table; -1 = internal
-    int left = -1;
-    int right = -1;
-    // Tie-break on creation order for deterministic trees.
-    std::uint64_t order;
-};
-
-} // namespace
 
 HuffmanCode
 HuffmanCode::build(const std::vector<Freq> &freqs,
@@ -38,53 +23,51 @@ HuffmanCode::build(const std::vector<Freq> &freqs,
             entries.push_back({symbol, weight, false});
     }
     entries.push_back({0, escape_weight, true});
+    const std::size_t n = entries.size();
 
-    // Standard Huffman construction with deterministic tie-breaking.
-    std::vector<TreeNode> pool;
-    pool.reserve(entries.size() * 2);
-    auto cmp = [&pool](int a, int b) {
-        if (pool[a].weight != pool[b].weight)
-            return pool[a].weight > pool[b].weight;
-        return pool[a].order > pool[b].order;
-    };
-    std::priority_queue<int, std::vector<int>, decltype(cmp)> heap(cmp);
+    // Two-queue Huffman merge over nodes 0..n-1 (the entries) and
+    // n..2n-2 (merged nodes, in creation order, so the root is last).
+    // Merged weights never decrease, so taking the lighter head of the
+    // weight-sorted leaves and the merged FIFO — a leaf winning a tie —
+    // merges in the (weight, creation order) sequence of a min-heap over
+    // all nodes: the deterministic tie-break the code lengths rely on.
+    std::vector<std::size_t> leaves(n);
+    std::iota(leaves.begin(), leaves.end(), std::size_t{0});
+    std::stable_sort(leaves.begin(), leaves.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return entries[a].weight < entries[b].weight;
+                     });
+    std::vector<std::uint64_t> weight(2 * n - 1);
+    std::vector<std::size_t> parent(2 * n - 1);
+    for (std::size_t i = 0; i < n; ++i)
+        weight[i] = entries[i].weight;
+    std::size_t next_leaf = 0, next_merged = n;
+    for (std::size_t node = n; node < 2 * n - 1; ++node) {
+        auto take = [&] {
+            const bool leaf =
+                next_leaf < n &&
+                (next_merged == node ||
+                 weight[leaves[next_leaf]] <= weight[next_merged]);
+            return leaf ? leaves[next_leaf++] : next_merged++;
+        };
+        const std::size_t a = take();
+        const std::size_t b = take();
+        weight[node] = weight[a] + weight[b];
+        parent[a] = parent[b] = node;
+    }
 
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        pool.push_back({entries[i].weight, static_cast<int>(i), -1, -1,
-                        i});
-        heap.push(static_cast<int>(pool.size()) - 1);
-    }
-    std::uint64_t order = entries.size();
-    while (heap.size() > 1) {
-        const int a = heap.top(); heap.pop();
-        const int b = heap.top(); heap.pop();
-        pool.push_back({pool[a].weight + pool[b].weight, -1, a, b,
-                        order++});
-        heap.push(static_cast<int>(pool.size()) - 1);
-    }
-
-    // Collect code lengths by walking the tree.
-    std::vector<unsigned> lengths(entries.size(), 0);
-    struct StackItem { int node; unsigned depth; };
-    std::vector<StackItem> stack{{heap.top(), 0}};
-    while (!stack.empty()) {
-        const auto [node, depth] = stack.back();
-        stack.pop_back();
-        if (pool[node].index >= 0) {
-            // A single-symbol tree still needs a 1-bit code.
-            lengths[pool[node].index] = std::max(depth, 1u);
-            continue;
-        }
-        stack.push_back({pool[node].left, depth + 1});
-        stack.push_back({pool[node].right, depth + 1});
-    }
+    // Parents come after their children, so one backward pass gives
+    // every depth, the root's being 0. An escape-only tree still needs
+    // a 1-bit code.
+    std::vector<unsigned> lengths(2 * n - 1, n == 1 ? 1 : 0);
+    for (std::size_t node = 2 * n - 2; node-- > 0;)
+        lengths[node] = lengths[parent[node]] + 1;
 
     // Canonicalise: sort by (length, symbol) and assign increasing codes.
-    std::vector<int> by_length(entries.size());
-    for (std::size_t i = 0; i < entries.size(); ++i)
-        by_length[i] = static_cast<int>(i);
+    std::vector<std::size_t> by_length(n);
+    std::iota(by_length.begin(), by_length.end(), std::size_t{0});
     std::sort(by_length.begin(), by_length.end(),
-              [&](int a, int b) {
+              [&](std::size_t a, std::size_t b) {
                   if (lengths[a] != lengths[b])
                       return lengths[a] < lengths[b];
                   if (entries[a].esc != entries[b].esc)
@@ -93,129 +76,78 @@ HuffmanCode::build(const std::vector<Freq> &freqs,
               });
 
     HuffmanCode book;
+    if (n > 1) {
+        // Quarter-full at most, so linear probes terminate quickly; and
+        // eight filter bits per symbol (12.5% false positives).
+        std::size_t capacity = 16, filter_bits = 64;
+        while (capacity < (n - 1) * 4)
+            capacity *= 2;
+        while (filter_bits < (n - 1) * 8)
+            filter_bits *= 2;
+        book.lens_.assign(capacity, {});
+        book.wireCodes_.assign(capacity, 0);
+        book.lenMask_ = capacity - 1;
+        book.filter_.assign(filter_bits / 64, 0);
+        book.filterMask_ = filter_bits - 1;
+    }
+    book.lengthCounts_.assign(lengths[by_length.back()] + 1, 0);
+    book.canonical_.reserve(n);
     std::uint64_t next_code = 0;
     unsigned prev_len = 0;
-    for (const int idx : by_length) {
+    for (const std::size_t idx : by_length) {
         const unsigned len = lengths[idx];
         latte_assert(len >= 1 && len <= 64, "code length {} out of range",
                      len);
         next_code <<= (len - prev_len);
         prev_len = len;
-        CodeWord code{next_code, 0, len};
+        std::uint64_t wire = 0;
+        for (unsigned i = 0; i < len; ++i)
+            wire |= ((next_code >> i) & 1) << (len - 1 - i);
         ++next_code;
-        book.insertCode(code, entries[idx].esc, entries[idx].symbol);
-        book.maxBits_ = std::max(book.maxBits_, len);
-    }
-    book.buildFastTable();
-    return book;
-}
-
-void
-HuffmanCode::buildFastTable()
-{
-    if (codes_.empty())
-        return;
-    // Quarter-full at most, so linear probes terminate quickly.
-    std::size_t capacity = 16;
-    while (capacity < codes_.size() * 4)
-        capacity *= 2;
-    fast_.assign(capacity, {});
-    fastMask_ = capacity - 1;
-    for (const auto &[symbol, code] : codes_) {
-        std::size_t i = (symbol * 0x9e3779b9u) & fastMask_;
-        while (fast_[i].length != 0)
-            i = (i + 1) & fastMask_;
-        fast_[i] = {code.rbits, symbol, code.length};
-    }
-
-    // Quarter-full like the code table: the membership filter below
-    // keeps misses from touching it at all, so only hit-chain length
-    // matters here.
-    std::size_t len_capacity = 16;
-    while (len_capacity < codes_.size() * 4)
-        len_capacity *= 2;
-    lens_.assign(len_capacity, {});
-    lenMask_ = len_capacity - 1;
-    for (const auto &[symbol, code] : codes_) {
-        std::size_t i = (symbol * 0x9e3779b9u) & lenMask_;
-        while (lens_[i].bits != 0)
-            i = (i + 1) & lenMask_;
-        lens_[i] = {symbol, code.length};
-    }
-
-    // One-hash membership filter, eight bits per symbol (12.5% false
-    // positives): uncoded values — the common case on noisy lines —
-    // resolve to "escape" with a single load from a ~1 KiB bitmap
-    // instead of a probe chain through the tables.
-    std::size_t filter_bits = 64;
-    while (filter_bits < codes_.size() * 8)
-        filter_bits *= 2;
-    filter_.assign(filter_bits / 64, 0);
-    filterMask_ = filter_bits - 1;
-    for (const auto &[symbol, code] : codes_) {
-        const std::size_t bit = (symbol * 0x9e3779b9u) & filterMask_;
-        filter_[bit / 64] |= std::uint64_t{1} << (bit % 64);
-    }
-}
-
-void
-HuffmanCode::insertCode(const CodeWord &code_in, bool escape,
-                        std::uint32_t symbol)
-{
-    CodeWord code = code_in;
-    code.rbits = 0;
-    for (unsigned i = 0; i < code.length; ++i)
-        code.rbits |= ((code.bits >> i) & 1) << (code.length - 1 - i);
-
-    if (nodes_.empty())
-        nodes_.push_back({});
-    int node = 0;
-    for (unsigned i = 0; i < code.length; ++i) {
-        // Codes are assigned MSB-first; emit/walk them MSB-first too.
-        const bool bit = (code.bits >> (code.length - 1 - i)) & 1;
-        int child = bit ? nodes_[node].right : nodes_[node].left;
-        if (child < 0) {
-            child = static_cast<int>(nodes_.size());
-            nodes_.push_back({});
-            // (push_back may reallocate: re-index, don't hold references)
-            if (bit)
-                nodes_[node].right = child;
-            else
-                nodes_[node].left = child;
+        ++book.lengthCounts_[len];
+        const std::uint32_t symbol = entries[idx].symbol;
+        if (entries[idx].esc) {
+            book.escapeIndex_ = book.canonical_.size();
+            book.escapeWire_ = wire;
+            book.escapeLength_ = len;
+        } else {
+            const std::uint32_t hash = symbol * 0x9e3779b9u;
+            std::size_t i = hash & book.lenMask_;
+            while (book.lens_[i].bits != 0)
+                i = (i + 1) & book.lenMask_;
+            book.lens_[i] = {symbol, len};
+            book.wireCodes_[i] = wire;
+            const std::size_t bit = hash & book.filterMask_;
+            book.filter_[bit / 64] |= std::uint64_t{1} << (bit % 64);
         }
-        node = child;
+        book.canonical_.push_back(symbol);
     }
-    latte_assert(!nodes_[node].leaf, "duplicate Huffman code");
-    nodes_[node].leaf = true;
-    nodes_[node].escape = escape;
-    nodes_[node].symbol = symbol;
-    if (escape)
-        escapeCode_ = code;
-    else
-        codes_[symbol] = code;
-}
-
-unsigned
-HuffmanCode::encodedBits(std::uint32_t value) const
-{
-    const auto it = codes_.find(value);
-    return it != codes_.end() ? it->second.length
-                              : escapeCode_.length + 32;
+    return book;
 }
 
 std::uint32_t
 HuffmanCode::decode(BitReader &br) const
 {
     latte_assert(valid(), "decode on an empty code book");
-    int node = 0;
-    while (!nodes_[node].leaf) {
-        const bool bit = br.readBit();
-        node = bit ? nodes_[node].right : nodes_[node].left;
-        latte_assert(node >= 0, "invalid Huffman bit stream");
+    // The canonical codes of one length are consecutive integers, the
+    // first following from the shorter lengths: read MSB-first until
+    // the code falls inside its length's range.
+    std::uint64_t code = 0, first = 0;
+    std::size_t index = 0;
+    for (std::size_t len = 1; len < lengthCounts_.size(); ++len) {
+        code |= br.readBit();
+        const std::uint32_t count = lengthCounts_[len];
+        if (code - first < count) {
+            index += code - first;
+            if (index == escapeIndex_)
+                return static_cast<std::uint32_t>(br.read(32));
+            return canonical_[index];
+        }
+        index += count;
+        first = (first + count) << 1;
+        code <<= 1;
     }
-    if (nodes_[node].escape)
-        return static_cast<std::uint32_t>(br.read(32));
-    return nodes_[node].symbol;
+    latte_panic("invalid Huffman bit stream");
 }
 
 } // namespace latte

@@ -9,8 +9,6 @@
 #define LATTE_COMPRESS_HUFFMAN_HH
 
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -26,7 +24,11 @@ class HuffmanCode
     /** (symbol value, weight) training pair. */
     using Freq = std::pair<std::uint32_t, std::uint64_t>;
 
-    /** Length-only slot for encodedBitsFast(); bits == 0 marks empty. */
+    /**
+     * One slot of the open-addressing symbol table: a coded symbol and
+     * its code length. bits == 0 marks an empty slot (no code is
+     * shorter than one bit).
+     */
     struct LenSlot
     {
         std::uint32_t symbol = 0;
@@ -34,12 +36,12 @@ class HuffmanCode
     };
 
     /**
-     * A borrowed, read-only view of the length-lookup state, in the
-     * exact layout encodedBitsFast() walks: the open-addressing LenSlot
-     * table, the membership filter bitmap and the escape cost. The SIMD
-     * probe kernels take this view so they can batch the hash + table
-     * walk without friending their way into the code book; it stays
-     * valid until the next build(). An invalid/empty book yields
+     * A borrowed, read-only view of the symbol table in the exact
+     * layout encodedBits() probes: the open-addressing LenSlot table,
+     * the membership filter bitmap and the escape cost. The SIMD probe
+     * kernels take this view so they can batch the hash + table walk
+     * without friending their way into the code book; it stays valid
+     * until the next build(). A book without coded symbols yields
      * empty == true, where every value costs escapeBits.
      */
     struct LengthView
@@ -55,17 +57,22 @@ class HuffmanCode
     HuffmanCode() = default;
 
     /**
-     * Build a code book over @p freqs plus an escape symbol of weight
-     * @p escape_weight (>= 1). Zero-weight symbols are dropped.
+     * Build a code book over @p freqs (distinct symbols) plus an escape
+     * symbol of weight @p escape_weight (>= 1). Zero-weight symbols are
+     * dropped.
      */
     static HuffmanCode build(const std::vector<Freq> &freqs,
                              std::uint64_t escape_weight);
 
     /** True once build() populated the book. */
-    bool valid() const { return !nodes_.empty(); }
+    bool valid() const { return escapeLength_ != 0; }
 
     /** Number of coded symbols, not counting the escape. */
-    std::size_t numSymbols() const { return codes_.size(); }
+    std::size_t
+    numSymbols() const
+    {
+        return valid() ? canonical_.size() - 1 : 0;
+    }
 
     /**
      * Emit the code for @p value if it is in the book; otherwise emit the
@@ -78,53 +85,39 @@ class HuffmanCode
     encode(std::uint32_t value, Sink &sink) const
     {
         latte_assert(valid(), "encode on an empty code book");
-        // rbits holds the code bit-reversed so one word-at-a-time write
-        // emits it MSB-first on the LSB-first wire.
-        if (const Slot *slot = findFast(value)) {
-            sink.write(slot->rbits, slot->length);
+        // Codes are kept bit-reversed so one word-at-a-time write emits
+        // them MSB-first on the LSB-first wire.
+        const std::size_t slot = find(value);
+        if (slot != kNoSlot) {
+            sink.write(wireCodes_[slot], lens_[slot].bits);
             return true;
         }
-        sink.write(escapeCode_.rbits, escapeCode_.length);
+        sink.write(escapeWire_, escapeLength_);
         sink.write(value, 32);
         return false;
     }
 
     /** Bits the encoder would emit for @p value. */
-    unsigned encodedBits(std::uint32_t value) const;
-
-    /**
-     * Hot-path variant of encodedBits() backed by a compact flat table
-     * (8-byte slots, half the cache footprint of the encode table) —
-     * the whole cost of an SC size-only probe is this lookup.
-     */
     unsigned
-    encodedBitsFast(std::uint32_t value) const
+    encodedBits(std::uint32_t value) const
     {
-        if (lens_.empty())
-            return escapeCode_.length + 32;
-        const std::uint32_t hash = value * 0x9e3779b9u;
-        std::size_t i = hash & lenMask_;
-        // First slot load issues in parallel with the filter load — the
-        // two addresses are independent, so a hit pays one load latency
-        // instead of two.
-        LenSlot slot = lens_[i];
-        if (!mayHaveCode(hash))
-            return escapeCode_.length + 32;
-        while (slot.bits != 0) {
-            if (slot.symbol == value)
-                return slot.bits;
-            i = (i + 1) & lenMask_;
-            slot = lens_[i];
-        }
-        return escapeCode_.length + 32;
+        const std::size_t slot = find(value);
+        return slot != kNoSlot ? lens_[slot].bits : escapeLength_ + 32;
     }
 
-    /** Borrow the encodedBitsFast() state for batched/SIMD probing. */
+    /** True if @p value has a dedicated code (no escape needed). */
+    bool
+    hasCode(std::uint32_t value) const
+    {
+        return find(value) != kNoSlot;
+    }
+
+    /** Borrow the symbol table for batched/SIMD length probing. */
     LengthView
     lengthView() const
     {
         LengthView view;
-        view.escapeBits = escapeCode_.length + 32;
+        view.escapeBits = escapeLength_ + 32;
         view.empty = lens_.empty();
         if (!view.empty) {
             view.slots = lens_.data();
@@ -135,89 +128,48 @@ class HuffmanCode
         return view;
     }
 
-    /** True if @p value has a dedicated code (no escape needed). */
-    bool
-    hasCode(std::uint32_t value) const
-    {
-        return codes_.contains(value);
-    }
-
     /** Decode one symbol; reads the raw value itself after an escape. */
     std::uint32_t decode(BitReader &br) const;
 
-    /** Length in bits of the longest code (diagnostics). */
-    unsigned maxCodeBits() const { return maxBits_; }
-
   private:
-    struct CodeWord
-    {
-        std::uint64_t bits = 0;   //!< canonical code, MSB-first
-        std::uint64_t rbits = 0;  //!< same code bit-reversed (wire order)
-        unsigned length = 0;
-    };
-
-    struct Node
-    {
-        int left = -1;        //!< child on bit 0
-        int right = -1;       //!< child on bit 1
-        bool leaf = false;
-        bool escape = false;
-        std::uint32_t symbol = 0;
-    };
+    static constexpr std::size_t kNoSlot = ~std::size_t{0};
 
     /**
-     * One entry of the open-addressing symbol->code table that backs
-     * encode(). 16 bytes so four slots share a cache line; length == 0
-     * marks an empty slot (no real code is shorter than one bit).
+     * The table slot of @p value, or kNoSlot: escape it. The membership
+     * filter answers most misses — the common case on noisy lines —
+     * with one load from a ~1 KiB bitmap instead of a probe chain.
      */
-    struct Slot
+    std::size_t
+    find(std::uint32_t value) const
     {
-        std::uint64_t rbits = 0;
-        std::uint32_t symbol = 0;
-        std::uint32_t length = 0;
-    };
-
-    /** Membership pre-check; false means "definitely not in the book". */
-    bool
-    mayHaveCode(std::uint32_t hash) const
-    {
-        const std::size_t bit = hash & filterMask_;
-        return (filter_[bit / 64] >> (bit % 64)) & 1;
-    }
-
-    /** Flat-table lookup; nullptr means "escape this value". */
-    const Slot *
-    findFast(std::uint32_t value) const
-    {
-        if (fast_.empty())
-            return nullptr;
+        if (lens_.empty())
+            return kNoSlot;
         // Fibonacci mix spreads clustered values (small ints, pointers).
         const std::uint32_t hash = value * 0x9e3779b9u;
-        if (!mayHaveCode(hash))
-            return nullptr;
-        std::size_t i = hash & fastMask_;
-        while (fast_[i].length != 0) {
-            if (fast_[i].symbol == value)
-                return &fast_[i];
-            i = (i + 1) & fastMask_;
+        const std::size_t bit = hash & filterMask_;
+        if (!((filter_[bit / 64] >> (bit % 64)) & 1))
+            return kNoSlot;
+        for (std::size_t i = hash & lenMask_; lens_[i].bits != 0;
+             i = (i + 1) & lenMask_) {
+            if (lens_[i].symbol == value)
+                return i;
         }
-        return nullptr;
+        return kNoSlot;
     }
 
-    void insertCode(const CodeWord &code, bool escape,
-                    std::uint32_t symbol);
-    void buildFastTable();
-
-    std::unordered_map<std::uint32_t, CodeWord> codes_;
-    CodeWord escapeCode_;
-    std::vector<Slot> fast_;    //!< open-addressing view of codes_
-    std::size_t fastMask_ = 0;
-    std::vector<LenSlot> lens_; //!< length-only view for size probes
+    std::vector<LenSlot> lens_;            //!< the symbol table
+    std::vector<std::uint64_t> wireCodes_; //!< lens_[i]'s code, reversed
     std::size_t lenMask_ = 0;
-    std::vector<std::uint64_t> filter_; //!< membership bitmap
+    std::vector<std::uint64_t> filter_;    //!< membership bitmap
     std::size_t filterMask_ = 0;
-    std::vector<Node> nodes_;   //!< decode trie; node 0 is the root
-    unsigned maxBits_ = 0;
+    std::uint64_t escapeWire_ = 0;         //!< escape code, reversed
+    unsigned escapeLength_ = 0;            //!< 0 until build()
+
+    // Canonical decoding state: every symbol in code order (the escape
+    // at escapeIndex_) and the number of codes of each length.
+    std::vector<std::uint32_t> canonical_;
+    std::vector<std::uint32_t> lengthCounts_;
+    std::size_t escapeIndex_ = 0;
 };
 
 } // namespace latte

@@ -52,10 +52,12 @@ using ScLineBitsFn = std::uint64_t (*)(const std::uint8_t *line,
                                        const HuffmanCode::LengthView &view);
 
 /**
- * Scalar Huffman length lookup against a LengthView — the exact
- * control flow of HuffmanCode::encodedBitsFast(), restated over the
- * borrowed tables so SIMD kernels can fall back to it for the slot
- * walk of unresolved lanes.
+ * Scalar Huffman length lookup against a LengthView — the answer of
+ * HuffmanCode::encodedBits(), from the same filter bit and symbol-table
+ * walk over the borrowed table, so SIMD kernels can fall back to it for
+ * the slot walk of unresolved lanes. The home slot is loaded before the
+ * filter is tested: the two loads are independent, so a hit pays one
+ * load latency instead of two.
  */
 inline std::uint32_t
 scLookupBits(std::uint32_t value, const HuffmanCode::LengthView &view)

@@ -149,24 +149,28 @@ void
 writeProfilePrometheus(std::ostream &os)
 {
     const Totals totals = profilerSnapshot();
-    os << "# TYPE latte_profile_calls_total counter\n";
-    os << "# TYPE latte_profile_seconds_total counter\n";
-    for (std::size_t z = 0; z < kNumProfileZones; ++z) {
-        if (totals[z].calls == 0)
-            continue;
-        const char *name =
-            profileZoneName(static_cast<ProfileZone>(z));
-        char line[256];
-        std::snprintf(line, sizeof(line),
-                      "latte_profile_calls_total{zone=\"%s\"} %llu\n",
-                      name,
-                      static_cast<unsigned long long>(totals[z].calls));
-        os << line;
-        std::snprintf(line, sizeof(line),
-                      "latte_profile_seconds_total{zone=\"%s\"} %.9f\n",
-                      name,
-                      static_cast<double>(totals[z].nanos) * 1e-9);
-        os << line;
+    // One block per family: its TYPE line, then one sample per zone.
+    for (const bool seconds : {false, true}) {
+        const char *family = seconds ? "latte_profile_seconds_total"
+                                     : "latte_profile_calls_total";
+        os << "# TYPE " << family << " counter\n";
+        for (std::size_t z = 0; z < kNumProfileZones; ++z) {
+            if (totals[z].calls == 0)
+                continue;
+            const char *name =
+                profileZoneName(static_cast<ProfileZone>(z));
+            char line[256];
+            if (seconds) {
+                std::snprintf(line, sizeof(line), "%s{zone=\"%s\"} %.9f\n",
+                              family, name,
+                              static_cast<double>(totals[z].nanos) * 1e-9);
+            } else {
+                std::snprintf(
+                    line, sizeof(line), "%s{zone=\"%s\"} %llu\n", family,
+                    name, static_cast<unsigned long long>(totals[z].calls));
+            }
+            os << line;
+        }
     }
 }
 

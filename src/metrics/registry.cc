@@ -254,11 +254,14 @@ MetricRegistry::exportPrometheus(std::ostream &os,
 {
     const std::string label_text = prometheusLabels(labels);
 
-    // Final snapshot of every series as a gauge.
+    // Final snapshot of every series as a gauge, after the cycle it
+    // was sampled at.
     if (!rows_.empty()) {
         const std::vector<std::string> names = seriesNames();
         const Row &last = rows_.back();
-        os << "# Final sample at cycle " << last.cycle << "\n";
+        os << "# TYPE latte_sample_cycle gauge\n"
+           << "latte_sample_cycle" << label_text << " " << last.cycle
+           << "\n";
         for (std::size_t i = 0;
              i < names.size() && i < last.values.size(); ++i) {
             const std::string metric = prometheusName(names[i]);

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/config.hh"
 #include "common/logging.hh"
@@ -17,35 +16,12 @@ namespace latte::runner
 namespace
 {
 
-std::uint64_t
-parseUint(const char *flag, const std::string &text)
-{
-    char *end = nullptr;
-    const unsigned long long value =
-        std::strtoull(text.c_str(), &end, 10);
-    if (!end || *end != '\0' || text.empty())
-        latte_fatal("{}: bad number '{}'\n{}", flag, text,
-                    sweepArgsUsage());
-    return value;
-}
-
-double
-parseSeconds(const char *flag, const std::string &text)
-{
-    char *end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    if (!end || *end != '\0' || text.empty() || value < 0)
-        latte_fatal("{}: bad duration '{}'\n{}", flag, text,
-                    sweepArgsUsage());
-    return value;
-}
-
 // The single source of truth: parseSweepArgs() walks this table and
 // sweepArgsUsage() renders it. A null `value` marks a boolean flag.
 const ArgSpec kSpecs[] = {
     {"--jobs", "-j", "<n>", "worker threads (0 = all cores)",
      [](SweepCliOptions &o, const std::string &v) {
-         o.jobs = static_cast<unsigned>(parseUint("--jobs", v));
+         o.jobs = parseFlag<unsigned>("--jobs", v);
      }},
     {"--cache-dir", nullptr, "<dir>", "reuse/persist results on disk",
      [](SweepCliOptions &o, const std::string &v) { o.cacheDir = v; }},
@@ -55,24 +31,26 @@ const ArgSpec kSpecs[] = {
     {"--cell-timeout", nullptr, "<seconds>",
      "wall-clock watchdog budget per cell (0 = unlimited)",
      [](SweepCliOptions &o, const std::string &v) {
+         // Capped so the millisecond count fits its uint64.
          o.cellTimeoutMs = static_cast<std::uint64_t>(
-             parseSeconds("--cell-timeout", v) * 1000.0);
+             parseFlag("--cell-timeout", v, 0.0, 1e15) * 1000.0);
      }},
     {"--cell-cycle-budget", nullptr, "<cycles>",
      "simulated-cycle budget per cell (0 = unlimited)",
      [](SweepCliOptions &o, const std::string &v) {
-         o.cellCycleBudget = parseUint("--cell-cycle-budget", v);
+         o.cellCycleBudget =
+             parseFlag<std::uint64_t>("--cell-cycle-budget", v);
      }},
     {"--retries", nullptr, "<n>",
      "extra attempts for failed/timed-out cells",
      [](SweepCliOptions &o, const std::string &v) {
-         o.retries = static_cast<std::uint32_t>(
-             parseUint("--retries", v));
+         o.retries = parseFlag<std::uint32_t>("--retries", v);
      }},
     {"--retry-backoff-ms", nullptr, "<ms>",
      "base backoff between attempts (doubled each retry)",
      [](SweepCliOptions &o, const std::string &v) {
-         o.retryBackoffMs = parseUint("--retry-backoff-ms", v);
+         o.retryBackoffMs =
+             parseFlag<std::uint64_t>("--retry-backoff-ms", v);
      }},
     {"--json", nullptr, "<path>",
      "write sweep outcomes as a JSON array",
@@ -92,9 +70,8 @@ const ArgSpec kSpecs[] = {
     {"--metrics-interval", nullptr, "<cycles>",
      "metric sampling interval (default 100000)",
      [](SweepCliOptions &o, const std::string &v) {
-         o.metricsInterval = parseUint("--metrics-interval", v);
-         if (o.metricsInterval == 0)
-             latte_fatal("--metrics-interval: must be > 0");
+         o.metricsInterval =
+             parseFlag<std::uint64_t>("--metrics-interval", v, 1);
      }},
     {"--profile", nullptr, nullptr,
      "enable the wall-clock zone self-profiler (reported with the "
@@ -195,6 +172,12 @@ flagHead(const ArgParser::Flag &flag)
 }
 
 } // namespace
+
+void
+badFlagValue(std::string_view flag, std::string_view text)
+{
+    latte_fatal("{}: bad value '{}' (try --help)", flag, text);
+}
 
 const ArgSpec *
 sweepArgSpecs(std::size_t &count)

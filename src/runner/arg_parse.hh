@@ -43,13 +43,53 @@
 #ifndef LATTE_RUNNER_ARG_PARSE_HH
 #define LATTE_RUNNER_ARG_PARSE_HH
 
+#include <charconv>
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace latte::runner
 {
+
+/**
+ * All of @p text as a base-10 T, or nullopt when it is empty, has
+ * trailing text, carries a sign T cannot hold or lies outside T's
+ * range: unlike stoul/strtoull, "-1" never wraps into a huge unsigned
+ * value and a wide value is never truncated into a narrow one.
+ */
+template <typename T>
+std::optional<T>
+parseNumber(std::string_view text)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc{} || ptr != end)
+        return std::nullopt;
+    return value;
+}
+
+/** Exit with the usage-error status 1, naming @p flag and its value. */
+[[noreturn]] void badFlagValue(std::string_view flag,
+                               std::string_view text);
+
+/** The value of @p flag as a T in [@p min, @p max], or badFlagValue(). */
+template <typename T>
+T
+parseFlag(std::string_view flag, std::string_view text,
+          T min = std::numeric_limits<T>::lowest(),
+          T max = std::numeric_limits<T>::max())
+{
+    const std::optional<T> value = parseNumber<T>(text);
+    // Written so that a NaN fails too.
+    if (!value || !(*value >= min && *value <= max))
+        badFlagValue(flag, text);
+    return *value;
+}
 
 struct SweepCliOptions
 {

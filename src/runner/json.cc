@@ -686,13 +686,16 @@ toJson(const DriverOptions &options)
     const GpuConfig &cfg = options.cfg;
     const CompressorTimings &t = cfg.timings;
     const LatteParams &lp = cfg.latte;
+    // warpSize, registersPerSm and l1iSizeBytes are Table II constants
+    // the model never reads; they stay in the fingerprint so every
+    // RunKey keeps its bytes.
     Json::Object cfg_object{
         {"numSms", Json(cfg.numSms)},
         {"maxWarpsPerSm", Json(cfg.maxWarpsPerSm)},
         {"maxBlocksPerSm", Json(cfg.maxBlocksPerSm)},
         {"schedulersPerSm", Json(cfg.schedulersPerSm)},
-        {"warpSize", Json(cfg.warpSize)},
-        {"registersPerSm", Json(cfg.registersPerSm)},
+        {"warpSize", Json(32)},
+        {"registersPerSm", Json(32768)},
         {"sharedMemBytes", Json(cfg.sharedMemBytes)},
         {"l1SizeBytes", Json(cfg.l1.sizeBytes)},
         {"l1LineBytes", Json(cfg.l1.lineBytes)},
@@ -701,7 +704,7 @@ toJson(const DriverOptions &options)
         {"l1TagFactor", Json(cfg.l1.tagFactor)},
         {"l1SubBlockBytes", Json(cfg.l1.subBlockBytes)},
         {"l1MshrEntries", Json(cfg.l1.mshrEntries)},
-        {"l1iSizeBytes", Json(cfg.l1iSizeBytes)},
+        {"l1iSizeBytes", Json(2048)},
         {"l2SizeBytes", Json(cfg.l2.sizeBytes)},
         {"l2LineBytes", Json(cfg.l2.lineBytes)},
         {"l2Assoc", Json(cfg.l2.assoc)},

@@ -53,10 +53,6 @@ TEST(Config, RejectsZeroCores)
     EXPECT_TRUE(cfg.validationError().has_value());
 
     cfg = GpuConfig{};
-    cfg.warpSize = 0;
-    EXPECT_TRUE(cfg.validationError().has_value());
-
-    cfg = GpuConfig{};
     cfg.maxWarpsPerSm = 0;
     EXPECT_TRUE(cfg.validationError().has_value());
 }

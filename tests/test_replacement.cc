@@ -1,15 +1,12 @@
 /**
  * @file
  * Tests for the L1 replacement policies (LRU / FIFO / SRRIP) in the
- * compressed cache, plus the CSV report writer.
+ * compressed cache.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "cache/compressed_cache.hh"
-#include "core/report.hh"
 
 using namespace latte;
 
@@ -113,56 +110,4 @@ TEST(Replacement, AllPoliciesFillWholeSet)
                 rig.cache->access(now, rig.addrInSet(6, t), false).hit);
         }
     }
-}
-
-// ---------------------------------------------------------- reporting
-
-TEST(Report, CsvContainsHeaderAndRows)
-{
-    WorkloadRunResult result;
-    result.workload = "XX";
-    result.policy = PolicyKind::LatteCc;
-    result.cycles = 100;
-    result.instructions = 250;
-    result.hits = 40;
-    result.misses = 10;
-
-    std::ostringstream os;
-    writeCsv(os, {result});
-    const std::string csv = os.str();
-    EXPECT_NE(csv.find("workload,policy,cycles"), std::string::npos);
-    EXPECT_NE(csv.find("XX,LATTE-CC,100,250,2.5,40,10,0.2"),
-              std::string::npos);
-}
-
-TEST(Report, ComparisonCsvComputesRatios)
-{
-    WorkloadRunResult base;
-    base.workload = "XX";
-    base.policy = PolicyKind::Baseline;
-    base.cycles = 200;
-    base.misses = 100;
-    base.energy.staticMj = 2.0;
-
-    WorkloadRunResult latte = base;
-    latte.policy = PolicyKind::LatteCc;
-    latte.cycles = 100;
-    latte.misses = 60;
-    latte.energy.staticMj = 1.0;
-
-    std::ostringstream os;
-    writeComparisonCsv(os, {base}, {latte});
-    const std::string csv = os.str();
-    EXPECT_NE(csv.find("XX,LATTE-CC,2,0.4,0.5"), std::string::npos);
-}
-
-TEST(ReportDeath, MismatchedRowsPanic)
-{
-    WorkloadRunResult a, b;
-    a.workload = "AA";
-    a.cycles = 1;
-    b.workload = "BB";
-    b.cycles = 1;
-    std::ostringstream os;
-    EXPECT_DEATH(writeComparisonCsv(os, {a}, {b}), "mismatch");
 }

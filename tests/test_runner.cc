@@ -495,6 +495,44 @@ TEST(Runner, SweepArgParsing)
     EXPECT_STREQ(argv[1], "positional");
 }
 
+TEST(RunnerDeath, SweepArgParsingRejectsMalformedNumbers)
+{
+    // A sign on an unsigned value, trailing text and values beyond the
+    // destination's range exit with the usage status, naming the flag.
+    struct Case { const char *arg, *flag, *value; };
+    const Case cases[] = {
+        {"--jobs", "--jobs", "abc"},
+        {"-j", "--jobs", "-3"},
+        {"-j", "--jobs", "4294967297"},
+        {"--retries", "--retries", "-1"},
+        {"--retries", "--retries", "4294967296"},
+        {"--cell-cycle-budget", "--cell-cycle-budget", "12x"},
+        {"--retry-backoff-ms", "--retry-backoff-ms",
+         "99999999999999999999"},
+        {"--metrics-interval", "--metrics-interval", "0"},
+        {"--cell-timeout", "--cell-timeout", "-1"},
+        {"--cell-timeout", "--cell-timeout", "nan"},
+        {"--cell-timeout", "--cell-timeout", "1e300"},
+    };
+    for (const Case &c : cases) {
+        const char *raw[] = {"prog", c.arg, c.value, nullptr};
+        int argc = 3;
+        EXPECT_EXIT(parseSweepArgs(argc, const_cast<char **>(raw)),
+                    testing::ExitedWithCode(1),
+                    std::string(c.flag) + ": bad value")
+            << c.arg << " " << c.value;
+    }
+
+    // The edges of each range still parse.
+    const char *raw[] = {"prog", "--retries", "4294967295", "-j0",
+                         nullptr};
+    int argc = 4;
+    const SweepCliOptions cli =
+        parseSweepArgs(argc, const_cast<char **>(raw));
+    EXPECT_EQ(cli.retries, 4294967295u);
+    EXPECT_EQ(cli.jobs, 0u);
+}
+
 TEST(Runner, SweepDedupesAndRunsPending)
 {
     const Workload *workload = findWorkload("PRK");

@@ -237,9 +237,14 @@ main(int argc, char **argv)
     parser.add("--spec", "", "FILE", "SweepSpec JSON file",
                [&](const std::string &v) { spec_path = v; });
     parser.add("--job", "", "N", "job id",
-               [&](const std::string &v) { job_id = std::stoull(v); });
+               [&](const std::string &v) {
+                   job_id = runner::parseFlag<std::uint64_t>("--job", v);
+               });
     parser.add("--priority", "", "N", "job priority (higher first)",
-               [&](const std::string &v) { priority = std::stoll(v); });
+               [&](const std::string &v) {
+                   priority =
+                       runner::parseFlag<std::int64_t>("--priority", v);
+               });
     parser.add("--wait", "", "", "block until the job finishes",
                [&](const std::string &) { wait_for_result = true; });
     parser.add("--out", "", "FILE", "copy the result document here",
@@ -375,7 +380,8 @@ main(int argc, char **argv)
                             ? std::vector<std::string>{"Baseline"}
                             : splitList(policies);
         for (const std::string &seed : splitList(seeds))
-            spec.seeds.push_back(std::stoull(seed));
+            spec.seeds.push_back(
+                runner::parseFlag<std::uint64_t>("--seeds", seed));
         const std::string problem = spec.validate();
         if (!problem.empty())
             latte_fatal("latte_client: invalid spec: {}", problem);

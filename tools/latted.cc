@@ -87,17 +87,19 @@ main(int argc, char **argv)
     parser.add("--jobs", "-j", "N", "worker threads per job (0 = all cores)",
                [&](const std::string &v) {
                    options.threads =
-                       static_cast<unsigned>(std::stoul(v));
+                       runner::parseFlag<unsigned>("--jobs", v);
                });
     parser.add("--quota", "", "N",
                "live jobs allowed per client (default 8)",
                [&](const std::string &v) {
-                   options.clientQuota = std::stoul(v);
+                   options.clientQuota =
+                       runner::parseFlag<std::size_t>("--quota", v);
                });
     parser.add("--max-queue", "", "N",
                "queued-job cap across clients (default 256)",
                [&](const std::string &v) {
-                   options.maxQueue = std::stoul(v);
+                   options.maxQueue =
+                       runner::parseFlag<std::size_t>("--max-queue", v);
                });
     parser.add("--metrics-out", "", "FILE",
                "write a Prometheus metrics snapshot here on exit",

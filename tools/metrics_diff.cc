@@ -21,10 +21,12 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "runner/arg_parse.hh"
 #include "runner/json.hh"
 
 using latte::runner::Json;
@@ -80,6 +82,18 @@ parseArgs(int argc, char **argv, Options &options)
             }
             return argv[++i];
         };
+        // Tolerances and the slack are non-negative numbers.
+        auto number = [&](const std::string &text, double &out) {
+            const std::optional<double> value =
+                latte::runner::parseNumber<double>(text);
+            if (!value || !(*value >= 0)) {
+                std::fprintf(stderr, "%s: bad value '%s'\n", arg.c_str(),
+                             text.c_str());
+                return false;
+            }
+            out = *value;
+            return true;
+        };
 
         if (arg == "--help" || arg == "-h") {
             usage(stdout);
@@ -95,18 +109,18 @@ parseArgs(int argc, char **argv, Options &options)
                                      "'%s'\n", spec.c_str());
                 return false;
             }
-            options.rules.push_back(
-                {spec.substr(0, eq), std::stod(spec.substr(eq + 1))});
+            double fraction = 0;
+            if (!number(spec.substr(eq + 1), fraction))
+                return false;
+            options.rules.push_back({spec.substr(0, eq), fraction});
         } else if (arg == "--default-tol") {
             const char *text = next();
-            if (!text)
+            if (!text || !number(text, options.defaultTol))
                 return false;
-            options.defaultTol = std::stod(text);
         } else if (arg == "--abs-eps") {
             const char *text = next();
-            if (!text)
+            if (!text || !number(text, options.absEps))
                 return false;
-            options.absEps = std::stod(text);
         } else if (arg == "--all") {
             options.showAll = true;
         } else if (!arg.empty() && arg[0] == '-') {
