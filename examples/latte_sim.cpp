@@ -2,11 +2,10 @@
  * @file
  * latte_sim — the command-line front end a downstream user would drive:
  * pick a workload and policy, override machine parameters, and get the
- * run metrics (optionally with the full statistics dump and per-EP
- * trace).
+ * run metrics (optionally with the per-EP trace).
  *
  *   latte_sim --workload KM --policy latte
- *   latte_sim --workload SS --policy static-sc --l1-kb 48 --stats
+ *   latte_sim --workload SS --policy static-sc --l1-kb 48 --trace
  *   latte_sim --list
  */
 
@@ -127,6 +126,8 @@ main(int argc, char **argv)
                });
     parser.add("--scheduler", "", "gto|lrr", "warp scheduler",
                [&](const std::string &v) {
+                   if (v != "gto" && v != "lrr")
+                       runner::badFlagValue("--scheduler", v);
                    options.cfg.schedPolicy =
                        v == "lrr" ? GpuConfig::SchedPolicy::LRR
                                   : GpuConfig::SchedPolicy::GTO;
@@ -277,25 +278,13 @@ main(int argc, char **argv)
         out << runner::timelineToJson({result}).dump(2) << "\n";
     }
 
-    if (registry) {
-        std::ofstream out(metrics_out);
-        if (!out) {
-            std::cerr << "cannot write '" << metrics_out << "'\n";
-            return 1;
-        }
-        const metrics::ExportFormat format =
-            metrics::exportFormatForPath(metrics_out);
-        const metrics::MetricRegistry::Labels labels = {
-            {"workload", result.workload},
-            {"policy", result.policyLabel},
-        };
-        registry->exportAs(out, format, labels);
-        if (profile) {
-            if (format == metrics::ExportFormat::Jsonl)
-                metrics::writeProfileJsonl(out);
-            else if (format == metrics::ExportFormat::Prometheus)
-                metrics::writeProfilePrometheus(out);
-        }
+    if (registry &&
+        !metrics::writeMetricsOut(
+            metrics_out, {{registry.get(),
+                           {{"workload", result.workload},
+                            {"policy", result.policyLabel}}}})) {
+        std::cerr << "cannot write '" << metrics_out << "'\n";
+        return 1;
     }
 
     std::cout << "workload      : " << workload->fullName << " ("

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
 
 namespace latte
 {
@@ -12,64 +11,6 @@ StatBase::StatBase(StatGroup *parent, std::string name, std::string desc)
 {
     latte_assert(parent != nullptr, "stat {} needs a parent group", name_);
     parent->addStat(this);
-}
-
-void
-StatBase::print(std::ostream &os) const
-{
-    os << std::left << std::setw(44) << name_ << " "
-       << std::setw(16) << value() << " # " << desc_ << "\n";
-}
-
-Histogram::Histogram(StatGroup *parent, std::string name, std::string desc,
-                     double bucket_width, unsigned n_buckets)
-    : StatBase(parent, std::move(name), std::move(desc)),
-      bucketWidth_(bucket_width), buckets_(n_buckets, 0)
-{
-    latte_assert(bucket_width > 0 && n_buckets > 0);
-}
-
-void
-Histogram::sample(double v)
-{
-    if (samples_ == 0) {
-        min_ = max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    sum_ += v;
-    ++samples_;
-
-    const auto idx = static_cast<std::uint64_t>(std::max(v, 0.0) /
-                                                bucketWidth_);
-    if (idx < buckets_.size())
-        ++buckets_[idx];
-    else
-        ++overflow_;
-}
-
-double
-Histogram::mean() const
-{
-    return samples_ ? sum_ / static_cast<double>(samples_) : 0.0;
-}
-
-void
-Histogram::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    overflow_ = 0;
-    samples_ = 0;
-    sum_ = min_ = max_ = 0.0;
-}
-
-void
-Histogram::print(std::ostream &os) const
-{
-    os << std::left << std::setw(44) << name() << " samples="
-       << samples_ << " mean=" << mean() << " min=" << min_
-       << " max=" << max_ << " # " << desc() << "\n";
 }
 
 StatGroup::StatGroup(std::string name, StatGroup *parent)
@@ -104,34 +45,6 @@ StatGroup::removeChild(StatGroup *child)
                     children_.end());
 }
 
-const StatBase *
-StatGroup::findStat(const std::string &name) const
-{
-    for (const auto *stat : stats_) {
-        if (stat->name() == name)
-            return stat;
-    }
-    const auto dot = name.find('.');
-    if (dot != std::string::npos) {
-        const std::string head = name.substr(0, dot);
-        const std::string tail = name.substr(dot + 1);
-        for (const auto *child : children_) {
-            if (child->groupName() == head)
-                return child->findStat(tail);
-        }
-    }
-    return nullptr;
-}
-
-void
-StatGroup::resetStats()
-{
-    for (auto *stat : stats_)
-        stat->reset();
-    for (auto *child : children_)
-        child->resetStats();
-}
-
 void
 StatGroup::visit(StatVisitor &visitor, const std::string &prefix) const
 {
@@ -147,26 +60,6 @@ StatGroup::visit(StatVisitor &visitor, const std::string &prefix) const
 
 namespace
 {
-
-/** visit() adapter behind StatGroup::dump(). */
-class PrintVisitor : public StatVisitor
-{
-  public:
-    explicit PrintVisitor(std::ostream &os) : os_(os) {}
-
-    void beginGroup(const StatGroup &, const std::string &) override {}
-    void endGroup(const StatGroup &, const std::string &) override {}
-
-    void
-    visitStat(const StatBase &stat, const std::string &path) override
-    {
-        os_ << path << ".";
-        stat.print(os_);
-    }
-
-  private:
-    std::ostream &os_;
-};
 
 /** visit() adapter behind StatGroup::collect(). */
 class CollectVisitor : public StatVisitor
@@ -190,13 +83,6 @@ class CollectVisitor : public StatVisitor
 };
 
 } // namespace
-
-void
-StatGroup::dump(std::ostream &os, const std::string &prefix) const
-{
-    PrintVisitor visitor(os);
-    visit(visitor, prefix);
-}
 
 void
 StatGroup::collect(std::map<std::string, double> &out,

@@ -1,8 +1,8 @@
 /**
  * @file
  * A small statistics framework modelled on gem5's stats package: named
- * scalar counters, averages, formulas and histograms that register with a
- * StatGroup and can be dumped as text or key=value pairs.
+ * counters and averages that register with a StatGroup tree, read
+ * through visitors (metric sampling, collect()'s flat map, JSON).
  */
 
 #ifndef LATTE_COMMON_STATS_HH
@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -34,14 +33,8 @@ class StatBase
     const std::string &name() const { return name_; }
     const std::string &desc() const { return desc_; }
 
-    /** Current scalar view of the stat (histograms report their count). */
+    /** Current scalar view of the stat. */
     virtual double value() const = 0;
-
-    /** Reset to the post-construction state. */
-    virtual void reset() = 0;
-
-    /** Print "name value # desc" style lines. */
-    virtual void print(std::ostream &os) const;
 
   private:
     std::string name_;
@@ -59,7 +52,6 @@ class Counter : public StatBase
 
     std::uint64_t count() const { return count_; }
     double value() const override { return static_cast<double>(count_); }
-    void reset() override { count_ = 0; }
 
   private:
     std::uint64_t count_ = 0;
@@ -87,52 +79,15 @@ class Average : public StatBase
         return samples_ ? sum_ / static_cast<double>(samples_) : 0.0;
     }
 
-    void reset() override { sum_ = 0.0; samples_ = 0; }
-
   private:
     double sum_ = 0.0;
     std::uint64_t samples_ = 0;
-};
-
-/** Fixed-bucket histogram over [0, bucket_width * n_buckets). */
-class Histogram : public StatBase
-{
-  public:
-    Histogram(StatGroup *parent, std::string name, std::string desc,
-              double bucket_width, unsigned n_buckets);
-
-    void sample(double v);
-
-    std::uint64_t totalSamples() const { return samples_; }
-    const std::vector<std::uint64_t> &buckets() const { return buckets_; }
-    /** Samples at or above bucket_width * n_buckets. */
-    std::uint64_t overflow() const { return overflow_; }
-    double bucketWidth() const { return bucketWidth_; }
-    double min() const { return min_; }
-    double max() const { return max_; }
-    double mean() const;
-
-    double value() const override
-    {
-        return static_cast<double>(samples_);
-    }
-    void reset() override;
-    void print(std::ostream &os) const override;
-
-  private:
-    double bucketWidth_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t samples_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
 };
 
 /**
  * Structured walk over a StatGroup tree. All consumers of the stat
- * hierarchy (text dump, flat map, JSON serialisation) are visitors, so
- * the traversal logic lives in exactly one place
+ * hierarchy (metric sampling, flat map, JSON serialisation) are
+ * visitors, so the traversal logic lives in exactly one place
  * (StatGroup::visit()).
  */
 class StatVisitor
@@ -175,27 +130,12 @@ class StatGroup
     void addChild(StatGroup *child);
     void removeChild(StatGroup *child);
 
-    /** Find a stat by (possibly dotted) name; nullptr if absent. */
-    const StatBase *findStat(const std::string &name) const;
-
-    /** Reset all stats in this group and its children. */
-    void resetStats();
-
-    /** Registered stats of this group (not descendants). */
-    const std::vector<StatBase *> &statList() const { return stats_; }
-
-    /** Registered child groups. */
-    const std::vector<StatGroup *> &childList() const { return children_; }
-
     /**
      * Walk this group and its descendants depth-first, calling
      * @p visitor's hooks with dotted paths rooted at @p prefix.
      */
     void visit(StatVisitor &visitor,
                const std::string &prefix = "") const;
-
-    /** Dump all stats, prefixed by the group path (visit() based). */
-    void dump(std::ostream &os, const std::string &prefix = "") const;
 
     /** Flatten all stats into a name -> value map (visit() based). */
     void collect(std::map<std::string, double> &out,

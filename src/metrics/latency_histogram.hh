@@ -1,12 +1,11 @@
 /**
  * @file
- * Log-bucketed latency histogram for the metrics layer. Unlike the
- * fixed-width common/stats.hh Histogram (a StatBase registered in the
- * StatGroup tree), this one is free-standing — the MetricRegistry owns
- * a map of them by name — and covers the whole dynamic range of memory
- * latencies (1 cycle to millions) with power-of-two buckets, so p50/
- * p90/p99 queries stay meaningful without tuning a bucket width per
- * metric.
+ * Log-bucketed latency histogram for the metrics layer. It is
+ * free-standing, not a StatBase in the StatGroup tree — the
+ * MetricRegistry owns a map of them by name — and covers the whole
+ * dynamic range of memory latencies (1 cycle to millions) with
+ * power-of-two buckets, so p50/p90/p99 queries stay meaningful without
+ * tuning a bucket width per metric.
  *
  * Bucket semantics (pinned by tests/test_metrics.cc):
  *   bucket 0          covers [0, 1)  (negatives are clamped to 0)

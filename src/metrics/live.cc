@@ -6,7 +6,6 @@
 #include <set>
 
 #include "common/logging.hh"
-#include "registry.hh"
 
 namespace latte::metrics::live
 {
@@ -95,44 +94,23 @@ cellsFinished()
 }
 
 void
-writePrometheus(std::ostream &os)
+expose(Exposition &out)
 {
     const std::vector<CellSample> cells = snapshot();
-
-    const std::string in_flight = prometheusName("live_cells_in_flight");
-    os << "# TYPE " << in_flight << " gauge\n";
-    os << in_flight << " " << cells.size() << "\n";
-
-    const std::string finished =
-        prometheusName("live_cells_finished_total");
-    os << "# TYPE " << finished << " counter\n";
-    os << finished << " " << cellsFinished() << "\n";
-
-    if (cells.empty())
-        return;
-    // All samples of a metric must form one block after its TYPE line.
-    std::vector<std::string> rendered;
-    rendered.reserve(cells.size());
+    out.gauge("live_cells_in_flight", {},
+              static_cast<double>(cells.size()));
+    out.counter("live_cells_finished_total", {},
+                static_cast<double>(cellsFinished()));
     for (const CellSample &cell : cells) {
         MetricLabels labels = {{"cell", cell.label}};
         if (!cell.context.empty())
             labels.emplace_back("ctx", cell.context);
-        rendered.push_back(prometheusLabels(labels));
+        out.gauge("live_cell_cycle", labels,
+                  static_cast<double>(cell.cycle));
+        out.gauge("live_cell_instructions", labels,
+                  static_cast<double>(cell.instructions));
+        out.gauge("live_cell_seconds", labels, cell.seconds);
     }
-    const std::string cycle = prometheusName("live_cell_cycle");
-    os << "# TYPE " << cycle << " gauge\n";
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        os << cycle << rendered[i] << " " << cells[i].cycle << "\n";
-    const std::string instr = prometheusName("live_cell_instructions");
-    os << "# TYPE " << instr << " gauge\n";
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        os << instr << rendered[i] << " " << cells[i].instructions
-           << "\n";
-    const std::string secs = prometheusName("live_cell_seconds");
-    os << "# TYPE " << secs << " gauge\n";
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        os << secs << rendered[i] << " "
-           << prometheusNumber(cells[i].seconds) << "\n";
 }
 
 } // namespace latte::metrics::live

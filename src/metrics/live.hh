@@ -17,9 +17,10 @@
 #define LATTE_METRICS_LIVE_HH
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <vector>
+
+#include "exposition.hh"
 
 namespace latte::metrics::live
 {
@@ -70,11 +71,10 @@ std::vector<CellSample> snapshot();
 std::uint64_t cellsFinished();
 
 /**
- * Prometheus exposition of the live view: one labeled gauge set per
- * in-flight cell plus the finished-cell counter. Byte-compatible with
- * the MetricRegistry exposition helpers.
+ * Add the live view to @p out: the in-flight gauge, the finished-cell
+ * counter, and one `cell`-labeled gauge set per in-flight cell.
  */
-void writePrometheus(std::ostream &os);
+void expose(Exposition &out);
 
 } // namespace latte::metrics::live
 

@@ -5,6 +5,8 @@
 #include <mutex>
 #include <vector>
 
+#include "exposition.hh"
+
 namespace latte::metrics
 {
 
@@ -146,31 +148,18 @@ writeProfileJsonl(std::ostream &os)
 }
 
 void
-writeProfilePrometheus(std::ostream &os)
+exposeProfile(Exposition &out)
 {
     const Totals totals = profilerSnapshot();
-    // One block per family: its TYPE line, then one sample per zone.
-    for (const bool seconds : {false, true}) {
-        const char *family = seconds ? "latte_profile_seconds_total"
-                                     : "latte_profile_calls_total";
-        os << "# TYPE " << family << " counter\n";
-        for (std::size_t z = 0; z < kNumProfileZones; ++z) {
-            if (totals[z].calls == 0)
-                continue;
-            const char *name =
-                profileZoneName(static_cast<ProfileZone>(z));
-            char line[256];
-            if (seconds) {
-                std::snprintf(line, sizeof(line), "%s{zone=\"%s\"} %.9f\n",
-                              family, name,
-                              static_cast<double>(totals[z].nanos) * 1e-9);
-            } else {
-                std::snprintf(
-                    line, sizeof(line), "%s{zone=\"%s\"} %llu\n", family,
-                    name, static_cast<unsigned long long>(totals[z].calls));
-            }
-            os << line;
-        }
+    for (std::size_t z = 0; z < kNumProfileZones; ++z) {
+        if (totals[z].calls == 0)
+            continue;
+        const MetricLabels zone = {
+            {"zone", profileZoneName(static_cast<ProfileZone>(z))}};
+        out.counter("profile_calls_total", zone,
+                    static_cast<double>(totals[z].calls));
+        out.counter("profile_seconds_total", zone,
+                    static_cast<double>(totals[z].nanos) / 1e9);
     }
 }
 

@@ -32,6 +32,8 @@
 namespace latte::metrics
 {
 
+class Exposition;
+
 enum class ProfileZone : std::uint8_t
 {
     SmIssue,            //!< warp fetch/decode/issue
@@ -85,8 +87,11 @@ std::array<ZoneTotals, kNumProfileZones> profilerSnapshot();
 /** JSONL export: one {"type":"profile",...} line per non-empty zone. */
 void writeProfileJsonl(std::ostream &os);
 
-/** Prometheus text export of the zone counters. */
-void writeProfilePrometheus(std::ostream &os);
+/**
+ * Add the zone counters (`profile_calls_total`, `profile_seconds_total`,
+ * one `zone` sample per non-empty zone) to @p out.
+ */
+void exposeProfile(Exposition &out);
 
 /** RAII zone timer. */
 class ProfileScope

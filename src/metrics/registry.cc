@@ -1,11 +1,10 @@
 #include "registry.hh"
 
-#include <cctype>
-#include <cmath>
-#include <cstdio>
+#include <fstream>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
+#include "profiler.hh"
 
 namespace latte::metrics
 {
@@ -38,103 +37,6 @@ class SeriesCollector : public StatVisitor
 };
 
 } // namespace
-
-std::string
-prometheusNumber(double v)
-{
-    if (std::isfinite(v) && v == std::floor(v) &&
-        std::abs(v) < 9.007199254740992e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(v));
-        return buf;
-    }
-    for (const int precision : {15, 16, 17}) {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-        double back = 0;
-        std::sscanf(buf, "%lf", &back);
-        if (back == v)
-            return buf;
-    }
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
-std::string
-prometheusName(const std::string &name)
-{
-    std::string out = "latte_";
-    for (const char c : name) {
-        out += std::isalnum(static_cast<unsigned char>(c)) ||
-                       c == '_' || c == ':'
-                   ? c
-                   : '_';
-    }
-    return out;
-}
-
-std::string
-prometheusLabels(const MetricLabels &labels, const std::string &extra)
-{
-    if (labels.empty() && extra.empty())
-        return {};
-    std::string out = "{";
-    bool first = true;
-    for (const auto &[key, value] : labels) {
-        if (!first)
-            out += ',';
-        out += key + "=\"" + value + "\"";
-        first = false;
-    }
-    if (!extra.empty()) {
-        if (!first)
-            out += ',';
-        out += extra;
-    }
-    out += '}';
-    return out;
-}
-
-void
-writeHistogramPrometheus(std::ostream &os, const std::string &name,
-                         const LatencyHistogram &histogram,
-                         const MetricLabels &labels)
-{
-    const std::string metric = prometheusName(name);
-    os << "# TYPE " << metric << " histogram\n";
-    std::uint64_t cumulative = 0;
-    for (unsigned i = 0; i < histogram.numBuckets(); ++i) {
-        cumulative += histogram.buckets()[i];
-        os << metric << "_bucket"
-           << prometheusLabels(
-                  labels,
-                  "le=\"" +
-                      prometheusNumber(histogram.bucketUpperBound(i)) +
-                      "\"")
-           << " " << cumulative << "\n";
-    }
-    os << metric << "_bucket" << prometheusLabels(labels, "le=\"+Inf\"")
-       << " " << histogram.count() << "\n";
-    os << metric << "_sum" << prometheusLabels(labels) << " "
-       << prometheusNumber(histogram.sum()) << "\n";
-    os << metric << "_count" << prometheusLabels(labels) << " "
-       << histogram.count() << "\n";
-}
-
-ExportFormat
-exportFormatForPath(const std::string &path)
-{
-    const auto dot = path.rfind('.');
-    const std::string ext =
-        dot == std::string::npos ? "" : path.substr(dot);
-    if (ext == ".prom" || ext == ".txt")
-        return ExportFormat::Prometheus;
-    if (ext == ".csv")
-        return ExportFormat::Csv;
-    return ExportFormat::Jsonl;
-}
 
 void
 MetricRegistry::attachStats(const StatGroup *root)
@@ -249,35 +151,22 @@ MetricRegistry::lastValue(const std::string &series) const
 }
 
 void
-MetricRegistry::exportPrometheus(std::ostream &os,
-                                 const Labels &labels) const
+MetricRegistry::expose(Exposition &out, const MetricLabels &labels) const
 {
-    const std::string label_text = prometheusLabels(labels);
-
-    // Final snapshot of every series as a gauge, after the cycle it
-    // was sampled at.
     if (!rows_.empty()) {
         const std::vector<std::string> names = seriesNames();
         const Row &last = rows_.back();
-        os << "# TYPE latte_sample_cycle gauge\n"
-           << "latte_sample_cycle" << label_text << " " << last.cycle
-           << "\n";
+        out.gauge("sample_cycle", labels, static_cast<double>(last.cycle));
         for (std::size_t i = 0;
-             i < names.size() && i < last.values.size(); ++i) {
-            const std::string metric = prometheusName(names[i]);
-            os << "# TYPE " << metric << " gauge\n";
-            os << metric << label_text << " "
-               << prometheusNumber(last.values[i]) << "\n";
-        }
+             i < names.size() && i < last.values.size(); ++i)
+            out.gauge(names[i], labels, last.values[i]);
     }
-
-    // Histograms in the cumulative le-bucket exposition format.
     for (const auto &[name, hist] : histograms_)
-        writeHistogramPrometheus(os, name, hist, labels);
+        out.histogram(name, labels, hist);
 }
 
 void
-MetricRegistry::exportCsv(std::ostream &os, const Labels &labels) const
+MetricRegistry::exportCsv(std::ostream &os, const MetricLabels &labels) const
 {
     if (!labels.empty()) {
         os << "#";
@@ -298,7 +187,7 @@ MetricRegistry::exportCsv(std::ostream &os, const Labels &labels) const
 }
 
 void
-MetricRegistry::exportJsonl(std::ostream &os, const Labels &labels) const
+MetricRegistry::exportJsonl(std::ostream &os, const MetricLabels &labels) const
 {
     // Schema line: labels + column names, so each later line is small.
     os << "{\"interval\":" << interval_ << ",\"labels\":{";
@@ -350,17 +239,35 @@ MetricRegistry::exportJsonl(std::ostream &os, const Labels &labels) const
     }
 }
 
-void
-MetricRegistry::exportAs(std::ostream &os, ExportFormat format,
-                         const Labels &labels) const
+bool
+writeMetricsOut(const std::string &path,
+                const std::vector<LabeledRegistry> &runs)
 {
-    switch (format) {
-      case ExportFormat::Jsonl: exportJsonl(os, labels); break;
-      case ExportFormat::Csv: exportCsv(os, labels); break;
-      case ExportFormat::Prometheus:
-        exportPrometheus(os, labels);
-        break;
+    std::ofstream out(path);
+    if (!out)
+        return false;
+    const auto dot = path.rfind('.');
+    const std::string ext =
+        dot == std::string::npos ? "" : path.substr(dot);
+    if (ext == ".prom" || ext == ".txt") {
+        Exposition exposition;
+        for (const LabeledRegistry &run : runs)
+            run.registry->expose(exposition, run.labels);
+        if (profilerEnabled())
+            exposeProfile(exposition);
+        exposition.write(out);
+        return true;
     }
+    for (const LabeledRegistry &run : runs) {
+        if (ext == ".csv")
+            run.registry->exportCsv(out, run.labels);
+        else
+            run.registry->exportJsonl(out, run.labels);
+    }
+    // CSV stays a pure per-run time series.
+    if (ext != ".csv" && profilerEnabled())
+        writeProfileJsonl(out);
+    return true;
 }
 
 } // namespace latte::metrics

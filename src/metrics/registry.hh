@@ -21,10 +21,10 @@
  * pointer-chase loop with no string work, keeping the overhead at the
  * default interval well under the 5% budget.
  *
- * Exports: Prometheus text (final snapshot, histogram buckets in the
- * cumulative `le` form), CSV (the raw time series), and JSONL (schema
- * line + one line per sample + one line per histogram). The format is
- * inferred from the --metrics-out extension: .prom, .csv, else JSONL.
+ * Exports: the final snapshot and the histograms into a Prometheus
+ * Exposition, CSV (the raw time series), and JSONL (schema line + one
+ * line per sample + one line per histogram). writeMetricsOut() is the
+ * one --metrics-out writer.
  */
 
 #ifndef LATTE_METRICS_REGISTRY_HH
@@ -35,10 +35,10 @@
 #include <optional>
 #include <ostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/types.hh"
+#include "exposition.hh"
 #include "latency_histogram.hh"
 
 namespace latte
@@ -49,50 +49,6 @@ class StatBase;
 
 namespace latte::metrics
 {
-
-/** Export flavour behind --metrics-out. */
-enum class ExportFormat
-{
-    Jsonl,
-    Csv,
-    Prometheus,
-};
-
-/** Format for @p path by extension: .prom / .csv / anything-else. */
-ExportFormat exportFormatForPath(const std::string &path);
-
-// --- Prometheus exposition helpers -------------------------------------
-//
-// The building blocks of the registry's own exportPrometheus, public so
-// other emitters (the latted service's daemon-wide metrics dump, the
-// profiler export) produce byte-compatible exposition text.
-
-/** Label set attached to exported metrics, in emission order. */
-using MetricLabels = std::vector<std::pair<std::string, std::string>>;
-
-/**
- * Shortest round-trippable decimal for @p v (same contract as the
- * runner's canonical JSON: re-parsing yields the identical double).
- */
-std::string prometheusNumber(double v);
-
-/** Sanitized Prometheus metric name: [a-zA-Z0-9_:], latte_ prefixed. */
-std::string prometheusName(const std::string &name);
-
-/**
- * "{k=\"v\",...}" rendering of @p labels, with @p extra appended as a
- * pre-rendered label pair ("le=\"16\""). Empty string for no labels.
- */
-std::string prometheusLabels(const MetricLabels &labels,
-                             const std::string &extra = {});
-
-/**
- * One histogram in the cumulative le-bucket exposition format: TYPE
- * line, one _bucket line per bound plus +Inf, then _sum and _count.
- */
-void writeHistogramPrometheus(std::ostream &os, const std::string &name,
-                              const LatencyHistogram &histogram,
-                              const MetricLabels &labels = {});
 
 class MetricRegistry
 {
@@ -164,14 +120,13 @@ class MetricRegistry
 
     // --- Exports ------------------------------------------------------
 
-    using Labels = MetricLabels;
-
-    void exportPrometheus(std::ostream &os,
-                          const Labels &labels = {}) const;
-    void exportCsv(std::ostream &os, const Labels &labels = {}) const;
-    void exportJsonl(std::ostream &os, const Labels &labels = {}) const;
-    void exportAs(std::ostream &os, ExportFormat format,
-                  const Labels &labels = {}) const;
+    /**
+     * Add the newest row (every series as a gauge, after the
+     * `sample_cycle` it was sampled at) and every histogram to @p out.
+     */
+    void expose(Exposition &out, const MetricLabels &labels = {}) const;
+    void exportCsv(std::ostream &os, const MetricLabels &labels = {}) const;
+    void exportJsonl(std::ostream &os, const MetricLabels &labels = {}) const;
 
   private:
     struct Gauge
@@ -194,6 +149,24 @@ class MetricRegistry
     /** std::map: stable addresses for the cached hot-path pointers. */
     std::map<std::string, LatencyHistogram> histograms_;
 };
+
+/** One run's registry and the labels its exported series carry. */
+struct LabeledRegistry
+{
+    const MetricRegistry *registry = nullptr;
+    MetricLabels labels;
+};
+
+/**
+ * Write the --metrics-out file @p path in the format its extension
+ * names: .prom/.txt one Prometheus exposition of every run, .csv one
+ * CSV block per run, anything else one JSONL block per run. The zone
+ * profile is process-wide, so it is appended once (JSONL and
+ * Prometheus) when the profiler is on. False when @p path cannot be
+ * opened.
+ */
+bool writeMetricsOut(const std::string &path,
+                     const std::vector<LabeledRegistry> &runs);
 
 } // namespace latte::metrics
 

@@ -57,11 +57,17 @@ RunKey::fingerprint() const
                           ? c
                           : '_';
     }
-    char tail[40];
-    std::snprintf(tail, sizeof(tail), "%016llx-%llu",
-                  static_cast<unsigned long long>(configHash),
-                  static_cast<unsigned long long>(seed));
-    return workload + "-" + safe_label + "-" + tail;
+    return workload + "-" + safe_label + "-" + configHex() + "-" +
+           std::to_string(seed);
+}
+
+std::string
+RunKey::configHex() const
+{
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(configHash));
+    return hex;
 }
 
 ResultCache::ResultCache(std::string directory)

@@ -42,6 +42,9 @@ struct RunKey
     /** Filesystem-safe unique name, e.g. "KM-LATTE-CC-0-1a2b...". */
     std::string fingerprint() const;
 
+    /** configHash as the 16 hex digits the fingerprint carries. */
+    std::string configHex() const;
+
     auto
     operator<=>(const RunKey &) const = default;
 };

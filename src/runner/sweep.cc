@@ -304,35 +304,25 @@ Sweep::writeMetrics() const
     if (metricsOut_.empty())
         return;
 
-    std::ofstream out(metricsOut_);
-    if (!out) {
-        latte_warn("cannot write --metrics-out file {}", metricsOut_);
-        return;
-    }
-
-    const metrics::ExportFormat format =
-        metrics::exportFormatForPath(metricsOut_);
+    // Cells that share workload, policy and seed differ in their
+    // options, so the RunKey's config hash tells their series apart.
+    std::vector<metrics::LabeledRegistry> runs;
     for (std::size_t i = 0; i < outcomes_.size(); ++i) {
         if (!done_[i] || !metrics_[i] || !outcomes_[i].result)
             continue;
         const WorkloadRunResult &result = *outcomes_[i].result;
-        metrics::MetricRegistry::Labels labels = {
+        metrics::MetricLabels labels = {
             {"workload", result.workload},
             {"policy", result.policyLabel},
         };
         if (result.seed != 0)
             labels.emplace_back("seed", strfmt("{}", result.seed));
-        metrics_[i]->exportAs(out, format, labels);
+        labels.emplace_back("config",
+                            RunKey::of(requests_[i]).configHex());
+        runs.push_back({metrics_[i].get(), std::move(labels)});
     }
-
-    // Profiler totals are process-wide, so they are appended once
-    // rather than per cell. CSV stays a pure per-cell time series.
-    if (metrics::profilerEnabled()) {
-        if (format == metrics::ExportFormat::Jsonl)
-            metrics::writeProfileJsonl(out);
-        else if (format == metrics::ExportFormat::Prometheus)
-            metrics::writeProfilePrometheus(out);
-    }
+    if (!metrics::writeMetricsOut(metricsOut_, runs))
+        latte_warn("cannot write --metrics-out file {}", metricsOut_);
 }
 
 void

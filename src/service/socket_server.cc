@@ -53,6 +53,12 @@ writeAll(int fd, const std::string &text)
 
 } // namespace
 
+SocketServer::Connection::~Connection()
+{
+    if (fd >= 0)
+        ::close(fd);
+}
+
 SocketServer::SocketServer(RequestDispatcher &dispatcher,
                            std::string socketPath)
     : dispatcher_(dispatcher), socketPath_(std::move(socketPath))
@@ -129,7 +135,7 @@ SocketServer::stop()
     if (acceptThread_.joinable())
         acceptThread_.join();
 
-    std::vector<std::unique_ptr<Connection>> connections;
+    std::vector<std::shared_ptr<Connection>> connections;
     {
         std::lock_guard<std::mutex> lock(connectionsMutex_);
         connections.swap(connections_);
@@ -138,7 +144,6 @@ SocketServer::stop()
         ::shutdown(connection->fd, SHUT_RDWR);
         if (connection->reader.joinable())
             connection->reader.join();
-        ::close(connection->fd);
     }
 
     ::close(stopPipe_[0]);
@@ -168,22 +173,36 @@ SocketServer::acceptLoop()
         if ((fds[0].revents & POLLIN) == 0)
             continue;
 
+        std::lock_guard<std::mutex> lock(connectionsMutex_);
+        // Reap finished connections first, so a long-lived daemon
+        // keeps no fd or thread per client it ever served.
+        std::erase_if(connections_, [](const auto &connection) {
+            if (!connection->done.load(std::memory_order_acquire))
+                return false;
+            connection->reader.join();
+            return true;
+        });
+
         const int fd = ::accept(listenFd_, nullptr, nullptr);
         if (fd < 0)
             continue;
 
-        std::lock_guard<std::mutex> lock(connectionsMutex_);
-        connections_.push_back(std::make_unique<Connection>());
-        Connection &connection = *connections_.back();
-        connection.fd = fd;
-        connection.session.send = [this,
-                                   &connection](const runner::Json &msg) {
-            std::lock_guard<std::mutex> write_lock(
-                connection.writeMutex);
-            writeAll(connection.fd, msg.dump() + "\n");
-        };
-        connection.reader =
-            std::thread([this, &connection] { serveConnection(connection); });
+        auto connection = std::make_shared<Connection>();
+        connection->fd = fd;
+        connection->session.send =
+            [weak = std::weak_ptr<Connection>(connection)](
+                const runner::Json &msg) {
+                const std::shared_ptr<Connection> live = weak.lock();
+                if (!live)
+                    return;
+                std::lock_guard<std::mutex> write_lock(live->writeMutex);
+                writeAll(live->fd, msg.dump() + "\n");
+            };
+        connection->reader = std::thread([this, &served = *connection] {
+            serveConnection(served);
+            served.done.store(true, std::memory_order_release);
+        });
+        connections_.push_back(std::move(connection));
     }
 }
 

@@ -13,6 +13,7 @@
 #ifndef LATTE_SERVICE_SOCKET_SERVER_HH
 #define LATTE_SERVICE_SOCKET_SERVER_HH
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -55,12 +56,20 @@ class SocketServer
     const std::string &socketPath() const { return socketPath_; }
 
   private:
+    /**
+     * Shared: a listener's `send` can outlive removeListener(), so it
+     * locks a weak_ptr per write, and the destructor closes the fd
+     * once no send can still be using it.
+     */
     struct Connection
     {
+        ~Connection();
+
         int fd = -1;
         Session session;
         std::mutex writeMutex;
         std::thread reader;
+        std::atomic<bool> done{false};
     };
 
     void acceptLoop();
@@ -72,7 +81,7 @@ class SocketServer
     int stopPipe_[2] = {-1, -1};
     std::thread acceptThread_;
     std::mutex connectionsMutex_;
-    std::vector<std::unique_ptr<Connection>> connections_;
+    std::vector<std::shared_ptr<Connection>> connections_;
     bool running_ = false;
 };
 

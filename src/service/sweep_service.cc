@@ -6,8 +6,8 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
+#include "metrics/exposition.hh"
 #include "metrics/live.hh"
-#include "metrics/registry.hh"
 #include "runner/experiment_runner.hh"
 
 namespace latte::service
@@ -400,73 +400,52 @@ SweepService::queueDepth() const
 std::string
 SweepService::metricsPrometheus() const
 {
-    std::ostringstream os;
-    std::lock_guard<std::mutex> lock(mutex_);
-
-    std::size_t perState[sizeof(kStateTable) / sizeof(kStateTable[0])] =
-        {};
-    for (const auto &[id, job] : jobs_) {
-        for (std::size_t s = 0;
-             s < sizeof(kStateTable) / sizeof(kStateTable[0]); ++s) {
-            if (job.info.state == kStateTable[s].state)
-                ++perState[s];
-        }
-    }
-    const std::size_t queued =
-        perState[static_cast<std::size_t>(JobState::Queued)];
-
-    const auto gauge = [&](const char *name, double value) {
-        const std::string metric = metrics::prometheusName(name);
-        os << "# TYPE " << metric << " gauge\n";
-        os << metric << " " << metrics::prometheusNumber(value) << "\n";
-    };
-    const auto counter = [&](const char *name, std::uint64_t value) {
-        const std::string metric = metrics::prometheusName(name);
-        os << "# TYPE " << metric << " counter\n";
-        os << metric << " " << value << "\n";
-    };
-    gauge("service_uptime_seconds",
-          std::chrono::duration<double>(
-              std::chrono::steady_clock::now() - startedAt_)
-              .count());
-    gauge("service_queue_depth", static_cast<double>(queued));
-    gauge("service_jobs_running", runningJob_ != 0 ? 1.0 : 0.0);
+    metrics::Exposition out;
     {
-        // Per-state job gauges: one block, one labeled sample each.
-        const std::string metric =
-            metrics::prometheusName("service_jobs");
-        os << "# TYPE " << metric << " gauge\n";
-        for (std::size_t s = 0;
-             s < sizeof(kStateTable) / sizeof(kStateTable[0]); ++s) {
-            os << metric
-               << metrics::prometheusLabels(
-                      {{"state", kStateTable[s].name}})
-               << " " << perState[s] << "\n";
-        }
+        std::lock_guard<std::mutex> lock(mutex_);
+        // kStateTable is in JobState order.
+        std::size_t perState[std::size(kStateTable)] = {};
+        for (const auto &[id, job] : jobs_)
+            ++perState[static_cast<std::size_t>(job.info.state)];
+        out.gauge("service_uptime_seconds", {},
+                  std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - startedAt_)
+                      .count());
+        out.gauge("service_queue_depth", {},
+                  perState[static_cast<std::size_t>(JobState::Queued)]);
+        out.gauge("service_jobs_running", {},
+                  runningJob_ != 0 ? 1.0 : 0.0);
+        for (std::size_t s = 0; s < std::size(kStateTable); ++s)
+            out.gauge("service_jobs", {{"state", kStateTable[s].name}},
+                      perState[s]);
+        out.counter("service_jobs_submitted_total", {},
+                    counters_.submitted);
+        out.counter("service_jobs_rejected_total", {}, counters_.rejected);
+        out.counter("service_jobs_completed_total", {},
+                    counters_.completed);
+        out.counter("service_jobs_failed_total", {}, counters_.failed);
+        out.counter("service_jobs_cancelled_total", {},
+                    counters_.cancelled);
+        out.counter("service_jobs_served_from_cache_total", {},
+                    counters_.jobsServedFromCache);
+        out.counter("service_jobs_recovered_total", {},
+                    counters_.recovered);
+        out.counter("service_cells_done_total", {}, cellsDoneTotal_);
+        out.counter("service_cells_failed_total", {}, cellsFailedTotal_);
+        out.counter("service_cells_cached_total", {}, cellsCachedTotal_);
+        out.counter("service_cells_executed_total", {},
+                    cellsExecutedTotal_);
+        out.counter("service_cell_near_misses_total", {},
+                    cellNearMissesTotal_);
+        out.histogram("service_job_queue_wait_ms", {}, queueWaitMs_);
+        out.histogram("service_job_run_ms", {}, runDurationMs_);
+        out.histogram("service_cell_wall_ms", {}, cellWallMs_);
     }
-    counter("service_jobs_submitted_total", counters_.submitted);
-    counter("service_jobs_rejected_total", counters_.rejected);
-    counter("service_jobs_completed_total", counters_.completed);
-    counter("service_jobs_failed_total", counters_.failed);
-    counter("service_jobs_cancelled_total", counters_.cancelled);
-    counter("service_jobs_served_from_cache_total",
-            counters_.jobsServedFromCache);
-    counter("service_jobs_recovered_total", counters_.recovered);
-    counter("service_cells_done_total", cellsDoneTotal_);
-    counter("service_cells_failed_total", cellsFailedTotal_);
-    counter("service_cells_cached_total", cellsCachedTotal_);
-    counter("service_cells_executed_total", cellsExecutedTotal_);
-    counter("service_cell_near_misses_total", cellNearMissesTotal_);
-    metrics::writeHistogramPrometheus(os, "service_job_queue_wait_ms",
-                                      queueWaitMs_);
-    metrics::writeHistogramPrometheus(os, "service_job_run_ms",
-                                      runDurationMs_);
-    metrics::writeHistogramPrometheus(os, "service_cell_wall_ms",
-                                      cellWallMs_);
-
     // Live mid-run gauges ride along, so the wire "metrics" verb and
     // GET /metrics serve identical text.
-    metrics::live::writePrometheus(os);
+    metrics::live::expose(out);
+    std::ostringstream os;
+    out.write(os);
     return os.str();
 }
 

@@ -233,10 +233,10 @@ class SweepService
     /**
      * Prometheus exposition of the service gauges (queue depth, per-
      * state job counts, uptime), the lifetime job and cell counters,
-     * and the job queue-wait / run-duration / cell wall-time
-     * histograms, via the metrics helpers — same text format as
-     * --metrics-out .prom exports. Served verbatim by both the wire
-     * "metrics" verb and the HTTP /metrics endpoint.
+     * the job queue-wait / run-duration / cell wall-time histograms
+     * and the live cell view, written by the one metrics::Exposition
+     * writer that --metrics-out .prom exports use. Served verbatim by
+     * both the wire "metrics" verb and the HTTP /metrics endpoint.
      */
     std::string metricsPrometheus() const;
 

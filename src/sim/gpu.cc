@@ -266,10 +266,4 @@ Gpu::totalL1Misses() const
     return n;
 }
 
-std::uint64_t
-Gpu::totalL1Accesses() const
-{
-    return totalL1Hits() + totalL1Misses();
-}
-
 } // namespace latte

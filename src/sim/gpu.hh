@@ -110,7 +110,6 @@ class Gpu : public StatGroup
     std::uint64_t totalInstructions() const;
     std::uint64_t totalL1Hits() const;
     std::uint64_t totalL1Misses() const;
-    std::uint64_t totalL1Accesses() const;
 
     Counter cyclesElapsed;
     Counter kernelsLaunched;

@@ -31,7 +31,6 @@ class StreamingMultiprocessor : public StatGroup
                             MemoryImage *mem, StatGroup *parent,
                             CacheTuning tuning = {});
 
-    SmId smId() const { return smId_; }
     CompressedCache &cache() { return cache_; }
     const CompressedCache &cache() const { return cache_; }
     CompressionEngines &engines() { return engines_; }

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -223,8 +222,7 @@ TEST(Stats, CounterBasics)
     ++c;
     c += 5;
     EXPECT_EQ(c.count(), 6u);
-    c.reset();
-    EXPECT_EQ(c.count(), 0u);
+    EXPECT_DOUBLE_EQ(c.value(), 6.0);
 }
 
 TEST(Stats, AverageBasics)
@@ -238,21 +236,6 @@ TEST(Stats, AverageBasics)
     EXPECT_EQ(a.samples(), 2u);
 }
 
-TEST(Stats, HistogramBuckets)
-{
-    StatGroup group("g");
-    Histogram h(&group, "h", "test histogram", 10.0, 4);
-    h.sample(5);
-    h.sample(15);
-    h.sample(15);
-    h.sample(999); // overflow bucket
-    EXPECT_EQ(h.totalSamples(), 4u);
-    EXPECT_EQ(h.buckets()[0], 1u);
-    EXPECT_EQ(h.buckets()[1], 2u);
-    EXPECT_DOUBLE_EQ(h.min(), 5.0);
-    EXPECT_DOUBLE_EQ(h.max(), 999.0);
-}
-
 TEST(Stats, GroupHierarchyAndLookup)
 {
     StatGroup root("root");
@@ -260,26 +243,9 @@ TEST(Stats, GroupHierarchyAndLookup)
     Counter c(&child, "c", "nested");
     c += 3;
 
-    EXPECT_EQ(root.findStat("child.c"), &c);
-    EXPECT_EQ(root.findStat("missing"), nullptr);
-
     std::map<std::string, double> all;
     root.collect(all);
     EXPECT_DOUBLE_EQ(all.at("root.child.c"), 3.0);
-
-    root.resetStats();
-    EXPECT_EQ(c.count(), 0u);
-}
-
-TEST(Stats, DumpContainsNamesAndValues)
-{
-    StatGroup root("gpu");
-    Counter c(&root, "cycles", "elapsed");
-    c += 42;
-    std::ostringstream os;
-    root.dump(os);
-    EXPECT_NE(os.str().find("gpu.cycles"), std::string::npos);
-    EXPECT_NE(os.str().find("42"), std::string::npos);
 }
 
 // ------------------------------------------------------------- geomean

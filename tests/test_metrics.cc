@@ -1,15 +1,16 @@
 /**
  * @file
  * Tests for the metrics subsystem: LatencyHistogram bucket-boundary
- * semantics and percentile queries, the fixed-width common/stats.hh
- * Histogram edges, MetricRegistry sampling and exports, the zone
- * self-profiler, and the metrics <-> trace reconciliation invariant
- * (metric counters equal the corresponding TraceEvent counts).
+ * semantics and percentile queries, the Prometheus Exposition writer,
+ * MetricRegistry sampling and exports, the zone self-profiler, and the
+ * metrics <-> trace reconciliation invariant (metric counters equal
+ * the corresponding TraceEvent counts).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "common/stats.hh"
 #include "compress/compressor.hh"
 #include "core/driver.hh"
+#include "metrics/exposition.hh"
 #include "metrics/latency_histogram.hh"
 #include "metrics/profiler.hh"
 #include "metrics/registry.hh"
@@ -163,33 +165,6 @@ TEST(LatencyHistogram, MergePreservesMoments)
     EXPECT_EQ(empty.count(), count);
 }
 
-// --- Fixed-width common/stats.hh Histogram edges -----------------------
-
-TEST(FixedHistogram, BucketEdgesAndOverflow)
-{
-    StatGroup root("root");
-    // Width 10, 4 buckets: [0,10) [10,20) [20,30) [30,40); >= 40
-    // overflows.
-    Histogram h(&root, "h", "test", 10.0, 4);
-
-    h.sample(0.0);    // bucket 0
-    h.sample(9.999);  // bucket 0
-    h.sample(10.0);   // value at a bucket edge lands in the upper bucket
-    h.sample(39.999); // bucket 3
-    h.sample(40.0);   // overflow
-    h.sample(-5.0);   // negatives clamp into bucket 0
-
-    EXPECT_EQ(h.buckets()[0], 3u);
-    EXPECT_EQ(h.buckets()[1], 1u);
-    EXPECT_EQ(h.buckets()[2], 0u);
-    EXPECT_EQ(h.buckets()[3], 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.totalSamples(), 6u);
-    // min/max/sum track the raw samples, not the clamped bucket values.
-    EXPECT_DOUBLE_EQ(h.min(), -5.0);
-    EXPECT_DOUBLE_EQ(h.max(), 40.0);
-}
-
 // --- MetricRegistry sampling and exports -------------------------------
 
 TEST(MetricRegistry, SamplesStatsAndGauges)
@@ -238,12 +213,6 @@ TEST(MetricRegistry, SamplesStatsAndGauges)
 
 TEST(MetricRegistry, ExportFormatsParse)
 {
-    EXPECT_EQ(exportFormatForPath("a/b.prom"), ExportFormat::Prometheus);
-    EXPECT_EQ(exportFormatForPath("x.txt"), ExportFormat::Prometheus);
-    EXPECT_EQ(exportFormatForPath("x.csv"), ExportFormat::Csv);
-    EXPECT_EQ(exportFormatForPath("x.jsonl"), ExportFormat::Jsonl);
-    EXPECT_EQ(exportFormatForPath("noext"), ExportFormat::Jsonl);
-
     StatGroup root("gpu");
     Counter hits(&root, "hits", "test counter");
     ++hits;
@@ -255,12 +224,24 @@ TEST(MetricRegistry, ExportFormatsParse)
     registry.sample(100);
     registry.sample(200);
 
-    const MetricRegistry::Labels labels = {{"workload", "KM"}};
+    // writeMetricsOut picks the format by extension: .prom and .txt
+    // are Prometheus, .csv is CSV, anything else JSONL.
+    const MetricLabels labels = {{"workload", "KM"}};
+    const auto exported = [&](const std::string &name) {
+        const std::string path = ::testing::TempDir() + "/" + name;
+        EXPECT_TRUE(writeMetricsOut(path, {{&registry, labels}})) << path;
+        std::ifstream in(path);
+        std::ostringstream text;
+        text << in.rdbuf();
+        return text.str();
+    };
+    const std::string jsonl = exported("latte_metrics.jsonl");
+    EXPECT_EQ(exported("latte_metrics_noext"), jsonl);
+    const std::string text = exported("latte_metrics.prom");
+    EXPECT_EQ(exported("latte_metrics.txt"), text);
 
     // Every JSONL line parses as standalone JSON.
-    std::ostringstream jsonl;
-    registry.exportJsonl(jsonl, labels);
-    std::istringstream lines(jsonl.str());
+    std::istringstream lines(jsonl);
     std::string line;
     std::size_t schema_lines = 0, sample_lines = 0, histogram_lines = 0;
     while (std::getline(lines, line)) {
@@ -285,9 +266,7 @@ TEST(MetricRegistry, ExportFormatsParse)
     EXPECT_EQ(histogram_lines, 1u);
 
     // CSV: header + one line per row.
-    std::ostringstream csv;
-    registry.exportCsv(csv, labels);
-    std::istringstream csv_lines(csv.str());
+    std::istringstream csv_lines(exported("latte_metrics.csv"));
     std::vector<std::string> rows;
     while (std::getline(csv_lines, line)) {
         if (!line.empty() && line[0] != '#')
@@ -298,9 +277,6 @@ TEST(MetricRegistry, ExportFormatsParse)
 
     // Prometheus: sanitized names (no dots), cumulative histogram with
     // a +Inf bucket matching _count.
-    std::ostringstream prom;
-    registry.exportPrometheus(prom, labels);
-    const std::string text = prom.str();
     EXPECT_NE(text.find("latte_gpu_hits{workload=\"KM\"}"),
               std::string::npos);
     EXPECT_NE(text.find("latte_lat_bucket{workload=\"KM\",le=\"+Inf\"} 1"),
@@ -364,6 +340,78 @@ TEST(MetricRegistry, DetachKeepsSeriesStable)
     registry.sample(200);
     ASSERT_EQ(registry.rows().size(), 2u);
     EXPECT_DOUBLE_EQ(registry.rows()[1].values[1], 2.0);
+}
+
+// --- The one Prometheus writer ----------------------------------------
+
+TEST(Exposition, OneBlockPerFamilyInFirstAddedOrder)
+{
+    StatGroup root("gpu");
+    Counter hits(&root, "hits", "test counter");
+    ++hits;
+
+    // Two runs with the same series under different labels, the second
+    // with one series the first lacks.
+    MetricRegistry first(100), second(100);
+    first.attachStats(&root);
+    second.attachStats(&root);
+    second.addGauge("extra", [](Cycles) { return 2.0; });
+    first.sample(100);
+    second.sample(300);
+
+    Exposition exposition;
+    first.expose(exposition, {{"run", "a"}});
+    second.expose(exposition, {{"run", "b"}});
+    std::ostringstream os;
+    exposition.write(os);
+
+    // One TYPE line per family, each family's samples together.
+    EXPECT_EQ(os.str(), "# TYPE latte_sample_cycle gauge\n"
+                        "latte_sample_cycle{run=\"a\"} 100\n"
+                        "latte_sample_cycle{run=\"b\"} 300\n"
+                        "# TYPE latte_gpu_hits gauge\n"
+                        "latte_gpu_hits{run=\"a\"} 1\n"
+                        "latte_gpu_hits{run=\"b\"} 1\n"
+                        "# TYPE latte_extra gauge\n"
+                        "latte_extra{run=\"b\"} 2\n");
+}
+
+TEST(Exposition, HistogramIsCumulativeWithInfSumAndCount)
+{
+    // Buckets [0,1) [1,2) [2,4); 5 and 9 overflow.
+    LatencyHistogram hist(3);
+    for (const double v : {0.5, 1.5, 3.0, 3.5, 5.0, 9.0})
+        hist.record(v);
+
+    Exposition exposition;
+    exposition.histogram("wait", {}, hist);
+    exposition.histogram("wait", {{"q", "x\"y"}}, LatencyHistogram(3));
+    std::ostringstream os;
+    exposition.write(os);
+    EXPECT_EQ(os.str(), "# TYPE latte_wait histogram\n"
+                        "latte_wait_bucket{le=\"1\"} 1\n"
+                        "latte_wait_bucket{le=\"2\"} 2\n"
+                        "latte_wait_bucket{le=\"4\"} 4\n"
+                        "latte_wait_bucket{le=\"+Inf\"} 6\n"
+                        "latte_wait_sum 22.5\n"
+                        "latte_wait_count 6\n"
+                        "latte_wait_bucket{q=\"x\\\"y\",le=\"1\"} 0\n"
+                        "latte_wait_bucket{q=\"x\\\"y\",le=\"2\"} 0\n"
+                        "latte_wait_bucket{q=\"x\\\"y\",le=\"4\"} 0\n"
+                        "latte_wait_bucket{q=\"x\\\"y\",le=\"+Inf\"} 0\n"
+                        "latte_wait_sum{q=\"x\\\"y\"} 0\n"
+                        "latte_wait_count{q=\"x\\\"y\"} 0\n");
+}
+
+TEST(Exposition, RejectsANameUnderASecondType)
+{
+    Exposition exposition;
+    exposition.gauge("depth", {}, 1.0);
+    exposition.gauge("depth", {{"q", "1"}}, 2.0); // same type: fine
+    EXPECT_DEATH(exposition.counter("depth", {}, 3.0),
+                 "latte_depth added under a second type");
+    EXPECT_DEATH(exposition.histogram("depth", {}, LatencyHistogram()),
+                 "second type");
 }
 
 // --- Self-profiler -----------------------------------------------------

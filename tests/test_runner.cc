@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -557,6 +559,61 @@ TEST(Runner, SweepDedupesAndRunsPending)
     const auto &sc = sweep.get(*workload, PolicyKind::StaticSc);
     EXPECT_GT(sc.cycles, 0u);
     EXPECT_EQ(sweep.outcomes().size(), 3u);
+}
+
+TEST(Runner, SweepMetricsExportIsOneExposition)
+{
+    const Workload *workload = findWorkload("KM");
+    ASSERT_NE(workload, nullptr);
+    const std::string path =
+        ::testing::TempDir() + "/latte_sweep_metrics.prom";
+    std::filesystem::remove(path);
+
+    // Two cells that differ only in the L1 hit latency: the same
+    // workload, policy and seed, so only the config label parts them.
+    RunRequest fast;
+    fast.workload = workload;
+    fast.policy = PolicyKind::LatteCc;
+    fast.options = tinyOptions();
+    RunRequest slow = fast;
+    slow.options.cfg.l1.hitLatency += 4;
+    {
+        SweepCliOptions cli;
+        cli.jobs = 2;
+        cli.progress = false;
+        cli.metricsOut = path;
+        Sweep sweep(cli, tinyOptions());
+        sweep.add(fast);
+        sweep.add(slow);
+        sweep.run();
+        ASSERT_EQ(sweep.outcomes().size(), 2u);
+    } // the destructor writes --metrics-out
+
+    std::ifstream in(path);
+    ASSERT_TRUE(in.is_open()) << path;
+    std::map<std::string, int> declared;
+    std::vector<std::string> cycles;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("# TYPE ", 0) == 0)
+            ++declared[line.substr(7, line.find(' ', 7) - 7)];
+        else if (line.rfind("latte_sample_cycle{", 0) == 0)
+            cycles.push_back(line);
+    }
+    ASSERT_GT(declared.size(), 10u);
+    for (const auto &[family, count] : declared)
+        EXPECT_EQ(count, 1) << family << " declared " << count << " times";
+
+    ASSERT_EQ(cycles.size(), 2u);
+    const std::string fast_config = RunKey::of(fast).configHex();
+    const std::string slow_config = RunKey::of(slow).configHex();
+    EXPECT_NE(fast_config, slow_config);
+    EXPECT_NE(cycles[0].find("config=\"" + fast_config + "\""),
+              std::string::npos)
+        << cycles[0];
+    EXPECT_NE(cycles[1].find("config=\"" + slow_config + "\""),
+              std::string::npos)
+        << cycles[1];
 }
 
 TEST(Runner, SweepRunsCustomFactoryCells)

@@ -6,8 +6,8 @@
  * resubmit is served from cache with zero simulated cells), queue
  * order / quotas / cancellation, journal recovery after an unclean
  * stop, the wire protocol via RequestDispatcher, and the AF_UNIX
- * SocketServer itself (concurrent clients, stale-socket takeover, the
- * live-daemon probe).
+ * SocketServer itself (concurrent clients, reaping finished
+ * connections, stale-socket takeover, the live-daemon probe).
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <mutex>
 #include <thread>
@@ -485,6 +487,96 @@ TEST(Service, SocketServerHandlesConcurrentClients)
             << "client " << i << ": " << parse_error;
         EXPECT_TRUE(reply.at("ok").asBool()) << "client " << i;
     }
+    server.stop();
+}
+
+/** Open file descriptors of this process. */
+std::size_t
+openFdCount()
+{
+    std::size_t count = 0;
+    for ([[maybe_unused]] const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/fd"))
+        ++count;
+    return count;
+}
+
+TEST(Service, SocketServerReapsFinishedConnections)
+{
+    const std::string dir = freshDir("latte_socket_reap");
+    std::filesystem::create_directories(dir);
+    const std::string socket_path = dir + "/latted.sock";
+
+    ServiceOptions options;
+    options.stateDir = dir;
+    options.startPaused = true;
+    SweepService service(options);
+    RequestDispatcher dispatcher(service);
+    SocketServer server(dispatcher, socket_path);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    const std::size_t before = openFdCount();
+
+    // Another client submits and cancels jobs throughout, so events
+    // reach the subscriptions below from its reader thread while their
+    // clients disconnect.
+    std::atomic<bool> done{false};
+    std::thread submitter([&] {
+        const int fd = unixConnect(socket_path);
+        if (fd < 0)
+            return;
+        const std::string submit = R"({"type":"submit","spec":)" +
+                                   tinySpec().toJson().dump() + "}\n";
+        while (!done.load()) {
+            ::send(fd, submit.data(), submit.size(), MSG_NOSIGNAL);
+            std::string parse_error;
+            const runner::Json reply =
+                runner::Json::parse(readLine(fd), &parse_error);
+            if (!parse_error.empty() || !reply.at("ok").asBool()) {
+                ADD_FAILURE() << "submit failed: " << reply.dump();
+                break;
+            }
+            const std::string cancel =
+                R"({"type":"cancel","job":)" +
+                std::to_string(reply.at("job").asUint()) + "}\n";
+            ::send(fd, cancel.data(), cancel.size(), MSG_NOSIGNAL);
+            readLine(fd);
+        }
+        ::close(fd);
+    });
+
+    constexpr int kConnections = 200;
+    for (int i = 0; i < kConnections; ++i) {
+        if (i % 2 == 0) {
+            // Subscribe, take the ack (or a first event), hang up.
+            const int fd = unixConnect(socket_path);
+            ASSERT_GE(fd, 0);
+            const std::string subscribe = "{\"type\":\"subscribe\"}\n";
+            ::send(fd, subscribe.data(), subscribe.size(), MSG_NOSIGNAL);
+            EXPECT_FALSE(readLine(fd).empty());
+            ::close(fd);
+        } else {
+            EXPECT_NE(unixRequest(socket_path, R"({"type":"ping"})")
+                          .find("\"ok\":true"),
+                      std::string::npos);
+        }
+    }
+    done.store(true);
+    submitter.join();
+
+    // Readers see their peers hang up asynchronously, and a finished
+    // connection is reaped at the next accept: ping until it settles.
+    constexpr std::size_t kSlack = 4;
+    std::size_t after = openFdCount();
+    for (int attempt = 0; attempt < 200 && after > before + kSlack;
+         ++attempt) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        unixRequest(socket_path, R"({"type":"ping"})");
+        after = openFdCount();
+    }
+    EXPECT_LE(after, before + kSlack)
+        << kConnections << " connections took the process from " << before
+        << " to " << after << " open fds";
     server.stop();
 }
 
