@@ -62,42 +62,6 @@ declareGrid(Sweep &sweep, const std::vector<PolicyKind> &kinds,
     sweep.add(figureGridSpec(kinds, sensitive_only));
 }
 
-/**
- * Run (workload, policy) once per binary invocation; cache the result.
- * @deprecated Thin wrapper over runner::Sweep kept for source
- * compatibility: cells are keyed by the full RunKey (workload, policy
- * and DriverOptions hash), so two RunCaches with different tunings no
- * longer alias, but every get() is serial. New code should declare its
- * grid on a Sweep and let the thread pool run it.
- */
-class RunCache
-{
-  public:
-    explicit RunCache(DriverOptions options = {})
-        : sweep_(serialCli(), std::move(options))
-    {}
-
-    const WorkloadRunResult &
-    get(const Workload &workload, PolicyKind kind)
-    {
-        return sweep_.get(workload, kind);
-    }
-
-    const DriverOptions &options() const { return sweep_.defaults(); }
-
-  private:
-    static runner::SweepCliOptions
-    serialCli()
-    {
-        runner::SweepCliOptions cli;
-        cli.jobs = 1;
-        cli.progress = false;
-        return cli;
-    }
-
-    runner::Sweep sweep_;
-};
-
 /** Print one row of right-aligned numeric cells. */
 inline void
 printRow(const std::string &label, const std::vector<double> &cells,

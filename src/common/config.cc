@@ -147,9 +147,6 @@ GpuConfig::validationError() const
     if (const auto error = l2.validationError("l2"))
         return error;
 
-    if (decompQueueEntries == 0)
-        return "decompQueueEntries must be nonzero";
-
     if (latte.epAccesses == 0)
         return "latte.epAccesses must be nonzero";
     if (latte.periodEps == 0 || latte.learningEps == 0 ||

@@ -188,10 +188,6 @@ struct GpuConfig
     enum class ReplPolicy { LRU, FIFO, SRRIP };
     ReplPolicy l1Repl = ReplPolicy::LRU;
 
-    // --- Decompression engine ---
-    /** Outstanding-line capacity of the per-SM decompression queue. */
-    std::uint32_t decompQueueEntries = 16;
-
     CompressorTimings timings;
     LatteParams latte;
 

@@ -7,9 +7,8 @@
  *    error model every supervising layer (sweep runner, journal, CI
  *    gates) acts on. No exception ever crosses the library boundary;
  *    failures travel as values.
- *  - CancelToken: a lock-free flag a watchdog (or a user) sets to make
- *    a running cell stop at its next safe point, carrying the reason
- *    (external cancel vs wall-clock timeout).
+ *  - CancelToken: a lock-free flag a supervisor sets to make a
+ *    running cell stop at its next safe point.
  *  - FaultPlan: the fault-injection schedule tests use to prove that a
  *    failing cell degrades to a recorded RunError instead of killing
  *    the surrounding sweep.
@@ -22,6 +21,7 @@
 #define LATTE_COMMON_OUTCOME_HH
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -36,7 +36,7 @@ enum class RunStatus
 {
     Ok,       //!< result produced (attempts > 1 means Retried -> Ok)
     Failed,   //!< a fault or invalid request; see RunError::code
-    TimedOut, //!< watchdog tripped (wall clock or cycle budget)
+    TimedOut, //!< wall-clock deadline or cycle budget exhausted
     Cancelled //!< externally cancelled via CancelToken
 };
 
@@ -50,7 +50,7 @@ enum class RunErrorCode
     None = 0,
     InvalidRequest,       //!< request missing a workload
     InvalidConfig,        //!< GpuConfig::validationError rejected it
-    WallClockTimeout,     //!< per-cell watchdog wall-clock budget
+    WallClockTimeout,     //!< per-attempt wall-clock deadline passed
     CycleBudgetExceeded,  //!< per-cell simulated-cycle budget
     Cancelled,            //!< external cooperative cancellation
     CompressorCorruption, //!< compression round-trip violation
@@ -100,20 +100,13 @@ struct RunError
 };
 
 /**
- * Cooperative cancellation: the watchdog (or any supervisor) calls
- * cancel(); the GPU cycle loop polls cancelled() and stops at the next
- * iteration. The reason is published before the flag so a reader that
- * observes the flag always sees the right reason.
+ * Cooperative cancellation: a supervisor calls cancel(); the GPU cycle
+ * loop polls cancelled() and stops at the next iteration.
  */
 class CancelToken
 {
   public:
-    void
-    cancel(RunErrorCode reason = RunErrorCode::Cancelled)
-    {
-        reason_.store(reason, std::memory_order_release);
-        cancelled_.store(true, std::memory_order_release);
-    }
+    void cancel() { cancelled_.store(true, std::memory_order_release); }
 
     bool
     cancelled() const
@@ -121,22 +114,7 @@ class CancelToken
         return cancelled_.load(std::memory_order_acquire);
     }
 
-    RunErrorCode
-    reason() const
-    {
-        return reason_.load(std::memory_order_acquire);
-    }
-
-    /** Re-arm for the next attempt (single-threaded moment only). */
-    void
-    reset()
-    {
-        cancelled_.store(false, std::memory_order_release);
-        reason_.store(RunErrorCode::None, std::memory_order_release);
-    }
-
   private:
-    std::atomic<RunErrorCode> reason_{RunErrorCode::None};
     std::atomic<bool> cancelled_{false};
 };
 
@@ -198,8 +176,12 @@ struct FaultPlan
  */
 struct RunControl
 {
+    using Clock = std::chrono::steady_clock;
+
     /** Not owned; nullptr = not cancellable. */
     CancelToken *cancel = nullptr;
+    /** Wall-clock instant the run times out at (max() = never). */
+    Clock::time_point deadline = Clock::time_point::max();
     /** Simulated-cycle budget for the whole run (0 = unlimited). */
     Cycles cycleBudget = 0;
     /** Fault-injection schedule (normally empty outside tests). */

@@ -2,7 +2,7 @@
  * @file
  * A small statistics framework modelled on gem5's stats package: named
  * counters and averages that register with a StatGroup tree, read
- * through visitors (metric sampling, collect()'s flat map, JSON).
+ * through visitors (metric sampling, collect()'s flat map).
  */
 
 #ifndef LATTE_COMMON_STATS_HH
@@ -86,9 +86,8 @@ class Average : public StatBase
 
 /**
  * Structured walk over a StatGroup tree. All consumers of the stat
- * hierarchy (metric sampling, flat map, JSON serialisation) are
- * visitors, so the traversal logic lives in exactly one place
- * (StatGroup::visit()).
+ * hierarchy (metric sampling, flat map) are visitors, so the traversal
+ * logic lives in exactly one place (StatGroup::visit()).
  */
 class StatVisitor
 {

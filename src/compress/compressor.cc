@@ -25,14 +25,6 @@ makeRawMeta(CompressorId id)
     return meta;
 }
 
-std::vector<std::uint8_t>
-decodeRawLine(const CompressedLine &line)
-{
-    std::vector<std::uint8_t> out(kLineBytes);
-    decodeRawLineInto(line, out);
-    return out;
-}
-
 void
 decodeRawLineInto(const CompressedLine &line, std::span<std::uint8_t> out)
 {

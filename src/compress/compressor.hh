@@ -239,9 +239,6 @@ makeProbedMeta(CompressorId id, std::uint8_t encoding,
     return meta;
 }
 
-/** Recover the bytes of a raw encoding. */
-std::vector<std::uint8_t> decodeRawLine(const CompressedLine &line);
-
 /** Recover the bytes of a raw encoding into caller storage. */
 void decodeRawLineInto(const CompressedLine &line,
                        std::span<std::uint8_t> out);

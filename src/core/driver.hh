@@ -12,9 +12,9 @@
  * that records structured events for the observability layer.
  *
  * run() returns a RunOutcome, never throws and never exits: invalid
- * requests, injected faults, watchdog cancellations and budget trips
- * all come back as structured RunError values a supervising layer
- * (sweep runner, journal, CI gate) can act on.
+ * requests, injected faults, cancellations, passed deadlines and
+ * budget trips all come back as structured RunError values a
+ * supervising layer (sweep runner, journal, CI gate) can act on.
  */
 
 #ifndef LATTE_CORE_DRIVER_HH

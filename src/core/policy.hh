@@ -163,8 +163,6 @@ class Policy : public CompressionModeProvider
      */
     virtual double lastVoteMargin() const { return 0; }
 
-    const EpClock &epClock() const { return clock_; }
-
   protected:
     /** Policy-specific access hook (before EP accounting). */
     virtual void

@@ -37,9 +37,6 @@ class DramModel : public StatGroup
      */
     Cycles access(Cycles now, std::uint32_t bytes);
 
-    /** Reset queue state between runs (stats reset separately). */
-    void flushQueues() { nextFree_ = 0; }
-
     /** Attach the event tracer (not owned; nullptr disables tracing). */
     void setTracer(Tracer *tracer) { tracer_ = tracer; }
 

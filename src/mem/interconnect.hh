@@ -34,8 +34,6 @@ class Interconnect : public StatGroup
     /** Fixed one-way traversal latency. */
     Cycles traversalLatency() const { return traversal_; }
 
-    void flushQueues() { nextFree_[0] = nextFree_[1] = 0; }
-
     Counter packets;
     Counter bytesMoved;
     Average queueDelay;

@@ -16,6 +16,22 @@ namespace latte::runner
 namespace
 {
 
+/**
+ * One entry of the declarative flag table: the parser loop and the
+ * --help text are both generated from kSpecs.
+ */
+struct ArgSpec
+{
+    const char *name;  //!< long form, e.g. "--cache-dir"
+    const char *alias; //!< short form ("-j") or nullptr
+    const char *value; //!< value placeholder ("<dir>") or nullptr
+    const char *help;  //!< one-line description
+    /** Consume the (possibly empty) value into @p options. */
+    void (*apply)(SweepCliOptions &options, const std::string &value);
+};
+
+const char *sweepArgsUsage();
+
 // The single source of truth: parseSweepArgs() walks this table and
 // sweepArgsUsage() renders it. A null `value` marks a boolean flag.
 const ArgSpec kSpecs[] = {
@@ -29,7 +45,7 @@ const ArgSpec kSpecs[] = {
      "journal finished cells there; skip them when re-run",
      [](SweepCliOptions &o, const std::string &v) { o.resumePath = v; }},
     {"--cell-timeout", nullptr, "<seconds>",
-     "wall-clock watchdog budget per cell (0 = unlimited)",
+     "wall-clock budget per cell attempt (0 = unlimited)",
      [](SweepCliOptions &o, const std::string &v) {
          // Capped so the millisecond count fits its uint64.
          o.cellTimeoutMs = static_cast<std::uint64_t>(
@@ -132,31 +148,37 @@ const ArgSpec kSpecs[] = {
     {"--log-level", nullptr, "<level>",
      "stderr log threshold: error|warn|info|debug|trace "
      "(default info, or LATTE_LOG_LEVEL)",
-     [](SweepCliOptions &o, const std::string &v) {
+     [](SweepCliOptions &, const std::string &v) {
          LogLevel level;
          if (!logLevelFromName(v, level))
              latte_fatal("--log-level: unknown level '{}' "
                          "(want error|warn|info|debug|trace)\n{}",
                          v, sweepArgsUsage());
          setLogLevel(level);
-         o.logLevel = v;
      }},
     {"--log-json", nullptr, nullptr,
      "emit log lines as JSON records (one object per line)",
-     [](SweepCliOptions &o, const std::string &) {
-         setLogJson(true);
-         o.logJson = true;
-     }},
+     [](SweepCliOptions &, const std::string &) { setLogJson(true); }},
     {"--quiet", "-q", nullptr,
      "suppress progress lines and raise the log threshold to warn",
      [](SweepCliOptions &o, const std::string &) {
          o.progress = false;
-         o.quiet = true;
          setLogLevel(LogLevel::Warn);
      }},
 };
 
-constexpr std::size_t kSpecCount = sizeof(kSpecs) / sizeof(kSpecs[0]);
+/** Usage text generated from the ArgSpec table (for --help output). */
+const char *
+sweepArgsUsage()
+{
+    static const std::string text = [] {
+        ArgParser parser("");
+        static SweepCliOptions sink;
+        parser.registerCommonFlags(sink);
+        return parser.usage();
+    }();
+    return text.c_str();
+}
 
 /** "  -j, --jobs <n>" column head of one flag line. */
 std::string
@@ -177,25 +199,6 @@ void
 badFlagValue(std::string_view flag, std::string_view text)
 {
     latte_fatal("{}: bad value '{}' (try --help)", flag, text);
-}
-
-const ArgSpec *
-sweepArgSpecs(std::size_t &count)
-{
-    count = kSpecCount;
-    return kSpecs;
-}
-
-const char *
-sweepArgsUsage()
-{
-    static const std::string text = [] {
-        ArgParser parser("");
-        static SweepCliOptions sink;
-        parser.registerCommonFlags(sink);
-        return parser.usage();
-    }();
-    return text.c_str();
 }
 
 ArgParser::ArgParser(std::string program) : program_(std::move(program))

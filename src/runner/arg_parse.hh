@@ -4,14 +4,14 @@
  * through Sweep: one declarative ArgSpec table defines each flag's
  * names, value placeholder, help line and parse action, and both the
  * parser and the generated --help output are derived from it — so a
- * new flag (as --resume and the watchdog knobs were) lands once and
+ * new flag (as --resume and the timeout knobs were) lands once and
  * appears in every sweep binary.
  *
  *   -j N, --jobs N        worker threads (0 = hardware concurrency)
  *   --cache-dir DIR       on-disk result cache directory
  *   --resume PATH         sweep journal: record finished cells, skip
  *                         them when re-invoked after a crash/kill
- *   --cell-timeout SECS   per-cell wall-clock watchdog budget
+ *   --cell-timeout SECS   wall-clock budget per cell attempt
  *   --cell-cycle-budget N per-cell simulated-cycle budget
  *   --retries N           extra attempts for failed/timed-out cells
  *   --retry-backoff-ms N  base backoff between attempts
@@ -132,7 +132,7 @@ struct SweepCliOptions
 
     // --- Resilience ----------------------------------------------------
     std::string resumePath;  //!< sweep journal; empty = no resume
-    /** Per-cell wall-clock budget in ms (0 = unlimited). */
+    /** Wall-clock budget per cell attempt in ms (0 = unlimited). */
     std::uint64_t cellTimeoutMs = 0;
     /** Per-cell simulated-cycle budget (0 = unlimited). */
     std::uint64_t cellCycleBudget = 0;
@@ -140,36 +140,7 @@ struct SweepCliOptions
     std::uint32_t retries = 0;
     /** Base backoff before a retry, doubled per attempt. */
     std::uint64_t retryBackoffMs = 100;
-
-    // --- Observability -------------------------------------------------
-    /**
-     * Log threshold name (error|warn|info|debug|trace). Applied
-     * process-wide at parse time via setLogLevel(); empty = default
-     * (info, or LATTE_LOG_LEVEL). Observational only.
-     */
-    std::string logLevel;
-    /** JSON-lines log records instead of text (setLogJson at parse). */
-    bool logJson = false;
-    /** --quiet: no progress lines, log threshold raised to warn. */
-    bool quiet = false;
 };
-
-/**
- * One entry of the declarative flag table: the parser loop and the
- * --help text are both generated from kSweepArgSpecs.
- */
-struct ArgSpec
-{
-    const char *name;  //!< long form, e.g. "--cache-dir"
-    const char *alias; //!< short form ("-j") or nullptr
-    const char *value; //!< value placeholder ("<dir>") or nullptr
-    const char *help;  //!< one-line description
-    /** Consume the (possibly empty) value into @p options. */
-    void (*apply)(SweepCliOptions &options, const std::string &value);
-};
-
-/** The flag table itself, for tools that want to reflect over it. */
-const ArgSpec *sweepArgSpecs(std::size_t &count);
 
 /**
  * A grouped declarative command-line parser. Binaries that need flags
@@ -249,9 +220,6 @@ class ArgParser
  * prints the generated flag table and exits 0.
  */
 SweepCliOptions parseSweepArgs(int &argc, char **argv);
-
-/** Usage text generated from the ArgSpec table (for --help output). */
-const char *sweepArgsUsage();
 
 } // namespace latte::runner
 

@@ -37,6 +37,22 @@ sanitizeLabel(std::string label)
     return label;
 }
 
+/**
+ * The deadline @p budgetMs after @p now, saturated to "never" when the
+ * budget does not fit the clock (steady_clock counts nanoseconds, so
+ * about 292 years is the most it can add).
+ */
+RunControl::Clock::time_point
+deadlineAfter(RunControl::Clock::time_point now, std::uint64_t budgetMs)
+{
+    using Clock = RunControl::Clock;
+    const auto room = std::chrono::duration_cast<std::chrono::milliseconds>(
+        Clock::time_point::max() - now);
+    if (budgetMs >= static_cast<std::uint64_t>(room.count()))
+        return Clock::time_point::max();
+    return now + std::chrono::milliseconds(budgetMs);
+}
+
 /** Retained trace events included in a diagnostics snapshot. */
 constexpr std::size_t kDiagTraceTail = 64;
 
@@ -155,14 +171,10 @@ ExperimentRunner::runAll(const std::vector<RunRequest> &requests)
     std::unique_ptr<SweepJournal> journal;
     if (!options_.journalPath.empty())
         journal = std::make_unique<SweepJournal>(options_.journalPath);
-    std::unique_ptr<Watchdog> watchdog;
-    if (options_.cellTimeoutMs > 0)
-        watchdog = std::make_unique<Watchdog>();
 
-    // Failed cells dump a diagnostics snapshot next to the journal
-    // unless the caller pointed the snapshots somewhere else.
-    std::string diag_dir = options_.diagnosticsDir;
-    if (diag_dir.empty() && !options_.journalPath.empty())
+    // Failed cells dump a diagnostics snapshot next to the journal.
+    std::string diag_dir;
+    if (!options_.journalPath.empty())
         diag_dir = (std::filesystem::path(options_.journalPath)
                         .parent_path() /
                     "diagnostics")
@@ -181,14 +193,15 @@ ExperimentRunner::runAll(const std::vector<RunRequest> &requests)
     std::atomic<std::size_t> journal_skips{0};
     std::atomic<std::size_t> failed{0};
     std::atomic<std::size_t> retried{0};
+    std::atomic<std::size_t> near_misses{0};
     std::mutex wall_mutex;
     metrics::LatencyHistogram wall_ms;
 
-    // One cell, all attempts: each attempt gets a fresh cancel token
-    // (unless the request carries its own), the runner's cycle budget
-    // when the request sets none, and only the fault points armed for
-    // that attempt number — so a transient FaultPoint{firstAttempts=1}
-    // clears on retry. The watchdog guards every attempt separately.
+    // One cell, all attempts: each attempt gets its own wall-clock
+    // deadline, the runner's cycle budget when the request sets none,
+    // and only the fault points armed for that attempt number — so a
+    // transient FaultPoint{firstAttempts=1} clears on retry.
+    const std::uint64_t timeout_ms = options_.cellTimeoutMs;
     auto attemptCell = [&](const RunRequest &request,
                            const std::string &cell_name) -> RunOutcome {
         std::vector<RunError> history;
@@ -199,16 +212,28 @@ ExperimentRunner::runAll(const std::vector<RunRequest> &requests)
             if (attempt_request.control.cycleBudget == 0)
                 attempt_request.control.cycleBudget =
                     options_.cellCycleBudget;
-            CancelToken local_token;
-            if (attempt_request.control.cancel == nullptr)
-                attempt_request.control.cancel = &local_token;
+            const auto started = RunControl::Clock::now();
+            if (timeout_ms > 0)
+                attempt_request.control.deadline =
+                    std::min(attempt_request.control.deadline,
+                             deadlineAfter(started, timeout_ms));
 
-            RunOutcome outcome;
-            {
-                WatchdogScope guard(watchdog.get(),
-                                    attempt_request.control.cancel,
-                                    options_.cellTimeoutMs, cell_name);
-                outcome = run(attempt_request);
+            RunOutcome outcome = run(attempt_request);
+            if (timeout_ms > 0) {
+                const auto elapsed_ms = static_cast<std::uint64_t>(
+                    std::chrono::duration_cast<std::chrono::milliseconds>(
+                        RunControl::Clock::now() - started)
+                        .count());
+                if (outcome.error.code == RunErrorCode::WallClockTimeout) {
+                    latte_warn("{} exceeded its {} ms wall-clock budget",
+                               cell_name, timeout_ms);
+                } else if (elapsed_ms * 2 >= timeout_ms) {
+                    // Ended in budget after using half of it or more:
+                    // the early warning that --cell-timeout will bite.
+                    near_misses.fetch_add(1, std::memory_order_relaxed);
+                    latte_warn("near-miss: {} took {} ms of a {} ms budget",
+                               cell_name, elapsed_ms, timeout_ms);
+                }
             }
             outcome.attempts = attempt;
             outcome.retryHistory = history;
@@ -234,8 +259,8 @@ ExperimentRunner::runAll(const std::vector<RunRequest> &requests)
             const auto start = std::chrono::steady_clock::now();
 
             // Every log line this cell emits — from the runner, the
-            // simulator or the watchdog-adjacent retry machinery —
-            // carries the same correlation id.
+            // simulator or the retry machinery — carries the same
+            // correlation id.
             LogScope cell_ctx(options_.logContext + "cell-" +
                               std::to_string(i));
 
@@ -380,9 +405,7 @@ ExperimentRunner::runAll(const std::vector<RunRequest> &requests)
     stats_.journalSkips = journal_skips.load();
     stats_.failed = failed.load();
     stats_.retried = retried.load();
-    stats_.nearMisses =
-        watchdog ? static_cast<std::size_t>(watchdog->nearMissCount())
-                 : 0;
+    stats_.nearMisses = near_misses.load();
     cellWallMs_ = wall_ms;
     return outcomes;
 }

@@ -16,10 +16,12 @@
  *
  * Resilience (see resilience.hh): a journal path makes finished cells
  * — ok or failed — skippable on resume; a wall-clock or cycle budget
- * arms a watchdog that cancels hung cells cooperatively; maxRetries
+ * becomes each attempt's RunControl deadline or cycle budget, which
+ * the cycle loop checks to stop a hung cell cooperatively; maxRetries
  * re-attempts Failed/TimedOut cells with exponential backoff. No cell
  * can take the sweep down: every failure is a RunOutcome, not an
- * exception or exit.
+ * exception or exit. Failed cells dump a diagnostics snapshot into
+ * "<journal dir>/diagnostics" when a journal path is set.
  */
 
 #ifndef LATTE_RUNNER_EXPERIMENT_RUNNER_HH
@@ -54,19 +56,14 @@ struct RunnerOptions
      * lifetime across threads. The service sets "job-<id>/".
      */
     std::string logContext;
-    /**
-     * Directory for crash-diagnostics snapshots: every cell that
-     * finishes with a non-Ok outcome dumps a correlation-tagged JSON
-     * snapshot (error, attempts, pool counters, profiler zones, trace
-     * tail) here. Empty derives "<journal dir>/diagnostics" when a
-     * journal path is set; with neither, no snapshots are written.
-     */
-    std::string diagnosticsDir;
 
     // --- Resilience ----------------------------------------------------
     /** Sweep journal path; empty = no checkpoint/resume. */
     std::string journalPath;
-    /** Per-cell wall-clock budget in ms; 0 = unlimited. */
+    /**
+     * Per-attempt wall-clock budget in ms; 0 = unlimited. A budget too
+     * large for the clock (over about 292 years) is unlimited too.
+     */
     std::uint64_t cellTimeoutMs = 0;
     /** Per-cell simulated-cycle budget; 0 = unlimited. Applied only to
      *  cells that don't set their own RunControl::cycleBudget. */
@@ -82,9 +79,9 @@ struct RunnerOptions
      * cancellable). A tripped token only stops cells that have not
      * started: in-flight cells finish normally (so their results stay
      * cacheable) and every unstarted cell completes as a Cancelled
-     * outcome without touching the cache or journal. This is
-     * deliberately distinct from the per-cell watchdog tokens — one
-     * slow cell's timeout must not take down the sweep.
+     * outcome without touching the cache or journal. The runner only
+     * reads it: a cell's timeout is its own deadline, so one slow
+     * cell never cancels another.
      */
     CancelToken *cancel = nullptr;
     /**
@@ -110,7 +107,7 @@ class ExperimentRunner
         std::size_t journalSkips = 0; //!< cells resumed from journal
         std::size_t failed = 0;       //!< cells with a non-Ok outcome
         std::size_t retried = 0;      //!< cells needing >1 attempt
-        /** Cells that finished in budget but used over half of it. */
+        /** Attempts that ended in budget but used half of it or more. */
         std::size_t nearMisses = 0;
     };
 

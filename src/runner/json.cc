@@ -611,54 +611,6 @@ fromJson(const Json &json, RunOutcome &outcome, std::string *error)
     return true;
 }
 
-namespace
-{
-
-/** StatVisitor building one nested Json object per StatGroup. */
-class JsonStatVisitor : public StatVisitor
-{
-  public:
-    void
-    beginGroup(const StatGroup &, const std::string &) override
-    {
-        stack_.emplace_back();
-    }
-
-    void
-    visitStat(const StatBase &stat, const std::string &) override
-    {
-        stack_.back().emplace(stat.name(), Json(stat.value()));
-    }
-
-    void
-    endGroup(const StatGroup &group, const std::string &) override
-    {
-        Json::Object done = std::move(stack_.back());
-        stack_.pop_back();
-        if (stack_.empty())
-            root_ = Json(std::move(done));
-        else
-            stack_.back().emplace(group.groupName(),
-                                  Json(std::move(done)));
-    }
-
-    Json take() { return std::move(root_); }
-
-  private:
-    std::vector<Json::Object> stack_;
-    Json root_;
-};
-
-} // namespace
-
-Json
-toJson(const StatGroup &group)
-{
-    JsonStatVisitor visitor;
-    group.visit(visitor);
-    return visitor.take();
-}
-
 Json
 timelineToJson(const std::vector<WorkloadRunResult> &results)
 {
@@ -687,8 +639,9 @@ toJson(const DriverOptions &options)
     const CompressorTimings &t = cfg.timings;
     const LatteParams &lp = cfg.latte;
     // warpSize, registersPerSm and l1iSizeBytes are Table II constants
-    // the model never reads; they stay in the fingerprint so every
-    // RunKey keeps its bytes.
+    // the model never reads, and decompQueueEntries is the retired
+    // queue-capacity knob; they stay in the fingerprint so every RunKey
+    // keeps its bytes.
     Json::Object cfg_object{
         {"numSms", Json(cfg.numSms)},
         {"maxWarpsPerSm", Json(cfg.maxWarpsPerSm)},
@@ -716,7 +669,7 @@ toJson(const DriverOptions &options)
         {"schedPolicy",
          Json(static_cast<std::uint64_t>(cfg.schedPolicy))},
         {"l1Repl", Json(static_cast<std::uint64_t>(cfg.l1Repl))},
-        {"decompQueueEntries", Json(cfg.decompQueueEntries)},
+        {"decompQueueEntries", Json(16)},
     };
     // This JSON is the result-cache fingerprint, so the down-hierarchy
     // compression knobs are emitted only when set off their defaults:

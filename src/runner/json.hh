@@ -127,13 +127,6 @@ Json toJson(const RunOutcome &outcome);
  */
 Json outcomesToJson(const std::vector<RunOutcome> &outcomes);
 
-/**
- * Serialize a whole stat hierarchy as nested objects, one per
- * StatGroup, via StatGroup::visit() — the one traversal shared with
- * dump() and collect().
- */
-Json toJson(const StatGroup &group);
-
 /** Canonical dump of every DriverOptions field (cache-key material). */
 Json toJson(const DriverOptions &options);
 

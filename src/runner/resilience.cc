@@ -97,114 +97,4 @@ SweepJournal::size() const
     return entries_.size();
 }
 
-Watchdog::Watchdog(std::uint64_t pollMs)
-    : poll_(std::chrono::milliseconds(pollMs == 0 ? 1 : pollMs)),
-      thread_([this] { loop(); })
-{}
-
-Watchdog::~Watchdog()
-{
-    {
-        std::lock_guard lock(mutex_);
-        stop_ = true;
-    }
-    wake_.notify_all();
-    thread_.join();
-}
-
-std::uint64_t
-Watchdog::arm(CancelToken *token, std::uint64_t timeoutMs,
-              std::string label)
-{
-    latte_assert(token != nullptr, "Watchdog::arm needs a token");
-    const auto now = Clock::now();
-    const auto deadline = now + std::chrono::milliseconds(timeoutMs);
-    std::uint64_t id;
-    {
-        std::lock_guard lock(mutex_);
-        id = nextId_++;
-        slots_.emplace(
-            id, Slot{token, deadline, now, timeoutMs, std::move(label)});
-    }
-    wake_.notify_all();
-    return id;
-}
-
-void
-Watchdog::disarm(std::uint64_t id)
-{
-    if (id == 0)
-        return;
-    std::uint64_t elapsedMs = 0;
-    std::uint64_t timeoutMs = 0;
-    std::string label;
-    bool nearMiss = false;
-    {
-        std::lock_guard lock(mutex_);
-        const auto it = slots_.find(id);
-        if (it == slots_.end())
-            return;  // already expired; the cancel is the record
-        const Slot &slot = it->second;
-        elapsedMs = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                Clock::now() - slot.armedAt)
-                .count());
-        // Finished in budget but past half of it: the early warning
-        // that this config's --cell-timeout is about to start biting.
-        if (slot.timeoutMs > 0 && elapsedMs * 2 >= slot.timeoutMs) {
-            nearMiss = true;
-            ++nearMisses_;
-            timeoutMs = slot.timeoutMs;
-            label = slot.label;
-        }
-        slots_.erase(it);
-    }
-    if (nearMiss)
-        latte_warn("watchdog near-miss: {} took {} ms of a {} ms budget",
-                   label.empty() ? "cell" : label.c_str(), elapsedMs,
-                   timeoutMs);
-}
-
-std::uint64_t
-Watchdog::expiredCount() const
-{
-    std::lock_guard lock(mutex_);
-    return expired_;
-}
-
-std::uint64_t
-Watchdog::nearMissCount() const
-{
-    std::lock_guard lock(mutex_);
-    return nearMisses_;
-}
-
-void
-Watchdog::loop()
-{
-    setLogThreadName("watchdog");
-    std::unique_lock lock(mutex_);
-    while (!stop_) {
-        wake_.wait_for(lock, poll_);
-        if (stop_)
-            break;
-        const auto now = Clock::now();
-        for (auto it = slots_.begin(); it != slots_.end();) {
-            Slot &slot = it->second;
-            if (now >= slot.deadline) {
-                slot.token->cancel(RunErrorCode::WallClockTimeout);
-                ++expired_;
-                latte_warn("watchdog expired: {} exceeded its {} ms "
-                           "wall-clock budget, cancelling",
-                           slot.label.empty() ? "cell"
-                                              : slot.label.c_str(),
-                           slot.timeoutMs);
-                it = slots_.erase(it);
-            } else {
-                ++it;
-            }
-        }
-    }
-}
-
 } // namespace latte::runner

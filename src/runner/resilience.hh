@@ -11,28 +11,22 @@
  *    A truncated trailing line (the kill landed mid-write) degrades to
  *    "cell not finished", never to a wrong result.
  *
- *  - Watchdog: a monitor thread enforcing the per-cell wall-clock
- *    budget. Workers arm their attempt's CancelToken before running a
- *    cell; the watchdog cancels tokens whose deadline passed with
- *    reason WallClockTimeout, and the GPU cycle loop winds the cell
- *    down cooperatively.
- *
  *  - RetryPolicy: bounded retry-with-backoff for failed cells.
+ *
+ * The per-cell wall-clock budget needs no code here: the runner gives
+ * each attempt a RunControl::deadline, and the GPU cycle loop checks
+ * it next to the cycle budget.
  */
 
 #ifndef LATTE_RUNNER_RESILIENCE_HH
 #define LATTE_RUNNER_RESILIENCE_HH
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <fstream>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "core/driver.hh"
 
@@ -102,96 +96,6 @@ class SweepJournal
     mutable std::mutex mutex_;
     std::map<std::string, RunOutcome> entries_;
     std::ofstream out_;
-};
-
-/**
- * Wall-clock watchdog: cancels armed tokens whose deadline passed.
- * One instance monitors all worker threads of a sweep.
- */
-class Watchdog
-{
-  public:
-    using Clock = std::chrono::steady_clock;
-
-    /** Starts the monitor thread; @p pollMs bounds cancel latency. */
-    explicit Watchdog(std::uint64_t pollMs = 10);
-    ~Watchdog();
-
-    Watchdog(const Watchdog &) = delete;
-    Watchdog &operator=(const Watchdog &) = delete;
-
-    /**
-     * Watch @p token and cancel it (reason WallClockTimeout) if it is
-     * still armed after @p timeoutMs. Returns a slot id for disarm().
-     * @p label names the guarded cell in the watchdog's own log lines
-     * (the monitor thread has no access to the worker's log context).
-     */
-    std::uint64_t arm(CancelToken *token, std::uint64_t timeoutMs,
-                      std::string label = {});
-
-    /** Stop watching slot @p id (the cell finished). */
-    void disarm(std::uint64_t id);
-
-    /** Tokens the watchdog has cancelled since construction. */
-    std::uint64_t expiredCount() const;
-
-    /**
-     * Cells that finished inside their budget but consumed more than
-     * half of it — the early-warning signal that a config's timeout is
-     * about to start biting.
-     */
-    std::uint64_t nearMissCount() const;
-
-  private:
-    void loop();
-
-    struct Slot
-    {
-        CancelToken *token;
-        Clock::time_point deadline;
-        Clock::time_point armedAt;
-        std::uint64_t timeoutMs;
-        std::string label;
-    };
-
-    mutable std::mutex mutex_;
-    std::condition_variable wake_;
-    std::map<std::uint64_t, Slot> slots_;
-    std::uint64_t nextId_ = 1;
-    std::uint64_t expired_ = 0;
-    std::uint64_t nearMisses_ = 0;
-    bool stop_ = false;
-    std::chrono::milliseconds poll_;
-    std::thread thread_;
-};
-
-/**
- * RAII guard pairing Watchdog::arm/disarm around one cell attempt.
- * A null watchdog (wall-clock budget disabled) makes it a no-op.
- */
-class WatchdogScope
-{
-  public:
-    WatchdogScope(Watchdog *watchdog, CancelToken *token,
-                  std::uint64_t timeoutMs, std::string label = {})
-        : watchdog_(watchdog),
-          id_(watchdog ? watchdog->arm(token, timeoutMs,
-                                       std::move(label))
-                       : 0)
-    {}
-
-    ~WatchdogScope()
-    {
-        if (watchdog_)
-            watchdog_->disarm(id_);
-    }
-
-    WatchdogScope(const WatchdogScope &) = delete;
-    WatchdogScope &operator=(const WatchdogScope &) = delete;
-
-  private:
-    Watchdog *watchdog_;
-    std::uint64_t id_;
 };
 
 } // namespace latte::runner

@@ -61,7 +61,7 @@ class ResultCache
 
     /**
      * Atomically (write + rename) persist the cell's outcome. Only Ok
-     * outcomes are stored: failures may be transient (watchdog trips,
+     * outcomes are stored: failures may be transient (timeouts,
      * injected faults) and are journaled, never cached.
      */
     void store(const RunKey &key, const RunOutcome &outcome) const;

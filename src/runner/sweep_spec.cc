@@ -77,9 +77,6 @@ const OptionEntry kOptionTable[] = {
     LATTE_NUMBER_OPTION("cfg.dram_bytes_per_cycle",
                         cfg.dramBytesPerCycle),
     LATTE_NUMBER_OPTION("cfg.noc_bytes_per_cycle", cfg.nocBytesPerCycle),
-    // --- Decompression engine ---
-    LATTE_NUMBER_OPTION("cfg.decomp_queue_entries",
-                      cfg.decompQueueEntries),
     // --- LATTE-CC controller ---
     LATTE_NUMBER_OPTION("cfg.latte.ep_accesses", cfg.latte.epAccesses),
     LATTE_NUMBER_OPTION("cfg.latte.period_eps", cfg.latte.periodEps),

@@ -7,9 +7,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include "common/logging.hh"
 #include "sweep_service.hh"
@@ -19,24 +16,6 @@ namespace latte::service
 
 namespace
 {
-
-/** Write all of @p text, retrying short writes; false on a dead peer. */
-bool
-writeAll(int fd, const std::string &text)
-{
-    std::size_t off = 0;
-    while (off < text.size()) {
-        const ssize_t n = ::send(fd, text.data() + off,
-                                 text.size() - off, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        off += static_cast<std::size_t>(n);
-    }
-    return true;
-}
 
 const char *
 statusReason(int status)
@@ -81,12 +60,13 @@ constexpr std::size_t kMaxRequestBytes = 8192;
 
 } // namespace
 
-HttpServer::HttpServer(std::string addr) : addr_(std::move(addr)) {}
-
-HttpServer::~HttpServer()
-{
-    stop();
-}
+HttpServer::HttpServer(std::string addr)
+    : addr_(std::move(addr)),
+      loop_("http", [this](const auto &connection) {
+          setLogThreadName("http-c");
+          serveConnection(connection->fd);
+      })
+{}
 
 void
 HttpServer::handle(std::string path, Handler handler)
@@ -116,123 +96,19 @@ HttpServer::start(std::string *error)
         return false;
     }
 
-    listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listenFd_ < 0) {
-        if (error)
-            *error = std::string("socket: ") + std::strerror(errno);
+    if (!loop_.start(AF_INET, reinterpret_cast<sockaddr *>(&addr),
+                     sizeof(addr), addr_, error))
         return false;
-    }
-    const int one = 1;
-    ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0 ||
-        ::listen(listenFd_, 16) != 0) {
-        if (error)
-            *error = std::string("bind/listen ") + addr_ + ": " +
-                     std::strerror(errno);
-        ::close(listenFd_);
-        listenFd_ = -1;
-        return false;
-    }
 
     // Resolve the actual port so ":0" callers can find the server.
     sockaddr_in bound;
     socklen_t len = sizeof(bound);
-    if (::getsockname(listenFd_, reinterpret_cast<sockaddr *>(&bound),
-                      &len) == 0)
+    if (::getsockname(loop_.listenFd(),
+                      reinterpret_cast<sockaddr *>(&bound), &len) == 0)
         port_ = ntohs(bound.sin_port);
     else
         port_ = port;
-
-    if (::pipe(stopPipe_) != 0) {
-        if (error)
-            *error = std::string("pipe: ") + std::strerror(errno);
-        ::close(listenFd_);
-        listenFd_ = -1;
-        return false;
-    }
-
-    running_ = true;
-    acceptThread_ = std::thread([this] { acceptLoop(); });
     return true;
-}
-
-void
-HttpServer::stop()
-{
-    if (!running_)
-        return;
-    running_ = false;
-    const char byte = 'x';
-    [[maybe_unused]] const ssize_t n = ::write(stopPipe_[1], &byte, 1);
-    if (acceptThread_.joinable())
-        acceptThread_.join();
-
-    std::vector<std::unique_ptr<Connection>> connections;
-    {
-        std::lock_guard<std::mutex> lock(connectionsMutex_);
-        connections.swap(connections_);
-    }
-    for (const auto &connection : connections) {
-        ::shutdown(connection->fd, SHUT_RDWR);
-        if (connection->worker.joinable())
-            connection->worker.join();
-        ::close(connection->fd);
-    }
-
-    ::close(stopPipe_[0]);
-    ::close(stopPipe_[1]);
-    stopPipe_[0] = stopPipe_[1] = -1;
-    ::close(listenFd_);
-    listenFd_ = -1;
-}
-
-void
-HttpServer::acceptLoop()
-{
-    setLogThreadName("http");
-    for (;;) {
-        pollfd fds[2] = {
-            {listenFd_, POLLIN, 0},
-            {stopPipe_[0], POLLIN, 0},
-        };
-        if (::poll(fds, 2, -1) < 0) {
-            if (errno == EINTR)
-                continue;
-            return;
-        }
-        if (fds[1].revents != 0)
-            return; // stop() requested
-        if ((fds[0].revents & POLLIN) == 0)
-            continue;
-
-        const int fd = ::accept(listenFd_, nullptr, nullptr);
-        if (fd < 0)
-            continue;
-
-        std::lock_guard<std::mutex> lock(connectionsMutex_);
-        // Connections are one-request-one-response; reap finished
-        // threads here so a long-lived daemon does not accumulate one
-        // joinable thread per scrape ever made.
-        for (auto it = connections_.begin(); it != connections_.end();) {
-            if ((*it)->done.load(std::memory_order_acquire)) {
-                if ((*it)->worker.joinable())
-                    (*it)->worker.join();
-                ::close((*it)->fd);
-                it = connections_.erase(it);
-            } else {
-                ++it;
-            }
-        }
-        connections_.push_back(std::make_unique<Connection>());
-        Connection &connection = *connections_.back();
-        connection.fd = fd;
-        connection.worker = std::thread([this, &connection] {
-            setLogThreadName("http-c");
-            serveConnection(connection.fd);
-            connection.done.store(true, std::memory_order_release);
-        });
-    }
 }
 
 HttpServer::Response

@@ -2,10 +2,9 @@
  * @file
  * HttpServer: a deliberately minimal HTTP/1.0 server for latted's
  * observability surface — GET /metrics (Prometheus exposition),
- * GET /healthz and GET /jobs. It reuses the SocketServer's shape (a
- * poll()ed accept loop woken by a stop pipe, one short-lived thread
- * per connection) on an AF_INET listener bound to 127.0.0.1 by
- * default.
+ * GET /healthz and GET /jobs. It shares the SocketServer's AcceptLoop
+ * (one short-lived thread per connection) on an AF_INET listener
+ * bound to 127.0.0.1 by default.
  *
  * Scope is intentional: GET only, exact path match, Connection: close
  * on every response, no keep-alive, no TLS, no request bodies. This is
@@ -16,15 +15,12 @@
 #ifndef LATTE_SERVICE_HTTP_SERVER_HH
 #define LATTE_SERVICE_HTTP_SERVER_HH
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
+
+#include "accept_loop.hh"
 
 namespace latte::service
 {
@@ -50,7 +46,6 @@ class HttpServer
      * port() after start().
      */
     explicit HttpServer(std::string addr);
-    ~HttpServer();
 
     HttpServer(const HttpServer &) = delete;
     HttpServer &operator=(const HttpServer &) = delete;
@@ -62,7 +57,7 @@ class HttpServer
     bool start(std::string *error);
 
     /** Stop accepting, close connections, join every thread. */
-    void stop();
+    void stop() { loop_.stop(); }
 
     /** The bound port (meaningful after start(); resolves ":0"). */
     std::uint16_t port() const { return port_; }
@@ -70,28 +65,14 @@ class HttpServer
     const std::string &address() const { return addr_; }
 
   private:
-    struct Connection
-    {
-        int fd = -1;
-        /** Set by the worker when the response is written (reaping). */
-        std::atomic<bool> done{false};
-        std::thread worker;
-    };
-
-    void acceptLoop();
     void serveConnection(int fd);
     Response dispatch(const std::string &method,
                       const std::string &path) const;
 
     std::string addr_;
     std::map<std::string, Handler> handlers_;
-    int listenFd_ = -1;
-    int stopPipe_[2] = {-1, -1};
     std::uint16_t port_ = 0;
-    std::thread acceptThread_;
-    std::mutex connectionsMutex_;
-    std::vector<std::unique_ptr<Connection>> connections_;
-    bool running_ = false;
+    AcceptLoop loop_;
 };
 
 /**

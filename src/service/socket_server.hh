@@ -1,9 +1,10 @@
 /**
  * @file
  * SocketServer: binds a RequestDispatcher to an AF_UNIX stream socket
- * speaking line-delimited JSON. One reader thread per connection; event
- * subscriptions write to the same connection under a per-connection
- * write mutex, so responses and events never interleave bytes.
+ * speaking line-delimited JSON, served by an AcceptLoop. One reader
+ * thread per connection; event subscriptions write to the same
+ * connection under a per-connection write mutex, so responses and
+ * events never interleave bytes.
  *
  * Local-socket-only by design: latted is a per-user/per-machine job
  * server, and the filesystem socket inherits the directory's
@@ -13,13 +14,10 @@
 #ifndef LATTE_SERVICE_SOCKET_SERVER_HH
 #define LATTE_SERVICE_SOCKET_SERVER_HH
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
+#include "accept_loop.hh"
 #include "dispatcher.hh"
 
 namespace latte::service
@@ -56,33 +54,12 @@ class SocketServer
     const std::string &socketPath() const { return socketPath_; }
 
   private:
-    /**
-     * Shared: a listener's `send` can outlive removeListener(), so it
-     * locks a weak_ptr per write, and the destructor closes the fd
-     * once no send can still be using it.
-     */
-    struct Connection
-    {
-        ~Connection();
-
-        int fd = -1;
-        Session session;
-        std::mutex writeMutex;
-        std::thread reader;
-        std::atomic<bool> done{false};
-    };
-
-    void acceptLoop();
-    void serveConnection(Connection &connection);
+    void serveConnection(
+        const std::shared_ptr<AcceptLoop::Connection> &connection);
 
     RequestDispatcher &dispatcher_;
     std::string socketPath_;
-    int listenFd_ = -1;
-    int stopPipe_[2] = {-1, -1};
-    std::thread acceptThread_;
-    std::mutex connectionsMutex_;
-    std::vector<std::shared_ptr<Connection>> connections_;
-    bool running_ = false;
+    AcceptLoop loop_;
 };
 
 } // namespace latte::service

@@ -46,17 +46,16 @@ Gpu::checkControl()
     if (!control_)
         return std::nullopt;
 
-    if (control_->cancel && control_->cancel->cancelled()) {
-        const RunErrorCode reason = control_->cancel->reason();
-        return SimInterrupt{
-            reason == RunErrorCode::None ? RunErrorCode::Cancelled
-                                         : reason,
-            now_,
-            reason == RunErrorCode::WallClockTimeout
-                ? "watchdog: per-cell wall-clock budget exhausted"
-                : "cancellation token tripped",
-        };
-    }
+    if (control_->cancel && control_->cancel->cancelled())
+        return SimInterrupt{RunErrorCode::Cancelled, now_,
+                            "cancellation token tripped"};
+
+    // Read the clock only when a deadline is set: the common untimed
+    // run pays one comparison.
+    if (control_->deadline != RunControl::Clock::time_point::max() &&
+        RunControl::Clock::now() >= control_->deadline)
+        return SimInterrupt{RunErrorCode::WallClockTimeout, now_,
+                            "per-cell wall-clock budget exhausted"};
 
     if (control_->cycleBudget != 0 && now_ >= control_->cycleBudget) {
         return SimInterrupt{

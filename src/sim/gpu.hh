@@ -86,8 +86,9 @@ class Gpu : public StatGroup
     /**
      * Attach the run-control surface (not owned; nullptr detaches).
      * The kernel loop polls it each iteration: a tripped cancellation
-     * token, an exhausted cycle budget or a due injected fault stops
-     * the loop cooperatively and reports through RunResult::interrupt.
+     * token, a passed deadline, an exhausted cycle budget or a due
+     * injected fault stops the loop cooperatively and reports through
+     * RunResult::interrupt.
      */
     void setControl(const RunControl *control) { control_ = control; }
 

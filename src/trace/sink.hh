@@ -1,10 +1,9 @@
 /**
  * @file
- * Trace export. A TraceSink consumes the events a Tracer recorded for
- * one or more simulation runs; ChromeTraceSink writes them in the Chrome
- * trace-event JSON format, loadable in chrome://tracing and Perfetto
- * (ui.perfetto.dev). Future sinks (binary, streaming) implement the same
- * interface and slot into the same --trace-out plumbing.
+ * Trace export: ChromeTraceSink writes the events a Tracer recorded
+ * for one or more simulation runs in the Chrome trace-event JSON
+ * format, loadable in chrome://tracing and Perfetto
+ * (ui.perfetto.dev).
  */
 
 #ifndef LATTE_TRACE_SINK_HH
@@ -19,37 +18,26 @@
 namespace latte
 {
 
-/** Consumer of recorded trace events. */
-class TraceSink
+/**
+ * Chrome trace-event JSON writer. Each run becomes one "process" (pid),
+ * each SM one "thread" (tid) inside it; events are instants, EP
+ * boundaries additionally emit latency-tolerance counter tracks.
+ */
+class ChromeTraceSink
 {
   public:
-    virtual ~TraceSink() = default;
+    /** Streams to @p os; the caller keeps the stream alive. */
+    explicit ChromeTraceSink(std::ostream &os);
 
     /**
      * Emit every event @p tracer retained, as one traced run labelled
      * @p label. May be called once per run; runs appear side by side in
      * the exported trace.
      */
-    virtual void writeRun(const std::string &label,
-                          const Tracer &tracer) = 0;
+    void writeRun(const std::string &label, const Tracer &tracer);
 
-    /** Write any trailer. No writeRun() may follow. */
-    virtual void finish() = 0;
-};
-
-/**
- * Chrome trace-event JSON writer. Each run becomes one "process" (pid),
- * each SM one "thread" (tid) inside it; events are instants, EP
- * boundaries additionally emit latency-tolerance counter tracks.
- */
-class ChromeTraceSink : public TraceSink
-{
-  public:
-    /** Streams to @p os; the caller keeps the stream alive. */
-    explicit ChromeTraceSink(std::ostream &os);
-
-    void writeRun(const std::string &label, const Tracer &tracer) override;
-    void finish() override;
+    /** Write the trailer. No writeRun() may follow. */
+    void finish();
 
   private:
     void emit(const TraceEvent &event, std::uint32_t pid);

@@ -4,12 +4,14 @@
  * (200/400/404/405), ephemeral-port binding, concurrent scrapes, and
  * the /metrics, /healthz and /jobs endpoints wired to a live
  * SweepService — including the monotone-counter property across
- * scrapes. The client side is a raw AF_INET socket speaking HTTP/1.0,
- * which is exactly what the server promises to understand.
+ * scrapes — and an idle server at its fd limit. The client side is a
+ * raw AF_INET socket speaking HTTP/1.0, which is exactly what the
+ * server promises to understand.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -21,6 +23,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "fd_pressure.hh"
 #include "runner/json.hh"
 #include "runner/sweep_spec.hh"
 #include "service/http_server.hh"
@@ -61,28 +64,21 @@ struct HttpReply
     std::string body;
 };
 
-/** Send @p request verbatim to 127.0.0.1:@p port; read until EOF. */
-HttpReply
-rawRequest(std::uint16_t port, const std::string &request)
+sockaddr_in
+loopbackAddress(std::uint16_t port)
 {
-    HttpReply reply;
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd, 0);
-    if (fd < 0)
-        return reply;
-
     sockaddr_in addr;
     std::memset(&addr, 0, sizeof(addr));
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
     ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) != 0) {
-        ADD_FAILURE() << "connect: " << std::strerror(errno);
-        ::close(fd);
-        return reply;
-    }
+    return addr;
+}
 
+/** Send @p request on the connected @p fd; read until EOF; close. */
+std::string
+exchange(int fd, const std::string &request)
+{
     std::size_t off = 0;
     while (off < request.size()) {
         const ssize_t n = ::send(fd, request.data() + off,
@@ -103,7 +99,28 @@ rawRequest(std::uint16_t port, const std::string &request)
         raw.append(chunk, static_cast<std::size_t>(n));
     }
     ::close(fd);
+    return raw;
+}
 
+/** Send @p request verbatim to 127.0.0.1:@p port; read until EOF. */
+HttpReply
+rawRequest(std::uint16_t port, const std::string &request)
+{
+    HttpReply reply;
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    if (fd < 0)
+        return reply;
+
+    const sockaddr_in addr = loopbackAddress(port);
+    if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                  sizeof(addr)) != 0) {
+        ADD_FAILURE() << "connect: " << std::strerror(errno);
+        ::close(fd);
+        return reply;
+    }
+
+    const std::string raw = exchange(fd, request);
     const std::size_t split = raw.find("\r\n\r\n");
     EXPECT_NE(split, std::string::npos) << raw;
     if (split == std::string::npos)
@@ -210,6 +227,34 @@ TEST(Http, ServesConcurrentScrapes)
     for (int i = 0; i < kClients; ++i)
         EXPECT_EQ(statuses[i], 200) << "client " << i;
 
+    server.stop();
+}
+
+TEST(Http, IdlesAtTheFdLimitAndRecovers)
+{
+    // At its fd limit the server's accept fails while connections wait
+    // in its backlog. It must not spin on the readable listen socket,
+    // and it must serve again once the idle clients leave.
+    HttpServer server("0");
+    server.handle("/ping", [] {
+        return HttpServer::Response{200, "text/plain; charset=utf-8",
+                                    "pong\n"};
+    });
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    const sockaddr_in addr = loopbackAddress(server.port());
+    const auto *address = reinterpret_cast<const sockaddr *>(&addr);
+    EXPECT_LT(test::cpuSecondsAtFdLimit(address, sizeof(addr)), 0.3)
+        << "the server spins while out of fds";
+
+    const auto start = std::chrono::steady_clock::now();
+    const int fd = test::connectWithin(address, sizeof(addr),
+                                       std::chrono::seconds(2));
+    ASSERT_GE(fd, 0) << std::strerror(errno);
+    const std::string reply = exchange(fd, "GET /ping HTTP/1.0\r\n\r\n");
+    EXPECT_NE(reply.find("pong"), std::string::npos) << reply;
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(2));
     server.stop();
 }
 

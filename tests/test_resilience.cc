@@ -2,8 +2,8 @@
  * @file
  * Tests for the resilience subsystem: the RunOutcome error API (no
  * failure escapes as an exception or exit), the fault-injection
- * matrix, cycle-budget and cancellation handling, the wall-clock
- * watchdog, retry-with-backoff, and journal-gated resume producing
+ * matrix, cycle-budget and cancellation handling, the per-attempt
+ * wall-clock deadline, retry-with-backoff, and journal-gated resume producing
  * byte-identical sweeps after an interruption.
  */
 
@@ -297,49 +297,91 @@ TEST(Resilience, NullWorkloadIsInvalidRequest)
     EXPECT_EQ(outcome.error.code, RunErrorCode::InvalidRequest);
 }
 
-TEST(Resilience, WatchdogCancelsOnlyExpiredTokens)
+/** A full-size cell: seconds of simulation, not milliseconds. */
+RunRequest
+fullSizeRequest(const char *abbr = "KM")
 {
-    Watchdog watchdog(2);
-
-    CancelToken expired;
-    CancelToken healthy;
-    watchdog.arm(&expired, 10);
-    const std::uint64_t healthy_id = watchdog.arm(&healthy, 60'000);
-
-    // Wait (generously) for the watchdog to trip the short deadline.
-    for (int i = 0; i < 500 && !expired.cancelled(); ++i)
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-
-    EXPECT_TRUE(expired.cancelled());
-    EXPECT_EQ(expired.reason(), RunErrorCode::WallClockTimeout);
-    EXPECT_FALSE(healthy.cancelled());
-    EXPECT_EQ(watchdog.expiredCount(), 1u);
-
-    watchdog.disarm(healthy_id);
-    EXPECT_FALSE(healthy.cancelled());
+    RunRequest request;
+    request.workload = findWorkload(abbr);
+    request.policy = PolicyKind::LatteCc; // default (big) options
+    return request;
 }
 
 TEST(Resilience, WatchdogTimesOutAHungCell)
 {
     // A full-size machine takes far longer than the 1 ms budget, so
-    // the watchdog must cancel it; the simulation winds down
-    // cooperatively and reports TimedOut.
-    const Workload *workload = findWorkload("KM");
-    ASSERT_NE(workload, nullptr);
-    RunRequest request;
-    request.workload = workload;
-    request.policy = PolicyKind::LatteCc; // default (big) options
-
+    // the cycle loop must pass the attempt's deadline and wind down
+    // cooperatively, reporting TimedOut.
     RunnerOptions options;
     options.threads = 1;
     options.progress = false;
     options.cellTimeoutMs = 1;
     ExperimentRunner runner(options);
-    const auto outcomes = runner.runAll({request});
+    const auto outcomes = runner.runAll({fullSizeRequest()});
 
     ASSERT_EQ(outcomes.size(), 1u);
     EXPECT_EQ(outcomes[0].status, RunStatus::TimedOut);
     EXPECT_EQ(outcomes[0].error.code, RunErrorCode::WallClockTimeout);
+
+    // The same deadline reaches run() directly: one already passed
+    // stops the cell at its first cycle...
+    using Clock = RunControl::Clock;
+    RunRequest late = tinyRequest();
+    late.control.deadline = Clock::now() - std::chrono::seconds(1);
+    const RunOutcome expired = run(late);
+    EXPECT_EQ(expired.status, RunStatus::TimedOut);
+    EXPECT_EQ(expired.error.code, RunErrorCode::WallClockTimeout);
+    EXPECT_FALSE(expired.result.has_value());
+
+    // ...and one an hour away changes no byte of the result.
+    RunRequest roomy = tinyRequest();
+    roomy.control.deadline = Clock::now() + std::chrono::hours(1);
+    const RunOutcome timed = run(roomy);
+    const RunOutcome untimed = run(tinyRequest());
+    ASSERT_TRUE(timed.ok()) << to_string(timed.error);
+    ASSERT_TRUE(untimed.ok()) << to_string(untimed.error);
+    EXPECT_EQ(toJson(*timed.result).dump(), toJson(*untimed.result).dump());
+
+    // Budgets too large for the clock saturate to "no deadline"
+    // instead of wrapping into one that has already passed. Several
+    // cells, so a late first check cannot hide a wrapped deadline.
+    for (const std::uint64_t budget :
+         {std::uint64_t{10'000'000'000'000}, ~std::uint64_t{0}}) {
+        RunnerOptions huge = options;
+        huge.cellTimeoutMs = budget;
+        const auto cells = ExperimentRunner(huge).runAll(
+            {tinyRequest("KM"), tinyRequest("SS"), tinyRequest("PRK")});
+        ASSERT_EQ(cells.size(), 3u);
+        for (const RunOutcome &cell : cells)
+            EXPECT_TRUE(cell.ok())
+                << budget << " ms: " << to_string(cell.error);
+    }
+}
+
+TEST(Resilience, CellTimeoutLeavesTheCallersTokenAlone)
+{
+    // Two cells carry one caller's token. The full-size cell (over a
+    // second in a Release build) runs out of its wall-clock budget;
+    // that must neither cancel the token nor touch the tiny cell that
+    // runs after it. The budget leaves the tiny cell (milliseconds;
+    // about 0.1 s under ThreadSanitizer) plenty of room.
+    CancelToken token;
+    RunRequest big = fullSizeRequest("DJK");
+    big.control.cancel = &token;
+    RunRequest tiny = tinyRequest();
+    tiny.control.cancel = &token;
+
+    RunnerOptions options;
+    options.threads = 1;
+    options.progress = false;
+    options.cellTimeoutMs = 500;
+    ExperimentRunner runner(options);
+    const auto outcomes = runner.runAll({big, tiny});
+
+    EXPECT_FALSE(token.cancelled());
+    ASSERT_EQ(outcomes.size(), 2u);
+    EXPECT_EQ(outcomes[0].error.code, RunErrorCode::WallClockTimeout);
+    EXPECT_TRUE(outcomes[1].ok()) << to_string(outcomes[1].error);
 }
 
 TEST(Resilience, JournalRoundTripsAndSkipsTruncatedTail)

@@ -7,7 +7,8 @@
  * order / quotas / cancellation, journal recovery after an unclean
  * stop, the wire protocol via RequestDispatcher, and the AF_UNIX
  * SocketServer itself (concurrent clients, reaping finished
- * connections, stale-socket takeover, the live-daemon probe).
+ * connections, idling at the fd limit, stale-socket takeover, the
+ * live-daemon probe).
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +30,7 @@
 #include <unistd.h>
 
 #include "core/driver.hh"
+#include "fd_pressure.hh"
 #include "runner/sweep.hh"
 #include "runner/sweep_spec.hh"
 #include "service/dispatcher.hh"
@@ -167,6 +169,14 @@ TEST(Service, InvalidSpecsAreRejected)
     EXPECT_EQ(service.submit(spec, "tester", 0, &error), 0u);
     EXPECT_NE(error.find("invalid spec"), std::string::npos) << error;
 
+    // The decompression queue has no capacity, so no key sets one.
+    spec = tinySpec();
+    spec.options["cfg.decomp_queue_entries"] =
+        runner::Json(std::uint64_t{16});
+    EXPECT_EQ(service.submit(spec, "tester", 0, &error), 0u);
+    EXPECT_NE(error.find("unknown option key"), std::string::npos)
+        << error;
+
     // sim_threads is ignored, but old specs that set it still load and
     // a malformed value is still refused.
     spec = tinySpec();
@@ -175,7 +185,7 @@ TEST(Service, InvalidSpecsAreRejected)
     spec.options["sim_threads"] = runner::Json("0");
     EXPECT_EQ(service.submit(spec, "tester", 0, &error), 0u);
     EXPECT_NE(error.find("sim_threads"), std::string::npos) << error;
-    EXPECT_EQ(service.counters().rejected, 3u);
+    EXPECT_EQ(service.counters().rejected, 4u);
 }
 
 TEST(Service, UnrunnableConfigFailsCellsNotTheService)
@@ -402,6 +412,17 @@ TEST(Service, DispatcherSpeaksTheWireProtocol)
     dispatcher.closeSession(session);
 }
 
+sockaddr_un
+unixAddress(const std::string &path)
+{
+    sockaddr_un addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    return addr;
+}
+
 /** A connected AF_UNIX stream socket to @p path, or -1. */
 int
 unixConnect(const std::string &path)
@@ -410,12 +431,8 @@ unixConnect(const std::string &path)
     EXPECT_GE(fd, 0);
     if (fd < 0)
         return -1;
-    sockaddr_un addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+    const sockaddr_un addr = unixAddress(path);
+    if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
                   sizeof(addr)) != 0) {
         ADD_FAILURE() << "connect " << path << ": "
                       << std::strerror(errno);
@@ -490,17 +507,6 @@ TEST(Service, SocketServerHandlesConcurrentClients)
     server.stop();
 }
 
-/** Open file descriptors of this process. */
-std::size_t
-openFdCount()
-{
-    std::size_t count = 0;
-    for ([[maybe_unused]] const auto &entry :
-         std::filesystem::directory_iterator("/proc/self/fd"))
-        ++count;
-    return count;
-}
-
 TEST(Service, SocketServerReapsFinishedConnections)
 {
     const std::string dir = freshDir("latte_socket_reap");
@@ -515,7 +521,7 @@ TEST(Service, SocketServerReapsFinishedConnections)
     SocketServer server(dispatcher, socket_path);
     std::string error;
     ASSERT_TRUE(server.start(&error)) << error;
-    const std::size_t before = openFdCount();
+    const std::size_t before = test::openFdCount();
 
     // Another client submits and cancels jobs throughout, so events
     // reach the subscriptions below from its reader thread while their
@@ -567,16 +573,52 @@ TEST(Service, SocketServerReapsFinishedConnections)
     // Readers see their peers hang up asynchronously, and a finished
     // connection is reaped at the next accept: ping until it settles.
     constexpr std::size_t kSlack = 4;
-    std::size_t after = openFdCount();
+    std::size_t after = test::openFdCount();
     for (int attempt = 0; attempt < 200 && after > before + kSlack;
          ++attempt) {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
         unixRequest(socket_path, R"({"type":"ping"})");
-        after = openFdCount();
+        after = test::openFdCount();
     }
     EXPECT_LE(after, before + kSlack)
         << kConnections << " connections took the process from " << before
         << " to " << after << " open fds";
+    server.stop();
+}
+
+TEST(Service, SocketServerIdlesAtTheFdLimitAndRecovers)
+{
+    // At its fd limit the server's accept fails while connections wait
+    // in its backlog. It must not spin on the readable listen socket,
+    // and it must serve again once the idle clients leave.
+    const std::string dir = freshDir("latte_socket_fd_limit");
+    std::filesystem::create_directories(dir);
+    const std::string socket_path = dir + "/latted.sock";
+
+    ServiceOptions options;
+    options.stateDir = dir;
+    options.startPaused = true;
+    SweepService service(options);
+    RequestDispatcher dispatcher(service);
+    SocketServer server(dispatcher, socket_path);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    const sockaddr_un addr = unixAddress(socket_path);
+    const auto *address = reinterpret_cast<const sockaddr *>(&addr);
+    EXPECT_LT(test::cpuSecondsAtFdLimit(address, sizeof(addr)), 0.3)
+        << "the server spins while out of fds";
+
+    const auto start = std::chrono::steady_clock::now();
+    const int fd = test::connectWithin(address, sizeof(addr),
+                                       std::chrono::seconds(2));
+    ASSERT_GE(fd, 0) << std::strerror(errno);
+    const std::string ping = "{\"type\":\"ping\"}\n";
+    ::send(fd, ping.data(), ping.size(), MSG_NOSIGNAL);
+    const std::string reply = readLine(fd);
+    ::close(fd);
+    EXPECT_NE(reply.find("\"ok\":true"), std::string::npos) << reply;
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(2));
     server.stop();
 }
 
@@ -643,14 +685,10 @@ TEST(Service, SocketServerReplacesStaleSocketButNotALiveOne)
     // A SIGKILLed daemon leaves its socket file behind with nobody
     // listening. Manufacture that state directly.
     {
-        sockaddr_un addr;
-        std::memset(&addr, 0, sizeof(addr));
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, socket_path.c_str(),
-                     sizeof(addr.sun_path) - 1);
+        const sockaddr_un addr = unixAddress(socket_path);
         const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
         ASSERT_GE(fd, 0);
-        ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr *>(&addr),
+        ASSERT_EQ(::bind(fd, reinterpret_cast<const sockaddr *>(&addr),
                          sizeof(addr)),
                   0)
             << std::strerror(errno);
