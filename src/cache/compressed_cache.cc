@@ -211,8 +211,6 @@ CompressedCache::access(Cycles now, Addr addr, bool is_write)
     if (missLatencyHist_)
         missLatencyHist_->record(static_cast<double>(res.readyCycle - now));
     mshrs.allocate(line_addr, res.readyCycle);
-    pendingFills_.push_back({line_addr, res.readyCycle});
-    nextFillCycle_ = std::min(nextFillCycle_, res.readyCycle);
     if (tracer_) {
         TraceEvent ev = makeTraceEvent(now, TraceEventKind::L1Miss, smId_);
         ev.arg0 = line_addr;
@@ -230,21 +228,9 @@ CompressedCache::access(Cycles now, Addr addr, bool is_write)
 void
 CompressedCache::processFills(Cycles now)
 {
-    if (pendingFills_.empty() || now < nextFillCycle_)
-        return;
-    std::size_t keep = 0;
-    nextFillCycle_ = kNoCycle;
-    for (std::size_t i = 0; i < pendingFills_.size(); ++i) {
-        const PendingFill fill = pendingFills_[i];
-        if (fill.fillCycle <= now) {
-            insertLine(fill.fillCycle, fill.lineAddr);
-        } else {
-            nextFillCycle_ = std::min(nextFillCycle_, fill.fillCycle);
-            pendingFills_[keep++] = fill;
-        }
-    }
-    pendingFills_.resize(keep);
-    mshrs.retire(now);
+    mshrs.retire(now, [this](Addr line_addr, Cycles fill_cycle) {
+        insertLine(fill_cycle, line_addr);
+    });
 }
 
 void
@@ -364,8 +350,6 @@ void
 CompressedCache::invalidateAll()
 {
     domain_.invalidateAll();
-    pendingFills_.clear();
-    nextFillCycle_ = kNoCycle;
     mshrs.clear();
 }
 

@@ -16,7 +16,6 @@
 #define LATTE_CACHE_COMPRESSED_CACHE_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "common/config.hh"
 #include "common/stats.hh"
@@ -105,8 +104,8 @@ class CompressedCache : public StatGroup
     L1AccessResult access(Cycles now, Addr addr, bool is_write);
 
     /**
-     * Insert the lines whose fills completed by @p now, one at a time in
-     * arrival order, each at its own fill cycle.
+     * Retire the MSHRs whose fills completed by @p now, inserting their
+     * lines in allocation order, each at its own fill cycle.
      */
     void processFills(Cycles now);
 
@@ -182,12 +181,6 @@ class CompressedCache : public StatGroup
     /** Tag/replacement/sub-block state lives in the generic domain. */
     using TagEntry = CompressionDomain::TagEntry;
 
-    struct PendingFill
-    {
-        Addr lineAddr;
-        Cycles fillCycle;
-    };
-
     /**
      * Insert one completed fill: pick the set's mode, size the line
      * (memoised probe, or a full compress under verifyRoundTrip), evict
@@ -215,8 +208,6 @@ class CompressedCache : public StatGroup
      * then decomp_bdi .. decomp_cpack).
      */
     CompressionDomain domain_;
-    std::vector<PendingFill> pendingFills_;
-    Cycles nextFillCycle_ = kNoCycle;
 };
 
 } // namespace latte

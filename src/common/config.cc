@@ -155,6 +155,13 @@ GpuConfig::validationError() const
                       "({} of {})",
                       latte.learningEps, latte.periodEps);
     }
+    // The mode selector spaces each mode's sample sets numSets /
+    // dedicatedSetsPerMode apart.
+    if (latte.dedicatedSetsPerMode == 0)
+        return "latte.dedicatedSetsPerMode must be nonzero";
+    // Every SM builds an SC engine, whose code book samples into the VFT.
+    if (latte.vftEntries == 0)
+        return "latte.vftEntries must be nonzero";
     // Three candidate modes is the largest set any shipped policy uses;
     // the dedicated sample sets of all modes must leave follower sets.
     if (latte.dedicatedSetsPerMode * 3 >= l1NumSets()) {

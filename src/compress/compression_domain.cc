@@ -16,6 +16,7 @@ CompressionDomain::CompressionDomain(const CacheLevelConfig &level,
       tagsPerSet_(level.assoc * level.tagFactor),
       subBlocksPerSet_(level.assoc * (level.lineBytes / level.subBlockBytes)),
       tags_(static_cast<std::size_t>(numSets_) * tagsPerSet_),
+      keys_(tags_.size(), kNoKey),
       setUsedSubBlocks_(numSets_, 0),
       bdiQueue_("decomp_bdi", queue_parent),
       scQueue_("decomp_sc", queue_parent),
@@ -57,11 +58,12 @@ CompressionDomain::setBase(std::uint32_t set_index) const
 CompressionDomain::TagEntry *
 CompressionDomain::findLine(Addr line_addr)
 {
-    TagEntry *ways = setBase(setIndexOf(line_addr));
+    const std::size_t base =
+        static_cast<std::size_t>(setIndexOf(line_addr)) * tagsPerSet_;
     const Addr tag = tagOf(line_addr);
-    for (std::uint32_t w = 0; w < tagsPerSet_; ++w) {
-        if (ways[w].valid && ways[w].tag == tag)
-            return &ways[w];
+    for (std::size_t i = base; i < base + tagsPerSet_; ++i) {
+        if (keys_[i] == tag)
+            return &tags_[i];
     }
     return nullptr;
 }
@@ -141,6 +143,7 @@ CompressionDomain::releaseLine(TagEntry &entry, std::uint32_t set_index)
     latte_assert(setUsedSubBlocks_[set_index] >= entry.subBlocks);
     setUsedSubBlocks_[set_index] -= entry.subBlocks;
     entry.valid = false;
+    keys_[&entry - tags_.data()] = kNoKey;
     entry.payload.clear();
 }
 
@@ -151,6 +154,7 @@ CompressionDomain::commitFill(TagEntry &slot, Addr tag,
 {
     slot.valid = true;
     slot.tag = tag;
+    keys_[&slot - tags_.data()] = tag;
     touchOnFill(slot);
     slot.mode = meta.algo;
     slot.encoding = meta.encoding;
@@ -257,6 +261,7 @@ CompressionDomain::invalidateAll()
         entry.valid = false;
         entry.payload.clear();
     }
+    std::fill(keys_.begin(), keys_.end(), kNoKey);
     std::fill(setUsedSubBlocks_.begin(), setUsedSubBlocks_.end(), 0);
     bdiQueue_.clear();
     scQueue_.clear();

@@ -148,6 +148,9 @@ class CompressionDomain
     void invalidateAll();
 
   private:
+    /** A free slot's key; tags are line numbers, far below it. */
+    static constexpr Addr kNoKey = ~Addr{0};
+
     const CacheLevelConfig &level_;
     GpuConfig::ReplPolicy repl_;
     bool capacityBenefit_;
@@ -156,6 +159,8 @@ class CompressionDomain
     std::uint32_t tagsPerSet_;
     std::uint32_t subBlocksPerSet_;
     std::vector<TagEntry> tags_;
+    /** Per tag slot: its tag while valid, else kNoKey (findLine's keys). */
+    std::vector<Addr> keys_;
     /** Per-set allocated sub-blocks, maintained on insert/release. */
     std::vector<std::uint32_t> setUsedSubBlocks_;
     std::uint64_t lruClock_ = 0;

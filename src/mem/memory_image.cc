@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <mutex>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -18,14 +18,28 @@ MemoryImage::addRegion(Addr base, Addr size,
     regions_.push_back({base, size, std::move(gen)});
 }
 
-MemoryImage::Line &
-MemoryImage::materialiseLocked(Addr line_addr)
+std::size_t
+MemoryImage::home(Addr line_addr, std::size_t slots)
 {
-    const auto it = lines_.find(line_addr);
-    if (it != lines_.end())
-        return it->second;
+    std::uint64_t h = (line_addr / kLineBytes) * 0x9E3779B97F4A7C15ull;
+    h ^= h >> 32;
+    return static_cast<std::size_t>(h) & (slots - 1);
+}
 
-    Line &line = lines_[line_addr];
+MemoryImage::Line &
+MemoryImage::materialise(Addr line_addr)
+{
+    const std::size_t mask = index_.size() - 1;
+    std::size_t i = home(line_addr, index_.size());
+    for (; index_[i].addr != kNoLine; i = (i + 1) & mask) {
+        if (index_[i].addr == line_addr)
+            return *index_[i].line;
+    }
+
+    if (resident_ % kChunkLines == 0)
+        chunks_.push_back(std::make_unique_for_overwrite<Line[]>(kChunkLines));
+    Line &line = chunks_.back()[resident_ % kChunkLines];
+    ++resident_;
     line.fill(0);
     // Later registrations take precedence: scan back to front.
     for (auto rit = regions_.rbegin(); rit != regions_.rend(); ++rit) {
@@ -34,29 +48,26 @@ MemoryImage::materialiseLocked(Addr line_addr)
             break;
         }
     }
+    index_[i] = {line_addr, &line};
+    if (2 * resident_ > index_.size())
+        growIndex();
     return line;
 }
 
-MemoryImage::Line &
-MemoryImage::materialise(Addr line_addr)
+void
+MemoryImage::growIndex()
 {
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    return materialiseLocked(line_addr);
-}
-
-const MemoryImage::Line &
-MemoryImage::line(Addr addr)
-{
-    const Addr base = lineAddr(addr);
-    {
-        // Fast path: after warmup nearly every line is resident.
-        std::shared_lock<std::shared_mutex> lock(mutex_);
-        const auto it = lines_.find(base);
-        if (it != lines_.end())
-            return it->second;
+    const std::vector<Slot> old =
+        std::exchange(index_, std::vector<Slot>(index_.size() * 2));
+    const std::size_t mask = index_.size() - 1;
+    for (const Slot &slot : old) {
+        if (slot.addr == kNoLine)
+            continue;
+        std::size_t i = home(slot.addr, index_.size());
+        while (index_[i].addr != kNoLine)
+            i = (i + 1) & mask;
+        index_[i] = slot;
     }
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    return materialiseLocked(base);
 }
 
 void

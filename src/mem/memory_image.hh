@@ -14,9 +14,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <shared_mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -34,7 +32,12 @@ class LineGenerator
     virtual void generate(Addr line_addr, std::span<std::uint8_t> out) = 0;
 };
 
-/** Sparse, lazily materialised byte-addressable memory. */
+/**
+ * Sparse, lazily materialised byte-addressable memory. One run owns and
+ * steps each image on one thread, so it takes no lock. Lines live in
+ * fixed-size chunks that never move, found through an open-addressing
+ * index that grows by rehashing.
+ */
 class MemoryImage
 {
   public:
@@ -48,15 +51,12 @@ class MemoryImage
     void addRegion(Addr base, Addr size, std::shared_ptr<LineGenerator> gen);
 
     /**
-     * Read the full line containing @p addr (materialising it). Safe to
-     * call from several threads at once: resident lines are found
-     * under a shared lock, first-touch materialisation takes the lock
-     * exclusively, and node-based map storage keeps the returned
-     * reference stable across later insertions. Line content is a pure
-     * function of the address, so materialisation order cannot change
-     * what any reader sees.
+     * Read the full line containing @p addr (materialising it). The
+     * reference stays valid, and shows later writes, for the image's
+     * lifetime. Line content is a pure function of the address, so
+     * materialisation order cannot change what any reader sees.
      */
-    const Line &line(Addr addr);
+    const Line &line(Addr addr) { return materialise(lineAddr(addr)); }
 
     /** Read @p out.size() bytes starting at @p addr. */
     void readBytes(Addr addr, std::span<std::uint8_t> out);
@@ -65,20 +65,18 @@ class MemoryImage
     void writeBytes(Addr addr, std::span<const std::uint8_t> in);
 
     /** Number of lines materialised so far. */
-    std::size_t
-    residentLines() const
-    {
-        std::shared_lock<std::shared_mutex> lock(mutex_);
-        return lines_.size();
-    }
+    std::size_t residentLines() const { return resident_; }
 
     /** Align @p addr down to its line base. */
     static Addr lineAddr(Addr addr) { return addr & ~Addr{kLineBytes - 1}; }
 
   private:
-    /** Find-or-fill under an exclusive lock held by the caller. */
-    Line &materialiseLocked(Addr line_addr);
-    Line &materialise(Addr line_addr);
+    /** Index slots at first; the index doubles when half full. */
+    static constexpr std::size_t kMinSlots = 256;
+    /** Lines per storage chunk (32 KiB). */
+    static constexpr std::size_t kChunkLines = 256;
+    /** An empty index slot's address; no line address is odd. */
+    static constexpr Addr kNoLine = ~Addr{0};
 
     struct Region
     {
@@ -87,10 +85,23 @@ class MemoryImage
         std::shared_ptr<LineGenerator> gen;
     };
 
+    struct Slot
+    {
+        Addr addr = kNoLine;
+        Line *line = nullptr;
+    };
+
+    /** The line at @p line_addr, filled from its region on first touch. */
+    Line &materialise(Addr line_addr);
+    /** First slot to probe for @p line_addr in an index of @p slots. */
+    static std::size_t home(Addr line_addr, std::size_t slots);
+    void growIndex();
+
     std::vector<Region> regions_;
-    std::unordered_map<Addr, Line> lines_;
-    /** Guards lines_ so line() may be called concurrently. */
-    mutable std::shared_mutex mutex_;
+    std::vector<std::unique_ptr<Line[]>> chunks_;
+    std::size_t resident_ = 0;
+    /** Linear-probing index over chunks_; its size is a power of two. */
+    std::vector<Slot> index_ = std::vector<Slot>(kMinSlots);
 };
 
 } // namespace latte

@@ -10,7 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
@@ -19,7 +19,10 @@
 namespace latte
 {
 
-/** MSHR file tracking outstanding line fills. */
+/**
+ * MSHR file tracking outstanding line fills: a flat list in allocation
+ * order (`l1.mshrEntries` long at most) that is also the L1's fill queue.
+ */
 class MshrFile : public StatGroup
 {
   public:
@@ -35,7 +38,7 @@ class MshrFile : public StatGroup
     bool
     outstanding(Addr line_addr) const
     {
-        return entries_.contains(line_addr);
+        return find(line_addr) != nullptr;
     }
 
     /** True if a new primary miss can be accepted. */
@@ -50,7 +53,8 @@ class MshrFile : public StatGroup
     {
         latte_assert(hasFree(), "MSHR overflow");
         latte_assert(!outstanding(line_addr));
-        entries_.emplace(line_addr, fill_cycle);
+        entries_.push_back({line_addr, fill_cycle});
+        nextFill_ = std::min(nextFill_, fill_cycle);
         ++allocations;
     }
 
@@ -58,42 +62,54 @@ class MshrFile : public StatGroup
     Cycles
     merge(Addr line_addr)
     {
-        const auto it = entries_.find(line_addr);
-        latte_assert(it != entries_.end());
         ++merges;
-        return it->second;
+        return fillCycle(line_addr);
     }
 
     /** Fill completion time of an outstanding miss. */
     Cycles
     fillCycle(Addr line_addr) const
     {
-        const auto it = entries_.find(line_addr);
-        latte_assert(it != entries_.end());
-        return it->second;
+        const Entry *entry = find(line_addr);
+        latte_assert(entry);
+        return entry->fillCycle;
     }
 
-    /** Release entries whose fill has arrived by @p now. */
+    /**
+     * Release the entries whose fill has arrived by @p now, after
+     * handing each to @p on_fill(line_addr, fill_cycle) in allocation
+     * order.
+     */
+    template <typename OnFill>
     void
-    retire(Cycles now)
+    retire(Cycles now, OnFill &&on_fill)
     {
-        std::erase_if(entries_, [now](const auto &entry) {
-            return entry.second <= now;
+        if (now < nextFill_)
+            return;
+        nextFill_ = kNoCycle;
+        for (const Entry &entry : entries_) {
+            if (entry.fillCycle <= now)
+                on_fill(entry.lineAddr, entry.fillCycle);
+            else
+                nextFill_ = std::min(nextFill_, entry.fillCycle);
+        }
+        std::erase_if(entries_, [now](const Entry &entry) {
+            return entry.fillCycle <= now;
         });
     }
 
-    /** Earliest outstanding fill completion; kNoCycle when empty. */
-    Cycles
-    nextFillCycle() const
+    /** Release the entries whose fill has arrived by @p now. */
+    void
+    retire(Cycles now)
     {
-        Cycles next = kNoCycle;
-        for (const auto &[addr, fill] : entries_)
-            next = std::min(next, fill);
-        return next;
+        retire(now, [](Addr, Cycles) {});
     }
 
+    /** Earliest outstanding fill completion; kNoCycle when empty. */
+    Cycles nextFillCycle() const { return nextFill_; }
+
     /** Drop all state (between runs). */
-    void clear() { entries_.clear(); }
+    void clear() { entries_.clear(); nextFill_ = kNoCycle; }
 
     std::size_t inUse() const { return entries_.size(); }
 
@@ -102,8 +118,25 @@ class MshrFile : public StatGroup
     Counter stallsFull;
 
   private:
+    struct Entry
+    {
+        Addr lineAddr;
+        Cycles fillCycle;
+    };
+
+    const Entry *
+    find(Addr line_addr) const
+    {
+        for (const Entry &entry : entries_) {
+            if (entry.lineAddr == line_addr)
+                return &entry;
+        }
+        return nullptr;
+    }
+
     std::uint32_t capacity_;
-    std::unordered_map<Addr, Cycles> entries_;
+    std::vector<Entry> entries_;
+    Cycles nextFill_ = kNoCycle;
 };
 
 } // namespace latte

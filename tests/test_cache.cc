@@ -2,15 +2,19 @@
  * @file
  * Unit tests for the compressed L1 data cache: tag/sub-block accounting,
  * the 4x-tag capacity expansion, write-avoid semantics, MSHR merging,
- * decompression queueing and SC generation invalidation.
+ * the order due fills insert in, decompression queueing and SC
+ * generation invalidation.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "cache/compressed_cache.hh"
 #include "common/config.hh"
+#include "trace/tracer.hh"
 #include "workloads/value_gens.hh"
 
 using namespace latte;
@@ -116,6 +120,45 @@ TEST_F(CacheFixture, SecondaryMissMerges)
     EXPECT_EQ(second.readyCycle, first.readyCycle);
     EXPECT_EQ(cache.mergedMisses.count(), 1u);
     EXPECT_EQ(cache.misses.count(), 1u);
+}
+
+TEST_F(CacheFixture, DueFillsInsertInAllocationOrderAtTheirOwnCycles)
+{
+    // Two misses to one set whose fills are both due by the next access,
+    // the later-allocated one first. The reply network serialises L2
+    // replies in request order, so through the L2 a later miss never
+    // fills first: the second MSHR is allocated directly.
+    const Addr first = addrInSet(9, 1);
+    const Addr second = addrInSet(9, 2);
+    Tracer tracer;
+    cache.setTracer(&tracer);
+
+    const auto a = cache.access(100, first, false);
+    ASSERT_FALSE(a.hit);
+    const Cycles second_fill = a.readyCycle - 50;
+    ASSERT_GT(second_fill, 101u);
+    cache.mshrs.allocate(second, second_fill);
+    EXPECT_EQ(cache.access(101, second, false).readyCycle, second_fill);
+    Cycles now = a.readyCycle + 1;
+    EXPECT_FALSE(cache.access(now, addrInSet(10, 1), false).hit);
+
+    std::vector<std::pair<Addr, Cycles>> inserts;
+    tracer.forEach([&](const TraceEvent &ev) {
+        if (ev.kind == TraceEventKind::L1Insert)
+            inserts.emplace_back(ev.arg0, ev.ts);
+    });
+    ASSERT_EQ(inserts.size(), 2u);
+    EXPECT_EQ(inserts[0], std::pair(first, a.readyCycle));
+    EXPECT_EQ(inserts[1], std::pair(second, second_fill));
+
+    // Filled in allocation order, the first line is the LRU victim once
+    // two more lines fill the set and a fifth needs room.
+    cache.setTracer(nullptr);
+    installLine(addrInSet(9, 3), now);
+    installLine(addrInSet(9, 4), now);
+    installLine(addrInSet(9, 5), now);
+    EXPECT_TRUE(cache.access(now, second, false).hit);
+    EXPECT_FALSE(cache.access(now, first, false).hit);
 }
 
 TEST_F(CacheFixture, MshrExhaustionRejects)

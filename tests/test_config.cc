@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/config.hh"
 
 using namespace latte;
@@ -101,6 +103,27 @@ TEST(Config, RejectsLatteSamplingWiderThanCache)
     cfg = GpuConfig{};
     cfg.latte.epAccesses = 0;
     EXPECT_TRUE(cfg.validationError().has_value());
+}
+
+TEST(Config, RejectsZeroSampleSetsOrVftEntries)
+{
+    // Zero sample sets divides by zero when the mode selector binds;
+    // zero VFT entries aborts in every SM's SC engine, Baseline too.
+    GpuConfig cfg;
+    cfg.latte.dedicatedSetsPerMode = 0;
+    ASSERT_TRUE(cfg.validationError().has_value());
+    EXPECT_NE(cfg.validationError()->find("dedicatedSetsPerMode"),
+              std::string::npos);
+
+    cfg = GpuConfig{};
+    cfg.latte.vftEntries = 0;
+    ASSERT_TRUE(cfg.validationError().has_value());
+    EXPECT_NE(cfg.validationError()->find("vftEntries"), std::string::npos);
+
+    cfg = GpuConfig{};
+    cfg.latte.dedicatedSetsPerMode = 1;
+    cfg.latte.vftEntries = 1;
+    EXPECT_FALSE(cfg.validationError().has_value());
 }
 
 TEST(Config, RejectsLearningLongerThanPeriod)

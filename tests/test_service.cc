@@ -219,6 +219,43 @@ TEST(Service, UnrunnableConfigFailsCellsNotTheService)
     EXPECT_EQ(info.cellsFailed, 0u);
 }
 
+TEST(Service, ZeroSampleSetsOrVftEntriesFailCellsNotTheService)
+{
+    // Both pass spec validation. Zero sample sets divided by zero in the
+    // mode selector and zero VFT entries aborted in every SM's SC
+    // engine, each taking the daemon down with the cell.
+    ServiceOptions options;
+    options.stateDir = freshDir("latte_service_zero_latte_state");
+    options.threads = 1;
+    SweepService service(options);
+
+    for (const char *key : {"cfg.latte.dedicated_sets_per_mode",
+                            "cfg.latte.vft_entries"}) {
+        runner::SweepSpec spec = tinySpec();
+        spec.options[key] = runner::Json(std::uint64_t{0});
+        std::string error;
+        const std::uint64_t bad = service.submit(spec, "tester", 0, &error);
+        ASSERT_NE(bad, 0u) << key << ": " << error;
+        JobInfo info;
+        ASSERT_TRUE(service.waitJob(bad, info)) << key;
+        EXPECT_EQ(info.state, JobState::Done) << key << ": " << info.error;
+        EXPECT_EQ(info.cellsFailed, spec.cellCount()) << key;
+        EXPECT_NE(readFile(info.resultPath).find("invalid_config"),
+                  std::string::npos)
+            << key;
+    }
+
+    // The next request is served.
+    std::string error;
+    const std::uint64_t good =
+        service.submit(tinySpec(), "tester", 0, &error);
+    ASSERT_NE(good, 0u) << error;
+    JobInfo info;
+    ASSERT_TRUE(service.waitJob(good, info));
+    EXPECT_EQ(info.state, JobState::Done) << info.error;
+    EXPECT_EQ(info.cellsFailed, 0u);
+}
+
 TEST(Service, QuotasQueueCapAndPriorities)
 {
     ServiceOptions options;

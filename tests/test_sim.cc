@@ -68,7 +68,7 @@ TEST(Scheduler, GtoFallsBackToOldest)
 
 TEST(Scheduler, NoReadyWarps)
 {
-    const WarpScheduler sched =
+    WarpScheduler sched =
         makeScheduler(GpuConfig::SchedPolicy::GTO, 1, /*wake=*/100);
     const WarpScheduler::Scan scan = sched.scan(0);
     EXPECT_EQ(scan.pick, -1);
@@ -227,6 +227,19 @@ class SchedulerPair
                                                            : kNoCycle);
     }
 
+    /**
+     * Move @p slot to @p state through setWake alone, keeping its age:
+     * Active with @p ready_at, or WaitMem (kNoCycle in both forms).
+     */
+    void
+    wake(std::uint32_t slot, WarpState state, Cycles ready_at)
+    {
+        warps_[slot].state = state;
+        warps_[slot].readyAt =
+            state == WarpState::Active ? ready_at : kNoCycle;
+        fast_[slot % n_].setWake(slot / n_, warps_[slot].readyAt);
+    }
+
     void
     noteIssued(std::uint32_t slot)
     {
@@ -291,6 +304,101 @@ randomPolicy(std::mt19937_64 &rng)
 {
     return rng() % 2 ? GpuConfig::SchedPolicy::GTO
                      : GpuConfig::SchedPolicy::LRR;
+}
+
+/**
+ * An SM-like stream of ticks, issues, load completions and drains over
+ * @p pair's @p slots, as IssueStreamMatchesThreeScans runs it. With
+ * @p reassign, each step also moves a few Active slots (pending or
+ * ready) through assign() or setWake(): to an earlier or later wake,
+ * or into a load.
+ */
+void
+runIssueStream(std::mt19937_64 &rng, SchedulerPair &pair,
+               std::uint32_t slots, int steps, bool reassign)
+{
+    std::uint64_t age_clock = 0;
+    Cycles now = 0;
+    for (std::uint32_t w = 0; w < slots; ++w) {
+        if (rng() % 4 != 0)
+            pair.set(w, WarpState::Active, 1, age_clock++);
+    }
+    // Loads in flight: completion cycle per waiting slot.
+    std::map<std::uint32_t, Cycles> loads;
+
+    for (int step = 0; step < steps; ++step) {
+        const Cycles next = pair.tick(now, [&](std::uint32_t slot) {
+            switch (rng() % 8) {
+              case 0:
+                loads[slot] = now + 1 + rng() % 300;
+                return std::pair{WarpState::WaitMem, kNoCycle};
+              case 1:
+                return std::pair{WarpState::Finished, kNoCycle};
+              case 2:
+                return std::pair{WarpState::Active, now + 1};
+              default:
+                return std::pair{WarpState::Active, now + 1 + rng() % 12};
+            }
+        });
+        if (::testing::Test::HasFailure())
+            FAIL() << "step " << step;
+
+        // The next event: a tick, a load completion, or (when the SM
+        // idles) new warps in the empty slots.
+        Cycles load_due = kNoCycle;
+        for (const auto &[slot, due] : loads)
+            load_due = std::min(load_due, due);
+        const Cycles prev = now;
+        now = std::min(next, load_due);
+        if (now == kNoCycle) {
+            now = prev + 1;
+            for (std::uint32_t w = 0; w < slots; ++w) {
+                if (pair.warp(w).state != WarpState::WaitMem)
+                    pair.set(w, WarpState::Active, now, age_clock++);
+            }
+            continue;
+        }
+        for (auto it = loads.begin(); it != loads.end();) {
+            if (it->second != now) {
+                ++it;
+                continue;
+            }
+            pair.set(it->first, WarpState::Active, now + rng() % 3,
+                     pair.warp(it->first).age);
+            it = loads.erase(it);
+        }
+        for (std::uint32_t w = 0; w < slots; ++w) {
+            if (pair.warp(w).state == WarpState::Finished &&
+                rng() % 16 == 0) {
+                pair.set(w, WarpState::Unassigned, pair.warp(w).readyAt,
+                         pair.warp(w).age);
+            }
+        }
+        if (!reassign)
+            continue;
+
+        for (std::uint64_t k = rng() % 4; k > 0; --k) {
+            const auto w = static_cast<std::uint32_t>(rng() % slots);
+            if (pair.warp(w).state != WarpState::Active)
+                continue;
+            // Earlier, the same, or later than now, so a pending slot
+            // that held the earliest wake can move past the others.
+            const Cycles wake = now - std::min<Cycles>(now, rng() % 4) +
+                                rng() % 40;
+            switch (rng() % 4) {
+              case 0:
+                pair.set(w, WarpState::Active, wake, rng() % 8);
+                break;
+              case 1:
+                pair.wake(w, WarpState::WaitMem, kNoCycle);
+                loads[w] = now + 1 + rng() % 50;
+                break;
+              default:
+                pair.wake(w, WarpState::Active, wake);
+                break;
+            }
+        }
+    }
 }
 
 } // namespace
@@ -407,6 +515,67 @@ TEST(SchedulerDiff, IssueStreamMatchesThreeScans)
                 }
             }
         }
+    }
+}
+
+TEST(SchedulerDiff, MoreThan64LocalSlotsMatchThreeScans)
+{
+    // Nothing caps cfg.max_warps_per_sm, so one scheduler's ready and
+    // pending masks can span several 64-bit words.
+    std::mt19937_64 rng(13);
+    for (int trial = 0; trial < 400; ++trial) {
+        const std::uint32_t schedulers = 1 + rng() % 2;
+        const std::uint32_t slots = 65 * schedulers + rng() % 200;
+        SchedulerPair pair(randomPolicy(rng), schedulers, slots);
+        const Cycles now = 20 + rng() % 1000;
+        for (std::uint32_t w = 0; w < slots; ++w) {
+            const std::uint64_t age = rng() % 8;
+            switch (rng() % 4) {
+              case 0:
+              case 1:
+                pair.set(w, WarpState::Active,
+                         rng() % 8 == 0 ? kNoCycle : now - 20 + rng() % 40,
+                         age);
+                break;
+              case 2:
+                pair.set(w, WarpState::WaitMem, kNoCycle, age);
+                break;
+              default:
+                pair.set(w, WarpState::Finished, kNoCycle, age);
+                break;
+            }
+        }
+        for (std::uint64_t k = rng() % 4; k > 0; --k)
+            pair.noteIssued(rng() % slots);
+        pair.tick(now, [&](std::uint32_t) {
+            return std::pair{WarpState::Active, now + 1 + rng() % 5};
+        });
+        if (::testing::Test::HasFailure())
+            FAIL() << "trial " << trial;
+    }
+
+    for (int trial = 0; trial < 12; ++trial) {
+        const std::uint32_t schedulers = 1 + rng() % 2;
+        const std::uint32_t slots = 65 * schedulers + rng() % 200;
+        SchedulerPair pair(randomPolicy(rng), schedulers, slots);
+        runIssueStream(rng, pair, slots, 1500, /*reassign=*/trial % 2);
+        if (::testing::Test::HasFailure())
+            FAIL() << "stream trial " << trial;
+    }
+}
+
+TEST(SchedulerDiff, RewakingPendingAndReadySlotsMatchesThreeScans)
+{
+    // assign() and setWake() on a slot that already waits or is ready:
+    // the earliest pending wake must follow a slot that held it.
+    std::mt19937_64 rng(17);
+    for (int trial = 0; trial < 60; ++trial) {
+        const std::uint32_t schedulers = 1 + rng() % 4;
+        const std::uint32_t slots = 1 + rng() % 48;
+        SchedulerPair pair(randomPolicy(rng), schedulers, slots);
+        runIssueStream(rng, pair, slots, 2000, /*reassign=*/true);
+        if (::testing::Test::HasFailure())
+            FAIL() << "trial " << trial;
     }
 }
 
@@ -531,6 +700,30 @@ TEST(Gpu, CtaThatFitsNoSmInterrupts)
     EXPECT_EQ(result.interrupt->code, RunErrorCode::InvalidConfig);
     EXPECT_NE(result.interrupt->detail.find("8 warps"), std::string::npos)
         << result.interrupt->detail;
+}
+
+TEST(Gpu, OneSchedulerOver130SlotsRetiresEveryInstruction)
+{
+    // One scheduler owns all 130 slots: its masks span three words.
+    MemoryImage mem;
+    GpuConfig cfg;
+    cfg.maxWarpsPerSm = 130;
+    cfg.schedulersPerSm = 1;
+    Gpu gpu(cfg, &mem);
+
+    // 26-warp CTAs: five fill an SM's slots.
+    const std::uint32_t ctas = 2 * 5 * cfg.numSms;
+    SyntheticKernel kernel(tinyKernel(ctas, 26, 4));
+    auto &sm = gpu.sm(0);
+    sm.startKernel(&kernel);
+    for (std::uint32_t placed = 0; sm.canTakeCta(); ++placed)
+        sm.assignCta(0, placed);
+    EXPECT_EQ(sm.activeWarps(), 130u);
+
+    const RunResult result = gpu.runKernel(kernel);
+    EXPECT_TRUE(result.completed);
+    // ctas x 26 warps x 4 iters x 3 instructions.
+    EXPECT_EQ(result.instructions, std::uint64_t{ctas} * 26 * 4 * 3);
 }
 
 TEST(Gpu, MultipleKernelsAccumulateClock)
