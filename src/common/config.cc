@@ -1,5 +1,7 @@
 #include "config.hh"
 
+#include <cmath>
+
 #include "logging.hh"
 
 namespace latte
@@ -47,8 +49,13 @@ algoSpecName(CompressorId id)
 std::optional<std::string>
 CacheLevelConfig::validationError(const char *level) const
 {
-    if (lineBytes == 0)
-        return strfmt("{}LineBytes must be nonzero", level);
+    // Every level is a compression domain, and the compressors encode
+    // 128 B lines.
+    if (lineBytes != 128) {
+        return strfmt("{}LineBytes ({}) must be 128, the line size the "
+                      "compressors encode",
+                      level, lineBytes);
+    }
     if (assoc == 0)
         return strfmt("{}Assoc must be nonzero", level);
     if (sizeBytes == 0 || sizeBytes % (lineBytes * assoc) != 0) {
@@ -146,6 +153,22 @@ GpuConfig::validationError() const
         return error;
     if (const auto error = l2.validationError("l2"))
         return error;
+
+    // The channels divide a transfer's bytes by their bandwidth.
+    if (!(nocBytesPerCycle > 0) || std::isinf(nocBytesPerCycle)) {
+        return strfmt("nocBytesPerCycle ({}) must be finite and positive",
+                      nocBytesPerCycle);
+    }
+    if (!(dramBytesPerCycle > 0) || std::isinf(dramBytesPerCycle)) {
+        return strfmt("dramBytesPerCycle ({}) must be finite and positive",
+                      dramBytesPerCycle);
+    }
+    // DRAM adds dramMinLatency - l2MinLatency cycles to an L2 miss.
+    if (dramMinLatency < l2.minLatency) {
+        return strfmt("dramMinLatency ({}) must be at least l2MinLatency "
+                      "({})",
+                      dramMinLatency, l2.minLatency);
+    }
 
     if (latte.epAccesses == 0)
         return "latte.epAccesses must be nonzero";

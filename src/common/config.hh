@@ -198,9 +198,10 @@ struct GpuConfig
      * First structural inconsistency in the configuration, or nullopt
      * if the configuration is sound. Checked: nonzero organisation
      * parameters, 1..kMaxSchedulersPerSm warp schedulers, per-level
-     * cache geometry (CacheLevelConfig), the
-     * LATTE controller's dedicated sample sets fitting in the sampled
-     * levels, and the level/link compression settings.
+     * cache geometry (CacheLevelConfig, 128 B lines), finite positive
+     * NoC and DRAM bandwidths, a DRAM latency no shorter than the L2's,
+     * the LATTE controller's dedicated sample sets fitting in the
+     * sampled levels, and the level/link compression settings.
      */
     std::optional<std::string> validationError() const;
 

@@ -7,7 +7,7 @@
 namespace latte
 {
 
-CompressionDomain::CompressionDomain(const CacheLevelConfig &level,
+CompressionDomain::CompressionDomain(CacheLevelConfig level,
                                      GpuConfig::ReplPolicy repl,
                                      bool capacity_benefit,
                                      StatGroup *queue_parent)
@@ -44,22 +44,9 @@ CompressionDomain::tagOf(Addr line_addr) const
 }
 
 CompressionDomain::TagEntry *
-CompressionDomain::setBase(std::uint32_t set_index)
-{
-    return &tags_[static_cast<std::size_t>(set_index) * tagsPerSet_];
-}
-
-const CompressionDomain::TagEntry *
-CompressionDomain::setBase(std::uint32_t set_index) const
-{
-    return &tags_[static_cast<std::size_t>(set_index) * tagsPerSet_];
-}
-
-CompressionDomain::TagEntry *
 CompressionDomain::findLine(Addr line_addr)
 {
-    const std::size_t base =
-        static_cast<std::size_t>(setIndexOf(line_addr)) * tagsPerSet_;
+    const std::size_t base = slotIndex(setIndexOf(line_addr));
     const Addr tag = tagOf(line_addr);
     for (std::size_t i = base; i < base + tagsPerSet_; ++i) {
         if (keys_[i] == tag)
@@ -94,28 +81,29 @@ CompressionDomain::touchOnFill(TagEntry &entry)
 CompressionDomain::TagEntry *
 CompressionDomain::pickVictim(std::uint32_t set_index)
 {
-    TagEntry *ways = setBase(set_index);
+    const std::size_t base = slotIndex(set_index);
+    const std::size_t end = base + tagsPerSet_;
 
     if (repl_ == GpuConfig::ReplPolicy::SRRIP) {
         // Find an RRPV-3 line, aging the set until one exists.
         for (;;) {
-            for (std::uint32_t w = 0; w < tagsPerSet_; ++w) {
-                if (ways[w].valid && ways[w].rrpv >= 3)
-                    return &ways[w];
+            for (std::size_t i = base; i < end; ++i) {
+                if (keys_[i] != kNoKey && tags_[i].rrpv >= 3)
+                    return &tags_[i];
             }
-            for (std::uint32_t w = 0; w < tagsPerSet_; ++w) {
-                if (ways[w].valid && ways[w].rrpv < 3)
-                    ++ways[w].rrpv;
+            for (std::size_t i = base; i < end; ++i) {
+                if (keys_[i] != kNoKey && tags_[i].rrpv < 3)
+                    ++tags_[i].rrpv;
             }
         }
     }
 
     // LRU and FIFO: smallest stamp (touch order vs fill order).
     TagEntry *victim = nullptr;
-    for (std::uint32_t w = 0; w < tagsPerSet_; ++w) {
-        if (ways[w].valid &&
-            (!victim || ways[w].lruStamp < victim->lruStamp)) {
-            victim = &ways[w];
+    for (std::size_t i = base; i < end; ++i) {
+        if (keys_[i] != kNoKey &&
+            (!victim || tags_[i].lruStamp < victim->lruStamp)) {
+            victim = &tags_[i];
         }
     }
     latte_assert(victim, "no victim but set is full");
@@ -139,11 +127,11 @@ CompressionDomain::subBlocksFor(const LineMeta &meta) const
 void
 CompressionDomain::releaseLine(TagEntry &entry, std::uint32_t set_index)
 {
-    latte_assert(entry.valid);
+    Addr &key = keys_[&entry - tags_.data()];
+    latte_assert(key != kNoKey);
     latte_assert(setUsedSubBlocks_[set_index] >= entry.subBlocks);
     setUsedSubBlocks_[set_index] -= entry.subBlocks;
-    entry.valid = false;
-    keys_[&entry - tags_.data()] = kNoKey;
+    key = kNoKey;
     entry.payload.clear();
 }
 
@@ -152,8 +140,6 @@ CompressionDomain::commitFill(TagEntry &slot, Addr tag,
                               const LineMeta &meta, std::uint8_t need,
                               std::uint32_t set_index)
 {
-    slot.valid = true;
-    slot.tag = tag;
     keys_[&slot - tags_.data()] = tag;
     touchOnFill(slot);
     slot.mode = meta.algo;
@@ -168,21 +154,19 @@ std::uint64_t
 CompressionDomain::usedSubBlocks() const
 {
     std::uint64_t used = 0;
-    for (const auto &entry : tags_) {
-        if (entry.valid)
-            used += entry.subBlocks;
-    }
+    for (std::uint32_t set = 0; set < numSets_; ++set)
+        used += usedSubBlocksInSet(set);
     return used;
 }
 
 std::uint32_t
 CompressionDomain::usedSubBlocksInSet(std::uint32_t set_index) const
 {
-    const TagEntry *ways = setBase(set_index);
     std::uint32_t used = 0;
-    for (std::uint32_t w = 0; w < tagsPerSet_; ++w) {
-        if (ways[w].valid)
-            used += ways[w].subBlocks;
+    for (std::size_t i = slotIndex(set_index);
+         i < slotIndex(set_index + 1); ++i) {
+        if (keys_[i] != kNoKey)
+            used += tags_[i].subBlocks;
     }
     return used;
 }
@@ -190,12 +174,8 @@ CompressionDomain::usedSubBlocksInSet(std::uint32_t set_index) const
 std::uint64_t
 CompressionDomain::validLines() const
 {
-    std::uint64_t n = 0;
-    for (const auto &entry : tags_) {
-        if (entry.valid)
-            ++n;
-    }
-    return n;
+    return static_cast<std::uint64_t>(
+        keys_.size() - std::count(keys_.begin(), keys_.end(), kNoKey));
 }
 
 DecompressionQueue &
@@ -218,15 +198,22 @@ CompressionDomain::queueFor(CompressorId mode) const
     return const_cast<CompressionDomain *>(this)->queueFor(mode);
 }
 
+std::size_t
+CompressionDomain::decompDepth(Cycles now) const
+{
+    return bdiQueue_.depth(now) + scQueue_.depth(now) +
+           bpcQueue_.depth(now) + fpcQueue_.depth(now) +
+           cpackQueue_.depth(now);
+}
+
 std::uint64_t
 CompressionDomain::invalidateScGeneration(std::uint32_t current_generation)
 {
     std::uint64_t dropped = 0;
     for (std::uint32_t set = 0; set < numSets_; ++set) {
-        TagEntry *ways = setBase(set);
-        for (std::uint32_t w = 0; w < tagsPerSet_; ++w) {
-            TagEntry &entry = ways[w];
-            if (entry.valid && entry.mode == CompressorId::Sc &&
+        for (std::size_t i = slotIndex(set); i < slotIndex(set + 1); ++i) {
+            TagEntry &entry = tags_[i];
+            if (keys_[i] != kNoKey && entry.mode == CompressorId::Sc &&
                 entry.generation != current_generation) {
                 releaseLine(entry, set);
                 ++dropped;
@@ -243,10 +230,9 @@ CompressionDomain::invalidateSampleMismatch(
     for (std::uint32_t set = 0; set < numSets_; ++set) {
         if (!sampled(set))
             continue;
-        TagEntry *ways = setBase(set);
-        for (std::uint32_t w = 0; w < tagsPerSet_; ++w) {
-            TagEntry &entry = ways[w];
-            if (entry.valid && entry.mode != CompressorId::None &&
+        for (std::size_t i = slotIndex(set); i < slotIndex(set + 1); ++i) {
+            TagEntry &entry = tags_[i];
+            if (keys_[i] != kNoKey && entry.mode != CompressorId::None &&
                 entry.mode != keep) {
                 releaseLine(entry, set);
             }
@@ -257,10 +243,8 @@ CompressionDomain::invalidateSampleMismatch(
 void
 CompressionDomain::invalidateAll()
 {
-    for (auto &entry : tags_) {
-        entry.valid = false;
+    for (auto &entry : tags_)
         entry.payload.clear();
-    }
     std::fill(keys_.begin(), keys_.end(), kNoKey);
     std::fill(setUsedSubBlocks_.begin(), setUsedSubBlocks_.end(), 0);
     bdiQueue_.clear();

@@ -3,10 +3,11 @@
  * The level-generic core of a compressed cache: an expanded tag array
  * (tagFactor x the baseline tags), sub-block allocation of compressed
  * payloads, replacement state, and the per-algorithm decompression
- * queues of Eq. (3). The L1 (CompressedCache) and the L2 (L2Cache with
- * --l2-compress) both instantiate one of these with their own
- * CacheLevelConfig; everything level-specific — counters, traces, MSHRs,
- * the policy hookup — stays with the owner.
+ * queues of Eq. (3). The L1 (CompressedCache) and the L2 (L2Cache) both
+ * instantiate one of these with their own CacheLevelConfig; an
+ * uncompressed level is a domain whose lines are all stored raw, one tag
+ * per way (tagFactor 1). Everything level-specific — counters, traces,
+ * MSHRs, the policy hookup — stays with the owner.
  */
 
 #ifndef LATTE_COMPRESS_COMPRESSION_DOMAIN_HH
@@ -30,10 +31,9 @@ namespace latte
 class CompressionDomain
 {
   public:
+    /** A tag slot's line state; keys_ records which line it holds. */
     struct TagEntry
     {
-        bool valid = false;
-        Addr tag = 0;
         std::uint64_t lruStamp = 0;          //!< LRU: touch, FIFO: fill
         std::uint8_t rrpv = 3;               //!< SRRIP re-reference bits
         CompressorId mode = CompressorId::None;
@@ -51,7 +51,7 @@ class CompressionDomain
      * every compressed line occupy a full line's worth of sub-blocks
      * (the Figure 4 study).
      */
-    CompressionDomain(const CacheLevelConfig &level,
+    CompressionDomain(CacheLevelConfig level,
                       GpuConfig::ReplPolicy repl, bool capacity_benefit,
                       StatGroup *queue_parent);
 
@@ -63,8 +63,6 @@ class CompressionDomain
     Addr tagOf(Addr line_addr) const;
 
     // --- Lookup / replacement ---
-    TagEntry *setBase(std::uint32_t set_index);
-    const TagEntry *setBase(std::uint32_t set_index) const;
     TagEntry *findLine(Addr line_addr);
     TagEntry *pickVictim(std::uint32_t set_index);
     void touchOnHit(TagEntry &entry);
@@ -78,28 +76,29 @@ class CompressionDomain
 
     /**
      * Evict until a tag and @p need sub-blocks are free in
-     * @p set_index, then return the slot to fill. @p on_evict observes
-     * every released victim (its tag/mode fields stay readable) so the
-     * owner can count and trace evictions.
+     * @p set_index, then return the slot to fill. @p on_evict(tag,
+     * entry) observes every released victim, whose mode stays readable,
+     * so the owner can count and trace evictions.
      */
     template <typename EvictObserver>
     TagEntry &
     allocateSlot(std::uint32_t set_index, std::uint8_t need,
                  EvictObserver &&on_evict)
     {
-        TagEntry *ways = setBase(set_index);
+        const std::size_t base = slotIndex(set_index);
         TagEntry *slot = nullptr;
-        for (std::uint32_t w = 0; w < tagsPerSet_; ++w) {
-            if (!ways[w].valid) {
-                slot = &ways[w];
+        for (std::size_t i = base; i < base + tagsPerSet_; ++i) {
+            if (keys_[i] == kNoKey) {
+                slot = &tags_[i];
                 break;
             }
         }
         while (!slot ||
                setUsedSubBlocks_[set_index] + need > subBlocksPerSet_) {
             TagEntry *victim = pickVictim(set_index);
+            const Addr tag = keys_[victim - tags_.data()];
             releaseLine(*victim, set_index);
-            on_evict(*victim);
+            on_evict(tag, *victim);
             if (!slot)
                 slot = victim;
         }
@@ -129,6 +128,8 @@ class CompressionDomain
     /** Decompression queue for @p mode (never None). */
     DecompressionQueue &queueFor(CompressorId mode);
     const DecompressionQueue &queueFor(CompressorId mode) const;
+    /** Entries draining at @p now, summed over every queue. */
+    std::size_t decompDepth(Cycles now) const;
 
     /**
      * Invalidate SC lines not encoded with @p current_generation.
@@ -151,7 +152,14 @@ class CompressionDomain
     /** A free slot's key; tags are line numbers, far below it. */
     static constexpr Addr kNoKey = ~Addr{0};
 
-    const CacheLevelConfig &level_;
+    /** Index of @p set_index's first slot in tags_ and keys_. */
+    std::size_t
+    slotIndex(std::uint32_t set_index) const
+    {
+        return static_cast<std::size_t>(set_index) * tagsPerSet_;
+    }
+
+    const CacheLevelConfig level_;
     GpuConfig::ReplPolicy repl_;
     bool capacityBenefit_;
 
@@ -159,7 +167,7 @@ class CompressionDomain
     std::uint32_t tagsPerSet_;
     std::uint32_t subBlocksPerSet_;
     std::vector<TagEntry> tags_;
-    /** Per tag slot: its tag while valid, else kNoKey (findLine's keys). */
+    /** Per slot: its line's tag, else kNoKey; the only occupancy record. */
     std::vector<Addr> keys_;
     /** Per-set allocated sub-blocks, maintained on insert/release. */
     std::vector<std::uint32_t> setUsedSubBlocks_;

@@ -114,13 +114,8 @@ registerGauges(metrics::MetricRegistry &metrics, Gpu &gpu,
 {
     metrics.addGauge("decomp_queue_depth", [&gpu](Cycles now) {
         std::size_t depth = 0;
-        for (std::uint32_t i = 0; i < gpu.numSms(); ++i) {
-            for (const CompressorId mode :
-                 {CompressorId::Bdi, CompressorId::Sc, CompressorId::Bpc,
-                  CompressorId::Fpc, CompressorId::CpackZ}) {
-                depth += gpu.sm(i).cache().queueFor(mode).depth(now);
-            }
-        }
+        for (std::uint32_t i = 0; i < gpu.numSms(); ++i)
+            depth += gpu.sm(i).cache().domain().decompDepth(now);
         return static_cast<double>(depth);
     });
     metrics.addGauge("mshr_occupancy", [&gpu](Cycles) {

@@ -229,15 +229,9 @@ class Policy : public CompressionModeProvider
     std::uint32_t
     totalDecompDepth(Cycles now) const
     {
-        if (!cache_)
-            return 0;
-        std::size_t depth = 0;
-        for (const CompressorId mode :
-             {CompressorId::Bdi, CompressorId::Sc, CompressorId::Bpc,
-              CompressorId::Fpc, CompressorId::CpackZ}) {
-            depth += cache_->queueFor(mode).depth(now);
-        }
-        return static_cast<std::uint32_t>(depth);
+        return cache_ ? static_cast<std::uint32_t>(
+                            cache_->domain().decompDepth(now))
+                      : 0;
     }
 
     /**

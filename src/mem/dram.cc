@@ -1,7 +1,5 @@
 #include "dram.hh"
 
-#include <algorithm>
-
 #include "metrics/profiler.hh"
 #include "metrics/registry.hh"
 
@@ -31,11 +29,8 @@ DramModel::access(Cycles now, std::uint32_t bytes)
     ++accesses;
     bytesTransferred += bytes;
 
-    const double start = std::max(static_cast<double>(now), nextFree_);
     const double service = static_cast<double>(bytes) / bytesPerCycle_;
-    nextFree_ = start + service;
-
-    const double queue = start - static_cast<double>(now);
+    const double queue = channel_.book(static_cast<double>(now), service);
     queueDelay.sample(queue);
     if (queueDelayHist_)
         queueDelayHist_->record(queue);

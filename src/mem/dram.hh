@@ -14,6 +14,7 @@
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "interconnect.hh"
 #include "trace/tracer.hh"
 
 namespace latte
@@ -47,7 +48,7 @@ class DramModel : public StatGroup
     double
     queueBacklog(Cycles now) const
     {
-        return std::max(0.0, nextFree_ - static_cast<double>(now));
+        return std::max(0.0, channel_.nextFree - static_cast<double>(now));
     }
 
     Counter accesses;
@@ -60,8 +61,8 @@ class DramModel : public StatGroup
     /** Extra latency DRAM adds beyond the L2 round trip. */
     Cycles extraLatency_;
     double bytesPerCycle_;
-    /** Cycle at which the channel next becomes free. */
-    double nextFree_ = 0;
+    /** The channel's bookings. */
+    SerialResource channel_;
 };
 
 } // namespace latte

@@ -1,7 +1,5 @@
 #include "interconnect.hh"
 
-#include <algorithm>
-
 namespace latte
 {
 
@@ -22,12 +20,10 @@ Interconnect::transfer(Cycles now, std::uint32_t bytes, Channel channel)
     ++packets;
     bytesMoved += bytes;
 
-    double &next_free = nextFree_[static_cast<std::size_t>(channel)];
-    const double start = std::max(static_cast<double>(now), next_free);
     const double service = static_cast<double>(bytes) / bytesPerCycle_;
-    next_free = start + service;
-
-    const double queue = start - static_cast<double>(now);
+    const double queue =
+        channels_[static_cast<std::size_t>(channel)].book(
+            static_cast<double>(now), service);
     queueDelay.sample(queue);
 
     return now + traversal_ + static_cast<Cycles>(queue + service);

@@ -9,12 +9,33 @@
 #ifndef LATTE_MEM_INTERCONNECT_HH
 #define LATTE_MEM_INTERCONNECT_HH
 
+#include <algorithm>
+
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
 namespace latte
 {
+
+/**
+ * The booking rule of the shared memory resources (each network
+ * channel, the DRAM channel, each L2 bank): one booking at a time, in
+ * call order, from its ready cycle or the previous booking's end.
+ */
+struct SerialResource
+{
+    /** Book @p service cycles ready at @p ready. @return the wait. */
+    double
+    book(double ready, double service)
+    {
+        const double start = std::max(ready, nextFree);
+        nextFree = start + service;
+        return start - ready;
+    }
+
+    double nextFree = 0; //!< the cycle the last booking ends
+};
 
 /** Network with separate request and reply channels (as real GPUs). */
 class Interconnect : public StatGroup
@@ -41,7 +62,7 @@ class Interconnect : public StatGroup
   private:
     Cycles traversal_;
     double bytesPerCycle_;
-    double nextFree_[2] = {0, 0};
+    SerialResource channels_[2]; //!< indexed by Channel
 };
 
 } // namespace latte

@@ -43,6 +43,21 @@ L2Cache::LinkStats::LinkStats(StatGroup *parent)
                     "mean line-size / transfer-size ratio")
 {}
 
+namespace
+{
+
+/** The level the L2's domain models: one tag per way when uncompressed. */
+CacheLevelConfig
+storedLevel(const CacheLevelConfig &l2)
+{
+    CacheLevelConfig level = l2;
+    if (level.compress == LevelCompress::Off)
+        level.tagFactor = 1;
+    return level;
+}
+
+} // namespace
+
 L2Cache::L2Cache(const GpuConfig &cfg, Interconnect *noc, DramModel *dram,
                  MemoryImage *mem, StatGroup *parent)
     : StatGroup("l2", parent),
@@ -52,26 +67,19 @@ L2Cache::L2Cache(const GpuConfig &cfg, Interconnect *noc, DramModel *dram,
       misses(this, "misses", "L2 misses"),
       bankQueueDelay(this, "bank_queue_delay",
                      "average bank queueing delay (cycles)"),
-      cfg_(cfg), noc_(noc), dram_(dram), mem_(mem),
-      numSets_(cfg.l2NumSets()),
-      ways_(static_cast<std::size_t>(numSets_) * cfg.l2.assoc),
-      bankNextFree_(cfg.l2.banks, 0)
+      cfg_(cfg), compressing_(cfg.l2.compress != LevelCompress::Off),
+      noc_(noc), dram_(dram), mem_(mem), banks_(cfg.l2.banks),
+      comp_(compressing_ ? this : nullptr),
+      domain_(storedLevel(cfg.l2), GpuConfig::ReplPolicy::LRU, true, &comp_)
 {
-    latte_assert(numSets_ > 0);
     latte_assert(noc_ && dram_ && mem_);
 
-    const bool level_on = cfg.l2.compress != LevelCompress::Off;
     const bool link_on = cfg.linkCompress != CompressorId::None;
-    if (level_on || link_on)
+    if (compressing_ || link_on)
         engines_ = std::make_unique<CompressionEngines>(cfg);
-    if (level_on) {
-        comp_ = std::make_unique<CompressStats>(this);
-        domain_ = std::make_unique<CompressionDomain>(
-            cfg.l2, GpuConfig::ReplPolicy::LRU, true, comp_.get());
-        if (cfg.l2.compress == LevelCompress::Latte) {
-            controller_ = std::make_unique<L2CompressionController>(cfg);
-            controller_->bind(domain_.get(), engines_.get());
-        }
+    if (cfg.l2.compress == LevelCompress::Latte) {
+        controller_ = std::make_unique<L2CompressionController>(cfg);
+        controller_->bind(&domain_, engines_.get());
     }
     if (link_on) {
         link_ = std::make_unique<LinkStats>(this);
@@ -98,17 +106,9 @@ L2Cache::setMetrics(metrics::MetricRegistry *metrics)
     }
     hitLatencyHist_ = &metrics->histogram("l2_hit_latency");
     missLatencyHist_ = &metrics->histogram("l2_miss_latency");
-    decompWaitHist_ =
-        domain_ ? &metrics->histogram("l2_decomp_queue_wait") : nullptr;
-}
-
-std::uint32_t
-L2Cache::setIndex(Addr line_addr) const
-{
-    // 768 KB / 8-way / 128 B = 768 sets: not a power of two (the real
-    // part interleaves 12 banks x 64 sets), so index by modulo.
-    return static_cast<std::uint32_t>(
-        (line_addr / cfg_.l2.lineBytes) % numSets_);
+    decompWaitHist_ = compressing_
+                          ? &metrics->histogram("l2_decomp_queue_wait")
+                          : nullptr;
 }
 
 std::uint32_t
@@ -162,132 +162,95 @@ L2Cache::fetchLine(Cycles at, Addr line_addr)
 }
 
 void
-L2Cache::insertCompressed(Cycles now, Addr line_addr, std::uint32_t set,
-                          CompressorId mode)
+L2Cache::insertLine(Cycles now, Addr line_addr, std::uint32_t set,
+                    CompressorId mode)
 {
-    LineMeta meta;
-    if (mode == CompressorId::None) {
-        meta = makeRawMeta(CompressorId::None);
-    } else {
+    LineMeta meta = makeRawMeta(CompressorId::None);
+    if (mode != CompressorId::None) {
         metrics::ProfileScope profile(
             metrics::ProfileZone::CompressorProbe);
         meta = engines_->get(mode)->probe(mem_->line(line_addr));
     }
     switch (mode) {
-      case CompressorId::Bdi: ++comp_->bdiCompressions; break;
-      case CompressorId::Fpc: ++comp_->fpcCompressions; break;
-      case CompressorId::CpackZ: ++comp_->cpackCompressions; break;
-      case CompressorId::Bpc: ++comp_->bpcCompressions; break;
+      case CompressorId::Bdi: ++comp_.bdiCompressions; break;
+      case CompressorId::Fpc: ++comp_.fpcCompressions; break;
+      case CompressorId::CpackZ: ++comp_.cpackCompressions; break;
+      case CompressorId::Bpc: ++comp_.bpcCompressions; break;
       default: break;
     }
 
-    const std::uint8_t need = domain_->subBlocksFor(meta);
-    CompressionDomain::TagEntry &slot = domain_->allocateSlot(
-        set, need, [&](const CompressionDomain::TagEntry &victim) {
-            ++comp_->evictions;
-            if (tracer_) {
+    // Only a compressing L2 traces its fills and evictions.
+    Tracer *tracer = compressing_ ? tracer_ : nullptr;
+    const std::uint8_t need = domain_.subBlocksFor(meta);
+    CompressionDomain::TagEntry &slot = domain_.allocateSlot(
+        set, need,
+        [&](Addr victim_tag, const CompressionDomain::TagEntry &victim) {
+            ++comp_.evictions;
+            if (tracer) {
                 TraceEvent ev =
                     makeTraceEvent(now, TraceEventKind::L2Evict);
-                ev.arg0 = victim.tag;
+                ev.arg0 = victim_tag;
                 ev.arg1 = set;
                 ev.mode = static_cast<std::uint8_t>(victim.mode);
-                tracer_->record(ev);
+                tracer->record(ev);
             }
         });
-    domain_->commitFill(slot, domain_->tagOf(line_addr), meta, need, set);
+    domain_.commitFill(slot, domain_.tagOf(line_addr), meta, need, set);
 
-    ++comp_->insertions;
+    ++comp_.insertions;
     if (meta.compressed() && meta.encoding != kRawEncoding)
-        ++comp_->compressedInsertions;
-    comp_->insertionRatio.sample(meta.ratio());
-    if (tracer_) {
+        ++comp_.compressedInsertions;
+    comp_.insertionRatio.sample(meta.ratio());
+    if (tracer) {
         TraceEvent ev = makeTraceEvent(now, TraceEventKind::L2Insert);
         ev.arg0 = line_addr;
         ev.arg1 = need;
         ev.mode = static_cast<std::uint8_t>(meta.algo);
         ev.value = meta.ratio();
-        tracer_->record(ev);
+        tracer->record(ev);
     }
 }
 
 L2Result
-L2Cache::accessUncompressed(Cycles now, Addr line_addr, bool is_write,
-                            Cycles data_at_l2, std::uint32_t bank,
-                            double queue)
+L2Cache::access(Cycles now, Addr line_addr, bool is_write)
 {
-    // Tag lookup.
-    const std::uint32_t set = setIndex(line_addr);
-    Way *ways = &ways_[static_cast<std::size_t>(set) * cfg_.l2.assoc];
-    const Addr tag = line_addr / cfg_.l2.lineBytes / numSets_;
+    metrics::ProfileScope profile(metrics::ProfileZone::L2Access);
+    if (is_write)
+        ++writes;
+    else
+        ++reads;
 
-    Way *entry = nullptr;
-    for (std::uint32_t w = 0; w < cfg_.l2.assoc; ++w) {
-        if (ways[w].valid && ways[w].tag == tag) {
-            entry = &ways[w];
-            break;
-        }
-    }
+    // Request traverses the network to the L2 partition.
+    const Cycles at_l2 = noc_->transfer(now, is_write ? 128 + 8 : 8,
+                                        Interconnect::Channel::Request);
 
-    if (entry) {
-        ++hits;
-        entry->lruStamp = ++lruClock_;
-        if (tracer_) {
-            TraceEvent ev = makeTraceEvent(now, TraceEventKind::L2Hit);
-            ev.arg0 = line_addr;
-            ev.arg1 = bank;
-            ev.value = queue;
-            tracer_->record(ev);
-        }
-    } else {
-        ++misses;
-        // Fetch from DRAM, then fill.
-        data_at_l2 = fetchLine(data_at_l2, line_addr);
-        Way *victim = &ways[0];
-        for (std::uint32_t w = 1; w < cfg_.l2.assoc; ++w) {
-            if (!ways[w].valid) {
-                victim = &ways[w];
-                break;
-            }
-            if (ways[w].lruStamp < victim->lruStamp)
-                victim = &ways[w];
-        }
-        victim->valid = true;
-        victim->tag = tag;
-        victim->lruStamp = ++lruClock_;
-        if (tracer_) {
-            TraceEvent ev = makeTraceEvent(now, TraceEventKind::L2Miss);
-            ev.arg0 = line_addr;
-            ev.arg1 = bank;
-            ev.value = static_cast<double>(data_at_l2 - now);
-            tracer_->record(ev);
-        }
-    }
-
-    // Response traverses the network back (data payload for reads).
-    const Cycles ready =
-        noc_->transfer(data_at_l2, is_write ? 8 : 128 + 8,
-                       Interconnect::Channel::Reply);
-    return {entry != nullptr, ready};
-}
-
-L2Result
-L2Cache::accessCompressed(Cycles now, Addr line_addr, bool is_write,
-                          Cycles data_at_l2)
-{
-    const std::uint32_t set = domain_->setIndexOf(line_addr);
+    // Bank arbitration (the service time and the queueing delay are
+    // whole cycles by construction, exact in the booking's double).
     const std::uint32_t bank = bankIndex(line_addr);
-    CompressionDomain::TagEntry *entry = domain_->findLine(line_addr);
+    const auto queue = static_cast<Cycles>(banks_[bank].book(
+        static_cast<double>(at_l2),
+        static_cast<double>(cfg_.l2.bankServiceCycles)));
+    bankQueueDelay.sample(static_cast<double>(queue));
+
+    // Remaining pipeline latency so an unloaded read hit observed from
+    // the SM costs exactly l2.minLatency.
+    const Cycles pipeline =
+        cfg_.l2.minLatency - 2 * noc_->traversalLatency();
+    const Cycles data_at_l2 = at_l2 + queue + pipeline;
+
+    const std::uint32_t set = domain_.setIndexOf(line_addr);
+    CompressionDomain::TagEntry *entry = domain_.findLine(line_addr);
     const bool was_hit = entry != nullptr;
     Cycles data_ready = data_at_l2;
 
     if (entry) {
         ++hits;
-        if (is_write) {
+        if (is_write && compressing_) {
             // Write-avoid at the L2: drop the compressed copy and
             // restore it raw, so stores never recompress in place.
             const CompressorId old_mode = entry->mode;
-            domain_->releaseLine(*entry, set);
-            ++comp_->writeInvalidations;
+            domain_.releaseLine(*entry, set);
+            ++comp_.writeInvalidations;
             if (tracer_) {
                 TraceEvent ev = makeTraceEvent(
                     now, TraceEventKind::L2WriteInval);
@@ -296,16 +259,16 @@ L2Cache::accessCompressed(Cycles now, Addr line_addr, bool is_write,
                 ev.mode = static_cast<std::uint8_t>(old_mode);
                 tracer_->record(ev);
             }
-            insertCompressed(now, line_addr, set, CompressorId::None);
+            insertLine(now, line_addr, set, CompressorId::None);
         } else {
-            domain_->touchOnHit(*entry);
+            domain_.touchOnHit(*entry);
             if (entry->mode != CompressorId::None &&
                 entry->encoding != kRawEncoding) {
                 Compressor *engine = engines_->get(entry->mode);
-                DecompressionQueue &queue = domain_->queueFor(entry->mode);
+                DecompressionQueue &queue = domain_.queueFor(entry->mode);
                 data_ready = queue.enqueue(data_at_l2,
                                            engine->decompressLatency());
-                ++comp_->decompressions;
+                ++comp_.decompressions;
                 if (decompWaitHist_) {
                     decompWaitHist_->record(
                         static_cast<double>(data_ready - data_at_l2));
@@ -327,20 +290,22 @@ L2Cache::accessCompressed(Cycles now, Addr line_addr, bool is_write,
             TraceEvent ev = makeTraceEvent(now, TraceEventKind::L2Hit);
             ev.arg0 = line_addr;
             ev.arg1 = bank;
-            ev.value = static_cast<double>(data_ready - data_at_l2);
+            ev.value = static_cast<double>(
+                compressing_ ? data_ready - data_at_l2 : queue);
             tracer_->record(ev);
         }
     } else {
         ++misses;
         data_ready = fetchLine(data_at_l2, line_addr);
         // Stores fill raw (the write-avoid analogue); loads fill with
-        // the configured mode — static:<algo> or the latte winner.
+        // the configured mode — static:<algo> or the latte winner. An
+        // uncompressed L2 stores every line raw.
         CompressorId mode = CompressorId::None;
-        if (!is_write) {
+        if (compressing_ && !is_write) {
             mode = controller_ ? controller_->modeForInsertion(set)
                                : cfg_.l2.staticAlgo;
         }
-        insertCompressed(now, line_addr, set, mode);
+        insertLine(now, line_addr, set, mode);
         if (tracer_) {
             TraceEvent ev = makeTraceEvent(now, TraceEventKind::L2Miss);
             ev.arg0 = line_addr;
@@ -358,67 +323,24 @@ L2Cache::accessCompressed(Cycles now, Addr line_addr, bool is_write,
                                    static_cast<double>(data_ready - now));
     }
 
+    // Response traverses the network back (data payload for reads).
     const Cycles ready =
         noc_->transfer(data_ready, is_write ? 8 : 128 + 8,
                        Interconnect::Channel::Reply);
-    return {was_hit, ready};
-}
-
-L2Result
-L2Cache::access(Cycles now, Addr line_addr, bool is_write)
-{
-    metrics::ProfileScope profile(metrics::ProfileZone::L2Access);
-    if (is_write)
-        ++writes;
-    else
-        ++reads;
-
-    // Request traverses the network to the L2 partition.
-    const Cycles at_l2 = noc_->transfer(now, is_write ? 128 + 8 : 8,
-                                        Interconnect::Channel::Request);
-
-    // Bank arbitration (integer cycle arithmetic: the service time and
-    // the queueing delay are whole cycles by construction).
-    const std::uint32_t bank = bankIndex(line_addr);
-    const Cycles start = std::max(at_l2, bankNextFree_[bank]);
-    bankNextFree_[bank] = start + cfg_.l2.bankServiceCycles;
-    const Cycles queue = start - at_l2;
-    bankQueueDelay.sample(static_cast<double>(queue));
-
-    // Remaining pipeline latency so an unloaded read hit observed from
-    // the SM costs exactly l2.minLatency.
-    const Cycles pipeline =
-        cfg_.l2.minLatency - 2 * noc_->traversalLatency();
-    const Cycles data_at_l2 = at_l2 + queue + pipeline;
-
-    const L2Result result =
-        domain_ ? accessCompressed(now, line_addr, is_write, data_at_l2)
-                : accessUncompressed(now, line_addr, is_write,
-                                     data_at_l2, bank,
-                                     static_cast<double>(queue));
 
     // Observational mirror into the shared metric histograms.
-    if (result.hit) {
-        if (hitLatencyHist_) {
-            hitLatencyHist_->record(
-                static_cast<double>(result.readyCycle - now));
-        }
-    } else if (missLatencyHist_) {
-        missLatencyHist_->record(
-            static_cast<double>(result.readyCycle - now));
-    }
-    return result;
+    metrics::LatencyHistogram *hist =
+        was_hit ? hitLatencyHist_ : missLatencyHist_;
+    if (hist)
+        hist->record(static_cast<double>(ready - now));
+    return {was_hit, ready};
 }
 
 void
 L2Cache::invalidateAll()
 {
-    for (auto &way : ways_)
-        way = Way{};
-    std::fill(bankNextFree_.begin(), bankNextFree_.end(), Cycles{0});
-    lruClock_ = 0;
-    if (domain_)
-        domain_->invalidateAll();
+    std::fill(banks_.begin(), banks_.end(), SerialResource{});
+    domain_.invalidateAll();
 }
 
 } // namespace latte

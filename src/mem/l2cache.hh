@@ -5,11 +5,14 @@
  * functional MemoryImage. Bank conflicts add queueing delay; misses go
  * to the DRAM model.
  *
- * With --l2-compress the tag/sub-block state moves into a
- * CompressionDomain (the same level-generic machinery the compressed L1
- * uses): lines are stored compressed, hits to compressed lines pay the
- * decompression queue, and the mode is either fixed (static:<algo>) or
- * chosen per EP by the L2CompressionController (latte). With
+ * The tag state lives in a CompressionDomain (the level-generic
+ * machinery the compressed L1 uses) in every mode, so the L2 has one
+ * lookup, fill, LRU and timing path. With --l2-compress=off the domain
+ * has one tag per way and stores every line raw: a plain LRU cache. With
+ * static:<algo> or latte, read misses fill compressed, hits to
+ * compressed lines pay the decompression queue, stores drop the
+ * compressed copy and refill it raw (write-avoid), and the mode is
+ * either fixed or chosen per EP by the L2CompressionController. With
  * --link-compress, L2 miss fetches move compressed bytes over the
  * L2<->DRAM channel instead of full lines.
  */
@@ -77,7 +80,10 @@ class L2Cache : public StatGroup
     void setMetrics(metrics::MetricRegistry *metrics);
 
     /** The compressed-L2 domain; nullptr when --l2-compress=off. */
-    const CompressionDomain *domain() const { return domain_.get(); }
+    const CompressionDomain *domain() const
+    {
+        return compressing_ ? &domain_ : nullptr;
+    }
 
     /** The latte controller; nullptr unless --l2-compress=latte. */
     const L2CompressionController *controller() const
@@ -91,7 +97,7 @@ class L2Cache : public StatGroup
     Counter misses;
     Average bankQueueDelay;
 
-    /** Compressed-L2 stats; constructed only when compression is on. */
+    /** Compressed-L2 stats; in the stat tree only when compressing. */
     struct CompressStats : public StatGroup
     {
         explicit CompressStats(StatGroup *parent);
@@ -117,33 +123,24 @@ class L2Cache : public StatGroup
         Average transferRatio;       //!< mean line/transfer size ratio
     };
 
-    const CompressStats *compressStats() const { return comp_.get(); }
+    /** The compressed-L2 stats; nullptr when --l2-compress=off. */
+    const CompressStats *compressStats() const
+    {
+        return compressing_ ? &comp_ : nullptr;
+    }
     const LinkStats *linkStats() const { return link_.get(); }
 
   private:
-    struct Way
-    {
-        bool valid = false;
-        Addr tag = 0;
-        std::uint64_t lruStamp = 0;
-    };
-
-    std::uint32_t setIndex(Addr line_addr) const;
     std::uint32_t bankIndex(Addr line_addr) const;
-    /** The uncompressed lookup/fill path (exactly the pre-domain L2). */
-    L2Result accessUncompressed(Cycles now, Addr line_addr,
-                                bool is_write, Cycles data_at_l2,
-                                std::uint32_t bank, double queue);
-    /** The CompressionDomain-backed path (--l2-compress != off). */
-    L2Result accessCompressed(Cycles now, Addr line_addr, bool is_write,
-                              Cycles data_at_l2);
     /** Fetch @p line_addr from DRAM (compressed link when enabled). */
     Cycles fetchLine(Cycles at, Addr line_addr);
     /** Insert @p line_addr into the domain, stored with @p mode. */
-    void insertCompressed(Cycles now, Addr line_addr, std::uint32_t set,
-                          CompressorId mode);
+    void insertLine(Cycles now, Addr line_addr, std::uint32_t set,
+                    CompressorId mode);
 
     const GpuConfig &cfg_;
+    /** --l2-compress != off: fills may compress, and are reported. */
+    const bool compressing_;
     Interconnect *noc_;
     DramModel *dram_;
     MemoryImage *mem_;
@@ -152,15 +149,12 @@ class L2Cache : public StatGroup
     metrics::LatencyHistogram *missLatencyHist_ = nullptr;
     metrics::LatencyHistogram *decompWaitHist_ = nullptr;
 
-    std::uint32_t numSets_;
-    std::vector<Way> ways_;              //!< numSets_ x assoc
-    std::vector<Cycles> bankNextFree_;   //!< per-bank service queue
-    std::uint64_t lruClock_ = 0;
+    std::vector<SerialResource> banks_;   //!< one per bank
 
-    // --- compression machinery (allocated only when configured) ---
+    /** Allocated only when the level or the link compresses. */
     std::unique_ptr<CompressionEngines> engines_;
-    std::unique_ptr<CompressStats> comp_;
-    std::unique_ptr<CompressionDomain> domain_;
+    CompressStats comp_;
+    CompressionDomain domain_;
     std::unique_ptr<L2CompressionController> controller_;
     std::unique_ptr<LinkStats> link_;
     Compressor *linkEngine_ = nullptr;

@@ -85,12 +85,8 @@ Gpu::checkControl()
         break;
       case FaultKind::DecompQueueStall: {
         std::size_t depth = 0;
-        for (const auto &sm : sms_) {
-            for (const CompressorId mode :
-                 {CompressorId::Bdi, CompressorId::Sc, CompressorId::Bpc,
-                  CompressorId::Fpc, CompressorId::CpackZ})
-                depth += sm->cache().queueFor(mode).depth(now_);
-        }
+        for (const auto &sm : sms_)
+            depth += sm->cache().domain().decompDepth(now_);
         detail = strfmt("injected: decompression queue stopped "
                         "draining ({} entries in flight)",
                         depth);

@@ -59,9 +59,13 @@ enum class TraceEventKind : std::uint8_t
     MshrFull,      //!< allocation refused; arg1 = capacity
 
     // --- shared memory system ---
-    L2Hit,         //!< arg0 = line addr
-    L2Miss,        //!< arg0 = line addr
-    DramAccess,    //!< arg1 = bytes, value = queue delay (cycles)
+    // L2Hit and L2Miss: arg0 = line addr, arg1 = bank. An L2Hit's value
+    // is the bank wait with --l2-compress=off and the decompression wait
+    // when compressing; an L2Miss's is the cycles from issue to data at
+    // the L2.
+    L2Hit,         //!< L2 hit (payload above)
+    L2Miss,        //!< L2 miss (payload above)
+    DramAccess,    //!< arg0 = bytes, value = queue delay (cycles)
 
     // --- LATTE-CC controller ---
     // DuelingModeSelector records the vote and mode-change events of

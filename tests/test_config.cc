@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "common/config.hh"
@@ -123,6 +124,67 @@ TEST(Config, RejectsZeroSampleSetsOrVftEntries)
     cfg = GpuConfig{};
     cfg.latte.dedicatedSetsPerMode = 1;
     cfg.latte.vftEntries = 1;
+    EXPECT_FALSE(cfg.validationError().has_value());
+}
+
+TEST(Config, RejectsLinesOtherThan128Bytes)
+{
+    // Both levels run on compression domains over the compressors' 128 B
+    // lines; a 64 B L1 line passed validation, then aborted the process.
+    GpuConfig cfg;
+    cfg.l1.lineBytes = 64;
+    ASSERT_TRUE(cfg.validationError().has_value());
+    EXPECT_NE(cfg.validationError()->find("l1LineBytes"), std::string::npos);
+
+    for (const std::uint32_t bytes : {0u, 64u, 256u}) {
+        cfg = GpuConfig{};
+        cfg.l2.lineBytes = bytes;
+        ASSERT_TRUE(cfg.validationError().has_value()) << bytes;
+        EXPECT_NE(cfg.validationError()->find("l2LineBytes"),
+                  std::string::npos)
+            << bytes;
+    }
+}
+
+TEST(Config, RejectsBandwidthsThatAreNotFinitePositive)
+{
+    // Zero DRAM bandwidth wrote an infinite queue delay into the result
+    // JSON; a negative NoC bandwidth gave negative service times.
+    using Limits = std::numeric_limits<double>;
+    for (const double bad :
+         {0.0, -1.0, Limits::infinity(), Limits::quiet_NaN()}) {
+        GpuConfig cfg;
+        cfg.nocBytesPerCycle = bad;
+        ASSERT_TRUE(cfg.validationError().has_value()) << bad;
+        EXPECT_NE(cfg.validationError()->find("nocBytesPerCycle"),
+                  std::string::npos)
+            << bad;
+
+        cfg = GpuConfig{};
+        cfg.dramBytesPerCycle = bad;
+        ASSERT_TRUE(cfg.validationError().has_value()) << bad;
+        EXPECT_NE(cfg.validationError()->find("dramBytesPerCycle"),
+                  std::string::npos)
+            << bad;
+    }
+
+    GpuConfig cfg;
+    cfg.nocBytesPerCycle = 0.5;
+    cfg.dramBytesPerCycle = 0.5;
+    EXPECT_FALSE(cfg.validationError().has_value());
+}
+
+TEST(Config, RejectsDramLatencyBelowTheL2s)
+{
+    // DRAM's extra latency beyond the L2 is unsigned: below the L2's it
+    // wrapped, and a DRAM access returned before it was issued.
+    GpuConfig cfg;
+    cfg.dramMinLatency = cfg.l2.minLatency - 1;
+    ASSERT_TRUE(cfg.validationError().has_value());
+    EXPECT_NE(cfg.validationError()->find("dramMinLatency"),
+              std::string::npos);
+
+    cfg.dramMinLatency = cfg.l2.minLatency;
     EXPECT_FALSE(cfg.validationError().has_value());
 }
 

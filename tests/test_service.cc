@@ -24,6 +24,7 @@
 #include <cstring>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -221,18 +222,29 @@ TEST(Service, UnrunnableConfigFailsCellsNotTheService)
 
 TEST(Service, ZeroSampleSetsOrVftEntriesFailCellsNotTheService)
 {
-    // Both pass spec validation. Zero sample sets divided by zero in the
-    // mode selector and zero VFT entries aborted in every SM's SC
-    // engine, each taking the daemon down with the cell.
+    // Each passes spec validation. Zero sample sets divided by zero in
+    // the mode selector, and zero VFT entries aborted in every SM's SC
+    // engine, as a 64 B line did in the compression domain: each took
+    // the daemon down with the cell. Zero DRAM bandwidth wrote an
+    // infinite queue delay (not JSON) into the result, a negative NoC
+    // bandwidth gave negative service times, and a DRAM latency below
+    // the L2's wrapped DRAM's unsigned extra latency.
     ServiceOptions options;
     options.stateDir = freshDir("latte_service_zero_latte_state");
     options.threads = 1;
     SweepService service(options);
 
-    for (const char *key : {"cfg.latte.dedicated_sets_per_mode",
-                            "cfg.latte.vft_entries"}) {
+    const std::pair<const char *, runner::Json> unrunnable[] = {
+        {"cfg.latte.dedicated_sets_per_mode", runner::Json(std::uint64_t{0})},
+        {"cfg.latte.vft_entries", runner::Json(std::uint64_t{0})},
+        {"cfg.l1_line_bytes", runner::Json(std::uint64_t{64})},
+        {"cfg.dram_bytes_per_cycle", runner::Json(std::uint64_t{0})},
+        {"cfg.noc_bytes_per_cycle", runner::Json(-1.0)},
+        {"cfg.dram_min_latency", runner::Json(std::uint64_t{100})},
+    };
+    for (const auto &[key, value] : unrunnable) {
         runner::SweepSpec spec = tinySpec();
-        spec.options[key] = runner::Json(std::uint64_t{0});
+        spec.options[key] = value;
         std::string error;
         const std::uint64_t bad = service.submit(spec, "tester", 0, &error);
         ASSERT_NE(bad, 0u) << key << ": " << error;
