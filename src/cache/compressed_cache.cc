@@ -279,12 +279,12 @@ CompressedCache::insertLine(Cycles now, Addr line_addr)
 
     // Evict LRU lines until a tag and enough sub-blocks are free.
     TagEntry &slot = domain_.allocateSlot(
-        set, need, [&](Addr victim_tag, const TagEntry &victim) {
+        set, need, [&](Addr victim_addr, const TagEntry &victim) {
             ++evictions;
             if (tracer_) {
                 TraceEvent ev =
                     makeTraceEvent(now, TraceEventKind::L1Evict, smId_);
-                ev.arg0 = victim_tag;
+                ev.arg0 = victim_addr;
                 ev.arg1 = set;
                 ev.mode = static_cast<std::uint8_t>(victim.mode);
                 tracer_->record(ev);

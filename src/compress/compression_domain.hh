@@ -76,9 +76,10 @@ class CompressionDomain
 
     /**
      * Evict until a tag and @p need sub-blocks are free in
-     * @p set_index, then return the slot to fill. @p on_evict(tag,
-     * entry) observes every released victim, whose mode stays readable,
-     * so the owner can count and trace evictions.
+     * @p set_index, then return the slot to fill. @p on_evict(line_addr,
+     * entry) observes every released victim — its byte address, as the
+     * fill that placed it had it, and its entry, whose mode stays
+     * readable — so the owner can count and trace evictions.
      */
     template <typename EvictObserver>
     TagEntry &
@@ -98,7 +99,8 @@ class CompressionDomain
             TagEntry *victim = pickVictim(set_index);
             const Addr tag = keys_[victim - tags_.data()];
             releaseLine(*victim, set_index);
-            on_evict(tag, *victim);
+            on_evict((tag * numSets_ + set_index) * level_.lineBytes,
+                     *victim);
             if (!slot)
                 slot = victim;
         }

@@ -1,81 +1,150 @@
 #include "huffman.hh"
 
 #include <algorithm>
-#include <numeric>
+#include <array>
+#include <utility>
 
 #include "common/logging.hh"
 
 namespace latte
 {
 
-HuffmanCode
-HuffmanCode::build(const std::vector<Freq> &freqs,
-                   std::uint64_t escape_weight)
+namespace
+{
+
+/** @p code's low @p len bits in reverse order: its wire form. */
+std::uint64_t
+reverseCode(std::uint64_t code, unsigned len)
+{
+    code = (code >> 1 & 0x5555555555555555ull) |
+           (code & 0x5555555555555555ull) << 1;
+    code = (code >> 2 & 0x3333333333333333ull) |
+           (code & 0x3333333333333333ull) << 2;
+    code = (code >> 4 & 0x0f0f0f0f0f0f0f0full) |
+           (code & 0x0f0f0f0f0f0f0f0full) << 4;
+    return __builtin_bswap64(code) >> (64 - len);
+}
+
+/**
+ * Sort @p keys ascending with @p scratch as the second buffer: an LSD
+ * radix sort by bytes that skips the bytes all keys share. The keys
+ * are up to about a thousand packed (weight or length, symbol) words,
+ * where a few linear passes cost less than a comparison sort.
+ */
+void
+radixSort(std::vector<std::uint64_t> &keys,
+          std::vector<std::uint64_t> &scratch)
+{
+    // Only the bytes in which some keys differ need a pass.
+    std::uint64_t differ = 0;
+    for (const std::uint64_t key : keys)
+        differ |= key ^ keys[0];
+    std::array<unsigned, 8> shifts{};
+    std::size_t passes = 0;
+    for (unsigned shift = 0; shift < 64; shift += 8) {
+        if (differ >> shift & 0xff)
+            shifts[passes++] = shift;
+    }
+    std::array<std::array<std::uint32_t, 256>, 8> counts{};
+    for (const std::uint64_t key : keys) {
+        for (std::size_t p = 0; p < passes; ++p)
+            ++counts[p][key >> shifts[p] & 0xff];
+    }
+    scratch.resize(keys.size());
+    for (std::size_t p = 0; p < passes; ++p) {
+        const unsigned shift = shifts[p];
+        std::array<std::uint32_t, 256> &at = counts[p];
+        std::uint32_t sum = 0;
+        for (std::uint32_t &count : at)
+            sum += std::exchange(count, sum);
+        for (const std::uint64_t key : keys)
+            scratch[at[key >> shift & 0xff]++] = key;
+        keys.swap(scratch);
+    }
+}
+
+} // namespace
+
+void
+HuffmanCode::rebuild(std::span<const Freq> freqs,
+                     std::uint64_t escape_weight)
 {
     latte_assert(escape_weight >= 1);
 
-    // Symbol table: all nonzero-weight values plus the escape at the end.
-    struct Entry { std::uint32_t symbol; std::uint64_t weight; bool esc; };
-    std::vector<Entry> entries;
-    entries.reserve(freqs.size() + 1);
-    for (const auto &[symbol, weight] : freqs) {
-        if (weight > 0)
-            entries.push_back({symbol, weight, false});
-    }
-    entries.push_back({0, escape_weight, true});
-    const std::size_t n = entries.size();
+    // Packed sort keys, node weights (also the sorts' second buffer),
+    // and parent links that become depths.
+    std::vector<std::uint64_t> keys, weights;
+    std::vector<std::uint32_t> links;
 
-    // Two-queue Huffman merge over nodes 0..n-1 (the entries) and
-    // n..2n-2 (merged nodes, in creation order, so the root is last).
-    // Merged weights never decrease, so taking the lighter head of the
-    // weight-sorted leaves and the merged FIFO — a leaf winning a tie —
-    // merges in the (weight, creation order) sequence of a min-heap over
-    // all nodes: the deterministic tie-break the code lengths rely on.
-    std::vector<std::size_t> leaves(n);
-    std::iota(leaves.begin(), leaves.end(), std::size_t{0});
-    std::stable_sort(leaves.begin(), leaves.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return entries[a].weight < entries[b].weight;
-                     });
-    std::vector<std::uint64_t> weight(2 * n - 1);
-    std::vector<std::size_t> parent(2 * n - 1);
-    for (std::size_t i = 0; i < n; ++i)
-        weight[i] = entries[i].weight;
+    // Leaves in (weight, escape last, symbol) order, from one sort of
+    // (weight, symbol) keys with the escape placed after its weight:
+    // the order a stable sort by weight gives symbol-sorted input with
+    // the escape appended, so the book does not depend on input order.
+    keys.reserve(freqs.size() + 1);
+    for (const auto &[symbol, weight] : freqs) {
+        if (weight == 0)
+            continue;
+        latte_assert(weight <= 0xffffffffu, "weight {} above 2^32 - 1",
+                     weight);
+        keys.push_back(weight << 32 | symbol);
+    }
+    radixSort(keys, weights);
+    const auto escape_leaf =
+        escape_weight > 0xffffffffu
+            ? keys.end()
+            : std::upper_bound(keys.begin(), keys.end(),
+                               escape_weight << 32 | 0xffffffffu);
+    // From here a leaf's key holds its (escape, symbol) bits only.
+    const auto escape = static_cast<std::size_t>(escape_leaf - keys.begin());
+    keys.insert(escape_leaf, std::uint64_t{1} << 32);
+    const std::size_t n = keys.size();
+
+    // Two-queue Huffman merge over leaves 0..n-1 (in the order above)
+    // and merged nodes n..2n-2 (in creation order, so the root is
+    // last). Merged weights never decrease, so taking the lighter head
+    // of the sorted leaves and the merged FIFO — a leaf winning a tie —
+    // merges in the (weight, creation order) sequence of a min-heap
+    // over all nodes: the deterministic tie-break the code lengths rely
+    // on.
+    weights.resize(2 * n - 1);
+    links.resize(2 * n - 1);
+    for (std::size_t i = 0; i < n; ++i) {
+        weights[i] = i == escape ? escape_weight : keys[i] >> 32;
+        if (i != escape)
+            keys[i] &= 0xffffffffu;
+    }
     std::size_t next_leaf = 0, next_merged = n;
     for (std::size_t node = n; node < 2 * n - 1; ++node) {
         auto take = [&] {
             const bool leaf =
-                next_leaf < n &&
-                (next_merged == node ||
-                 weight[leaves[next_leaf]] <= weight[next_merged]);
-            return leaf ? leaves[next_leaf++] : next_merged++;
+                next_leaf < n && (next_merged == node ||
+                                  weights[next_leaf] <=
+                                      weights[next_merged]);
+            return leaf ? next_leaf++ : next_merged++;
         };
         const std::size_t a = take();
         const std::size_t b = take();
-        weight[node] = weight[a] + weight[b];
-        parent[a] = parent[b] = node;
+        weights[node] = weights[a] + weights[b];
+        links[a] = links[b] = static_cast<std::uint32_t>(node);
     }
 
-    // Parents come after their children, so one backward pass gives
-    // every depth, the root's being 0. An escape-only tree still needs
-    // a 1-bit code.
-    std::vector<unsigned> lengths(2 * n - 1, n == 1 ? 1 : 0);
+    // Parents come after their children, so one backward pass turns
+    // each parent link into a depth, the root's being 0. An escape-only
+    // tree still needs a 1-bit code.
+    links[2 * n - 2] = n == 1 ? 1 : 0;
     for (std::size_t node = 2 * n - 2; node-- > 0;)
-        lengths[node] = lengths[parent[node]] + 1;
+        links[node] = links[links[node]] + 1;
 
-    // Canonicalise: sort by (length, symbol) and assign increasing codes.
-    std::vector<std::size_t> by_length(n);
-    std::iota(by_length.begin(), by_length.end(), std::size_t{0});
-    std::sort(by_length.begin(), by_length.end(),
-              [&](std::size_t a, std::size_t b) {
-                  if (lengths[a] != lengths[b])
-                      return lengths[a] < lengths[b];
-                  if (entries[a].esc != entries[b].esc)
-                      return entries[b].esc;
-                  return entries[a].symbol < entries[b].symbol;
-              });
+    // Canonicalise: sort (length, escape last, symbol) keys and assign
+    // increasing codes.
+    for (std::size_t i = 0; i < n; ++i)
+        keys[i] |= std::uint64_t{links[i]} << 33;
+    radixSort(keys, weights);
 
-    HuffmanCode book;
+    lens_.clear();
+    wireCodes_.clear();
+    filter_.clear();
+    lenMask_ = filterMask_ = 0;
     if (n > 1) {
         // Quarter-full at most, so linear probes terminate quickly; and
         // eight filter bits per symbol (12.5% false positives).
@@ -84,45 +153,42 @@ HuffmanCode::build(const std::vector<Freq> &freqs,
             capacity *= 2;
         while (filter_bits < (n - 1) * 8)
             filter_bits *= 2;
-        book.lens_.assign(capacity, {});
-        book.wireCodes_.assign(capacity, 0);
-        book.lenMask_ = capacity - 1;
-        book.filter_.assign(filter_bits / 64, 0);
-        book.filterMask_ = filter_bits - 1;
+        lens_.resize(capacity);
+        wireCodes_.resize(capacity);
+        lenMask_ = capacity - 1;
+        filter_.resize(filter_bits / 64);
+        filterMask_ = filter_bits - 1;
     }
-    book.lengthCounts_.assign(lengths[by_length.back()] + 1, 0);
-    book.canonical_.reserve(n);
+    lengthCounts_.assign((keys.back() >> 33) + 1, 0);
+    canonical_.clear();
     std::uint64_t next_code = 0;
     unsigned prev_len = 0;
-    for (const std::size_t idx : by_length) {
-        const unsigned len = lengths[idx];
+    for (const std::uint64_t key : keys) {
+        const auto len = static_cast<unsigned>(key >> 33);
         latte_assert(len >= 1 && len <= 64, "code length {} out of range",
                      len);
         next_code <<= (len - prev_len);
         prev_len = len;
-        std::uint64_t wire = 0;
-        for (unsigned i = 0; i < len; ++i)
-            wire |= ((next_code >> i) & 1) << (len - 1 - i);
+        const std::uint64_t wire = reverseCode(next_code, len);
         ++next_code;
-        ++book.lengthCounts_[len];
-        const std::uint32_t symbol = entries[idx].symbol;
-        if (entries[idx].esc) {
-            book.escapeIndex_ = book.canonical_.size();
-            book.escapeWire_ = wire;
-            book.escapeLength_ = len;
+        ++lengthCounts_[len];
+        const auto symbol = static_cast<std::uint32_t>(key);
+        if (key >> 32 & 1) {
+            escapeIndex_ = canonical_.size();
+            escapeWire_ = wire;
+            escapeLength_ = len;
         } else {
             const std::uint32_t hash = symbol * 0x9e3779b9u;
-            std::size_t i = hash & book.lenMask_;
-            while (book.lens_[i].bits != 0)
-                i = (i + 1) & book.lenMask_;
-            book.lens_[i] = {symbol, len};
-            book.wireCodes_[i] = wire;
-            const std::size_t bit = hash & book.filterMask_;
-            book.filter_[bit / 64] |= std::uint64_t{1} << (bit % 64);
+            std::size_t i = hash & lenMask_;
+            while (lens_[i].bits != 0)
+                i = (i + 1) & lenMask_;
+            lens_[i] = {symbol, len};
+            wireCodes_[i] = wire;
+            const std::size_t bit = hash & filterMask_;
+            filter_[bit / 64] |= std::uint64_t{1} << (bit % 64);
         }
-        book.canonical_.push_back(symbol);
+        canonical_.push_back(symbol);
     }
-    return book;
 }
 
 std::uint32_t

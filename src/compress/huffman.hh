@@ -9,6 +9,7 @@
 #define LATTE_COMPRESS_HUFFMAN_HH
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -57,12 +58,20 @@ class HuffmanCode
     HuffmanCode() = default;
 
     /**
-     * Build a code book over @p freqs (distinct symbols) plus an escape
-     * symbol of weight @p escape_weight (>= 1). Zero-weight symbols are
-     * dropped.
+     * Build a code book over @p freqs (distinct symbols, in any order,
+     * weights below 2^32) plus an escape symbol of weight
+     * @p escape_weight (>= 1). Zero-weight symbols are dropped.
      */
-    static HuffmanCode build(const std::vector<Freq> &freqs,
-                             std::uint64_t escape_weight);
+    static HuffmanCode
+    build(const std::vector<Freq> &freqs, std::uint64_t escape_weight)
+    {
+        HuffmanCode book;
+        book.rebuild(freqs, escape_weight);
+        return book;
+    }
+
+    /** build() into this book, reusing its tables. */
+    void rebuild(std::span<const Freq> freqs, std::uint64_t escape_weight);
 
     /** True once build() populated the book. */
     bool valid() const { return escapeLength_ != 0; }

@@ -1,6 +1,7 @@
 #include "sc.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "backend.hh"
 #include "common/logging.hh"
@@ -11,7 +12,8 @@ namespace latte
 ValueFrequencyTable::ValueFrequencyTable(std::uint32_t entries,
                                          std::uint32_t counter_bits)
     : capacity_(entries),
-      counterMax_((1u << counter_bits) - 1)
+      counterMax_((1u << counter_bits) - 1),
+      slots_(16), shift_(64 - 4)
 {
     latte_assert(entries > 0 && counter_bits > 0 && counter_bits <= 31);
 }
@@ -20,18 +22,39 @@ void
 ValueFrequencyTable::record(std::uint32_t value)
 {
     ++samples_;
-    const auto it = counts_.find(value);
-    if (it != counts_.end()) {
-        if (it->second < counterMax_)
-            ++it->second;
-        return;
+    // Lines repeat words: try the slot of the last value first.
+    if (slots_[last_].value != value || slots_[last_].count == 0) {
+        std::size_t i = find(value);
+        if (slots_[i].count == 0) {
+            if (size_ >= capacity_) {
+                // A hardware VFT drops values once full; the table is
+                // rebuilt every period so the staleness window is
+                // bounded.
+                ++misses_;
+                return;
+            }
+            if (2 * (size_ + 1) > slots_.size()) {
+                grow();
+                i = find(value);
+            }
+            slots_[i].value = value;
+            ++size_;
+        }
+        last_ = i;
     }
-    if (counts_.size() < capacity_) {
-        counts_.emplace(value, 1);
-    } else {
-        // A hardware VFT drops values once full; the table is rebuilt
-        // every period so the staleness window is bounded.
-        ++misses_;
+    if (slots_[last_].count < counterMax_)
+        ++slots_[last_].count;
+}
+
+void
+ValueFrequencyTable::grow()
+{
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    --shift_;
+    for (const Slot &slot : old) {
+        if (slot.count != 0)
+            slots_[find(slot.value)] = slot;
     }
 }
 
@@ -46,7 +69,8 @@ ValueFrequencyTable::recordLine(std::span<const std::uint8_t> line)
 void
 ValueFrequencyTable::clear()
 {
-    counts_.clear();
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    size_ = 0;
     misses_ = 0;
     samples_ = 0;
 }
@@ -54,12 +78,15 @@ ValueFrequencyTable::clear()
 std::vector<HuffmanCode::Freq>
 ValueFrequencyTable::snapshot() const
 {
-    std::vector<HuffmanCode::Freq> freqs;
-    freqs.reserve(counts_.size());
-    for (const auto &[value, count] : counts_)
-        freqs.emplace_back(value, count);
-    // Deterministic order regardless of hash iteration.
-    std::sort(freqs.begin(), freqs.end());
+    // Every slot is written and only full ones kept, without a branch
+    // per slot; the spare element takes the writes past the last one.
+    std::vector<HuffmanCode::Freq> freqs(size_ + 1);
+    std::size_t n = 0;
+    for (const Slot &slot : slots_) {
+        freqs[n] = {slot.value, slot.count};
+        n += slot.count != 0;
+    }
+    freqs.pop_back();
     return freqs;
 }
 
@@ -83,30 +110,72 @@ ScCompressor::rebuildCodes()
 {
     const std::uint64_t escape_weight = std::max<std::uint64_t>(
         1, vft_.misses() / 4);
-    codes_ = HuffmanCode::build(vft_.snapshot(), escape_weight);
+    // build() does not depend on the order of its input.
+    codes_.rebuild(vft_.snapshot(), escape_weight);
     vft_.clear();
     return ++generation_;
 }
 
-double
-ScCompressor::codeDivergence() const
+bool
+ScCompressor::codeDivergenceAbove(double limit) const
 {
     if (!codes_.valid())
-        return 1.0;
-    auto freqs = vft_.snapshot();
-    if (freqs.empty())
-        return 0.0;
+        return 1.0 > limit;
+    if (vft_.size() == 0)
+        return 0.0 > limit;
+    const std::size_t top = std::min(vft_.size(), kTopValues);
+    const auto above = [&](std::size_t missing) {
+        return static_cast<double>(missing) / static_cast<double>(top) >
+               limit;
+    };
+
+    // The top-th largest count: values above it are in the top however
+    // the sort orders ties; of those tied at it, the sort takes `need`.
+    std::vector<HuffmanCode::Freq> freqs = vft_.snapshot();
+    const auto by_count = [](const auto &a, const auto &b) {
+        return a.second > b.second;
+    };
+    std::nth_element(freqs.begin(), freqs.begin() + (top - 1), freqs.end(),
+                     by_count);
+    const std::uint64_t cut = freqs[top - 1].second;
+    std::size_t above_cut = 0, missing = 0, tied = 0, tied_missing = 0;
+    for (const auto &[value, count] : freqs) {
+        if (count < cut)
+            continue;
+        const bool coded = codes_.hasCode(value);
+        if (count > cut) {
+            ++above_cut;
+            missing += !coded;
+        } else {
+            ++tied;
+            tied_missing += !coded;
+        }
+    }
+    const std::size_t need = top - above_cut;
+    const std::size_t tied_coded = tied - tied_missing;
+    const std::size_t fewest =
+        missing + (need > tied_coded ? need - tied_coded : 0);
+    const std::size_t most = missing + std::min(need, tied_missing);
+    if (above(fewest) == above(most))
+        return above(fewest);
+    return above(fullSortMissing(std::move(freqs)));
+}
+
+std::size_t
+ScCompressor::fullSortMissing(std::vector<HuffmanCode::Freq> freqs) const
+{
+    std::sort(freqs.begin(), freqs.end());
     std::sort(freqs.begin(), freqs.end(),
               [](const auto &a, const auto &b) {
                   return a.second > b.second;
               });
-    const std::size_t top = std::min<std::size_t>(freqs.size(), 64);
+    const std::size_t top = std::min(freqs.size(), kTopValues);
     std::size_t missing = 0;
     for (std::size_t i = 0; i < top; ++i) {
         if (!codes_.hasCode(freqs[i].first))
             ++missing;
     }
-    return static_cast<double>(missing) / static_cast<double>(top);
+    return missing;
 }
 
 void

@@ -248,7 +248,7 @@ class Policy : public CompressionModeProvider
             sc.discardVft(); // too few samples to judge drift
             return;
         }
-        if (!sc.hasCodes() || sc.codeDivergence() > 0.3)
+        if (!sc.hasCodes() || sc.codeDivergenceAbove(0.3))
             rebuildScCodes(now);
         else
             sc.discardVft();

@@ -184,12 +184,12 @@ L2Cache::insertLine(Cycles now, Addr line_addr, std::uint32_t set,
     const std::uint8_t need = domain_.subBlocksFor(meta);
     CompressionDomain::TagEntry &slot = domain_.allocateSlot(
         set, need,
-        [&](Addr victim_tag, const CompressionDomain::TagEntry &victim) {
+        [&](Addr victim_addr, const CompressionDomain::TagEntry &victim) {
             ++comp_.evictions;
             if (tracer) {
                 TraceEvent ev =
                     makeTraceEvent(now, TraceEventKind::L2Evict);
-                ev.arg0 = victim_tag;
+                ev.arg0 = victim_addr;
                 ev.arg1 = set;
                 ev.mode = static_cast<std::uint8_t>(victim.mode);
                 tracer->record(ev);

@@ -111,7 +111,6 @@ Gpu::runKernel(KernelProgram &program, std::uint64_t max_instructions,
 {
     ++kernelsLaunched;
     const Cycles start = now_;
-    const std::uint64_t instr_start = totalInstructions();
 
     if (tracer_) {
         TraceEvent ev =
@@ -135,9 +134,15 @@ Gpu::runKernel(KernelProgram &program, std::uint64_t max_instructions,
     // only; the stores land in this thread's metrics::live slot).
     constexpr Cycles kLivePublishPeriod = Cycles{1} << 16;
     Cycles next_live_publish = start;
+    // Instructions this kernel executed so far.
+    std::uint64_t executed = 0;
+    // An SM takes a CTA only after one of its own retired, so CTAs are
+    // distributed at the start and after a tick that retired one.
+    bool cta_retired = true;
     while (true) {
         // Distribute CTAs round-robin to SMs with capacity.
-        bool assigned = true;
+        bool assigned = cta_retired;
+        cta_retired = false;
         while (assigned && next_cta < num_ctas) {
             assigned = false;
             for (std::uint32_t i = 0;
@@ -191,7 +196,11 @@ Gpu::runKernel(KernelProgram &program, std::uint64_t max_instructions,
             if (gap > 1)
                 sms_[i]->noteIdle(gap - 1);
             last_tick[i] = now_;
-            next_tick[i] = sms_[i]->tick(now_);
+            const StreamingMultiprocessor::TickResult tick =
+                sms_[i]->tick(now_);
+            next_tick[i] = tick.next;
+            executed += tick.issued;
+            cta_retired |= tick.ctaRetired;
             latte_assert(next_tick[i] == kNoCycle || next_tick[i] > now_,
                          "SM must request a future tick");
         }
@@ -199,8 +208,6 @@ Gpu::runKernel(KernelProgram &program, std::uint64_t max_instructions,
         if (metrics_ && metrics_->due(now_))
             metrics_->sample(now_);
 
-        const std::uint64_t executed =
-            totalInstructions() - instr_start;
         if (executed >= max_instructions) {
             budget_hit = true;
             break;
@@ -227,7 +234,7 @@ Gpu::runKernel(KernelProgram &program, std::uint64_t max_instructions,
 
     RunResult result;
     result.cycles = duration;
-    result.instructions = totalInstructions() - instr_start;
+    result.instructions = executed;
     result.completed = !budget_hit;
     result.interrupt = std::move(interrupt);
     return result;

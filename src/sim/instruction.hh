@@ -37,11 +37,30 @@ enum class Op : std::uint8_t
  * The distinct 128 B line addresses one warp instruction touches, kept
  * in ascending order. A warp has 32 lanes, so 32 lines is the most it
  * can hold; the storage is inline, so building one never allocates.
+ * Lines past size() are never set nor read: a fetch neither zero-fills
+ * the 256 B array nor copies more than size() lines.
  */
 class LineList
 {
   public:
     static constexpr std::size_t kCapacity = 32;
+
+    // User-provided, so even a value-initialised LineList{} (as in
+    // DecodedInstr{}) leaves the array unset.
+    LineList() {}
+    LineList(const LineList &other) : size_(other.size_)
+    {
+        std::copy(other.begin(), other.end(), lines_.data());
+    }
+    LineList &
+    operator=(const LineList &other)
+    {
+        if (this != &other) {
+            size_ = other.size_;
+            std::copy(other.begin(), other.end(), lines_.data());
+        }
+        return *this;
+    }
 
     /** Add line address @p line unless present; the order stays ascending. */
     void
@@ -71,7 +90,7 @@ class LineList
     }
 
   private:
-    std::array<Addr, kCapacity> lines_{};
+    std::array<Addr, kCapacity> lines_;
     std::size_t size_ = 0;
 };
 

@@ -12,9 +12,10 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "common/config.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace latte
@@ -26,12 +27,25 @@ namespace latte
  * Per local slot it keeps the warp's wake cycle — the cycle an Active
  * warp can issue next, kNoCycle in every other state — and its GTO age.
  *
- * Readiness is incremental: every slot with a wake has its bit in
- * exactly one of two masks, ready (its wake had come at the last scan)
- * or pending. nextWake_ is the earliest pending wake, or 0 when a scan
- * must recompute it, so a scan walks the pending bits only once that
- * wake has come. readyCount_ counts the ready bits (std::popcount is a
- * libgcc call without -mpopcnt); a pick walks them.
+ * Readiness is kept by a wake calendar. Every slot with a wake has its
+ * bit in exactly one slot mask, judged against base_, the cycle of the
+ * last scan (or 0 before the first):
+ *  - ready, if its wake is at most base_;
+ *  - bucket wake % 64, if base_ < wake <= base_ + 64, so one bucket
+ *    holds the slots of one cycle;
+ *  - far, otherwise (mostly load wakes, ~230 cycles out).
+ * An insert is classified against base_, not against the cycle it
+ * happens at: the LSU wakes a warp before the tick's scan, and a wake
+ * judged against that later cycle could land in a bucket the scan is
+ * about to drain as due. A far slot stays far as base_ advances, so
+ * farMin_, the earliest far wake (exact, or 0 once setWake moved the
+ * slot that held it), decides when a scan walks the far bits.
+ *
+ * A scan drains the buckets of base_ + 1 .. now, found through one
+ * occupancy word, and so pays for the cycles that came due rather than
+ * for one compare per waiting warp. readyCount_ counts the ready bits
+ * and each bucket its own (std::popcount is a libgcc call without
+ * -mpopcnt). A pick walks the ready bits.
  */
 class WarpScheduler
 {
@@ -49,9 +63,12 @@ class WarpScheduler
 
     WarpScheduler(GpuConfig::SchedPolicy policy, std::uint32_t id,
                   std::uint32_t slots)
-        : policy_(policy), id_(id), wake_(slots, kNoCycle), age_(slots, 0),
-          ready_((slots + 63) / 64, 0), pending_(ready_.size(), 0)
-    {}
+        : policy_(policy), id_(id), slots_(slots), words_((slots + 63) / 64),
+          state_(std::make_unique<std::uint64_t[]>(
+              wakesOffset() + 2 * std::size_t{slots}))
+    {
+        std::fill_n(wakes(), slots_, kNoCycle);
+    }
 
     std::uint32_t id() const { return id_; }
 
@@ -59,18 +76,19 @@ class WarpScheduler
     void
     clear()
     {
-        std::fill(wake_.begin(), wake_.end(), kNoCycle);
-        std::fill(ready_.begin(), ready_.end(), 0);
-        std::fill(pending_.begin(), pending_.end(), 0);
+        std::fill_n(readyMask(), wakesOffset(), 0);
+        std::fill_n(wakes(), slots_, kNoCycle);
+        occupied_ = 0;
         readyCount_ = 0;
-        nextWake_ = kNoCycle;
+        farMin_ = kNoCycle;
+        base_ = 0;
     }
 
     /** A new warp with GTO stamp @p age enters @p local; it wakes at @p wake. */
     void
     assign(std::uint32_t local, std::uint64_t age, Cycles wake)
     {
-        age_[local] = age;
+        ages()[local] = age;
         setWake(local, wake);
     }
 
@@ -78,21 +96,26 @@ class WarpScheduler
     void
     setWake(std::uint32_t local, Cycles wake)
     {
+        const std::size_t word = local / 64;
         const std::uint64_t bit = std::uint64_t{1} << local % 64;
-        std::uint64_t &ready = ready_[local / 64];
-        std::uint64_t &pending = pending_[local / 64];
-        if ((ready & bit) != 0)
+        Cycles &slot_wake = wakes()[local];
+        if ((readyMask()[word] & bit) != 0) {
+            readyMask()[word] &= ~bit;
             --readyCount_;
-        // Moving the earliest pending wake leaves the next scan to find it.
-        if ((pending & bit) != 0 && wake_[local] == nextWake_)
-            nextWake_ = 0;
-        ready &= ~bit;
-        pending &= ~bit;
-        wake_[local] = wake;
-        if (wake != kNoCycle) {
-            pending |= bit;
-            nextWake_ = std::min(nextWake_, wake);
+        } else if ((farMask()[word] & bit) != 0) {
+            farMask()[word] &= ~bit;
+            // Moving the earliest far wake leaves the next scan to find it.
+            if (slot_wake == farMin_)
+                farMin_ = 0;
+        } else if (slot_wake != kNoCycle) {
+            const int b = bucketOf(slot_wake);
+            bucketMask(b)[word] &= ~bit;
+            if (--bucketCount(b) == 0)
+                occupied_ &= ~(std::uint64_t{1} << b);
         }
+        slot_wake = wake;
+        if (wake != kNoCycle)
+            place(local, wake);
     }
 
     /**
@@ -102,17 +125,32 @@ class WarpScheduler
     Scan
     scan(Cycles now)
     {
-        if (nextWake_ <= now)
-            promote(now);
+        latte_assert(now >= base_, "scheduler clock went backwards");
+        // Bit p of the rotated word is the bucket of cycle base_ + 1 + p.
+        std::uint64_t due = std::rotr(occupied_, bucketOf(base_ + 1));
+        if (now - base_ < kHorizon)
+            due &= (std::uint64_t{1} << (now - base_)) - 1;
+        for (; due != 0; due &= due - 1)
+            drain(bucketOf(base_ + 1 + std::countr_zero(due)));
+        base_ = now;
+        if (farMin_ <= now)
+            walkFar();
 
-        Scan result{readyCount_, -1, nextWake_};
+        Scan result{readyCount_, -1, farMin_};
+        // The buckets left hold wakes now + 1 .. now + 64.
+        if (const std::uint64_t later =
+                std::rotr(occupied_, bucketOf(now + 1));
+            later != 0) {
+            result.nextWake = std::min<Cycles>(
+                result.nextWake, now + 1 + std::countr_zero(later));
+        }
         if (readyCount_ == 0)
             return result;
         if (policy_ == GpuConfig::SchedPolicy::GTO) {
             // The greedy warp while it is ready, else the oldest ready.
             const bool greedy_ready =
-                greedy_ < wake_.size() &&
-                (ready_[greedy_ / 64] >> greedy_ % 64 & 1) != 0;
+                greedy_ < slots_ &&
+                (readyMask()[greedy_ / 64] >> greedy_ % 64 & 1) != 0;
             result.pick = greedy_ready ? static_cast<int>(greedy_)
                                        : oldestReady();
         } else {
@@ -130,30 +168,85 @@ class WarpScheduler
     noteIssued(std::uint32_t local)
     {
         greedy_ = local;
-        rrNext_ = local + 1 == wake_.size() ? 0 : local + 1;
+        rrNext_ = local + 1 == slots_ ? 0 : local + 1;
     }
 
   private:
     /** No slot has issued yet. */
     static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+    /** Calendar buckets: one per cycle of base_ + 1 .. base_ + 64. */
+    static constexpr Cycles kHorizon = 64;
 
-    /** Move the pending slots whose wake has come to ready. */
-    void
-    promote(Cycles now)
+    /** The bucket of wake cycle @p c (its bit in occupied_). */
+    static int bucketOf(Cycles c) { return static_cast<int>(c % kHorizon); }
+
+    // state_ holds the ready mask, the far mask, then buckets 0..63,
+    // each its slot count followed by its mask, and last the wake cycles
+    // and GTO ages of the local slots: one block, so a scan touches few
+    // cache lines.
+    std::uint64_t *readyMask() const { return state_.get(); }
+    std::uint64_t *farMask() const { return state_.get() + words_; }
+    std::uint64_t &
+    bucketCount(int b) const
     {
-        nextWake_ = kNoCycle;
-        for (std::size_t w = 0; w < pending_.size(); ++w) {
-            for (std::uint64_t bits = pending_[w]; bits != 0;
-                 bits &= bits - 1) {
-                const int b = std::countr_zero(bits);
-                const Cycles wake = wake_[w * 64 + b];
-                if (wake > now) {
-                    nextWake_ = std::min(nextWake_, wake);
-                    continue;
-                }
-                pending_[w] &= ~(std::uint64_t{1} << b);
-                ready_[w] |= std::uint64_t{1} << b;
-                ++readyCount_;
+        return state_[2 * words_ + static_cast<std::size_t>(b) * (1 + words_)];
+    }
+    std::uint64_t *bucketMask(int b) const { return &bucketCount(b) + 1; }
+    std::size_t
+    wakesOffset() const
+    {
+        return 2 * words_ + kHorizon * (1 + words_);
+    }
+    Cycles *wakes() const { return state_.get() + wakesOffset(); }
+    std::uint64_t *ages() const { return wakes() + slots_; }
+
+    /** File @p local, which holds no bit, under its wake @p wake. */
+    void
+    place(std::uint32_t local, Cycles wake)
+    {
+        const std::size_t word = local / 64;
+        const std::uint64_t bit = std::uint64_t{1} << local % 64;
+        if (wake <= base_) {
+            readyMask()[word] |= bit;
+            ++readyCount_;
+        } else if (wake - base_ <= kHorizon) {
+            const int b = bucketOf(wake);
+            bucketMask(b)[word] |= bit;
+            ++bucketCount(b);
+            occupied_ |= std::uint64_t{1} << b;
+        } else {
+            farMask()[word] |= bit;
+            farMin_ = std::min(farMin_, wake);
+        }
+    }
+
+    /** Move bucket @p b's slots, whose wake has come, to ready. */
+    void
+    drain(int b)
+    {
+        std::uint64_t *bucket = bucketMask(b);
+        std::uint64_t *ready = readyMask();
+        for (std::size_t w = 0; w < words_; ++w) {
+            ready[w] |= bucket[w];
+            bucket[w] = 0;
+        }
+        readyCount_ += static_cast<std::uint32_t>(bucketCount(b));
+        bucketCount(b) = 0;
+        occupied_ &= ~(std::uint64_t{1} << b);
+    }
+
+    /** Re-file every far slot against base_ and recompute farMin_. */
+    void
+    walkFar()
+    {
+        farMin_ = kNoCycle;
+        for (std::size_t w = 0; w < words_; ++w) {
+            const std::uint64_t bits = farMask()[w];
+            farMask()[w] = 0;
+            for (std::uint64_t rest = bits; rest != 0; rest &= rest - 1) {
+                const auto local = static_cast<std::uint32_t>(
+                    w * 64 + std::countr_zero(rest));
+                place(local, wakes()[local]);
             }
         }
     }
@@ -162,8 +255,8 @@ class WarpScheduler
     int
     firstReady(std::uint32_t from) const
     {
-        for (std::size_t w = from / 64; w < ready_.size(); ++w) {
-            std::uint64_t bits = ready_[w];
+        for (std::size_t w = from / 64; w < words_; ++w) {
+            std::uint64_t bits = readyMask()[w];
             if (w == from / 64)
                 bits &= ~std::uint64_t{0} << from % 64;
             if (bits != 0)
@@ -178,12 +271,12 @@ class WarpScheduler
     {
         int pick = -1;
         std::uint64_t best_age = ~std::uint64_t{0};
-        for (std::size_t w = 0; w < ready_.size(); ++w) {
-            for (std::uint64_t bits = ready_[w]; bits != 0;
+        for (std::size_t w = 0; w < words_; ++w) {
+            for (std::uint64_t bits = readyMask()[w]; bits != 0;
                  bits &= bits - 1) {
                 const auto k = w * 64 + std::countr_zero(bits);
-                if (age_[k] < best_age) {
-                    best_age = age_[k];
+                if (ages()[k] < best_age) {
+                    best_age = ages()[k];
                     pick = static_cast<int>(k);
                 }
             }
@@ -193,14 +286,17 @@ class WarpScheduler
 
     GpuConfig::SchedPolicy policy_;
     std::uint32_t id_;
-    std::vector<Cycles> wake_;
-    std::vector<std::uint64_t> age_;
-    std::vector<std::uint64_t> ready_;
-    std::vector<std::uint64_t> pending_;
+    std::uint32_t slots_;
+    /** 64-bit words per slot mask. */
+    std::uint32_t words_;
     std::uint32_t readyCount_ = 0;
-    Cycles nextWake_ = kNoCycle;
     std::uint32_t greedy_ = kNone;
     std::uint32_t rrNext_ = 0;
+    /** Bit b set while bucket b holds a slot. */
+    std::uint64_t occupied_ = 0;
+    Cycles farMin_ = kNoCycle;
+    Cycles base_ = 0;
+    std::unique_ptr<std::uint64_t[]> state_;
 };
 
 } // namespace latte

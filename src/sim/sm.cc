@@ -114,7 +114,7 @@ StreamingMultiprocessor::noteIdle(std::uint64_t cycles)
     meter_.accumulate(0, cycles * schedulers_.size());
 }
 
-Cycles
+StreamingMultiprocessor::TickResult
 StreamingMultiprocessor::tick(Cycles now)
 {
     // A load that completes this cycle hands its warp's wake cycle to
@@ -128,11 +128,11 @@ StreamingMultiprocessor::tick(Cycles now)
     // tick is now + 1 after any issue and otherwise the earliest of the
     // schedulers' pending wakes and the LSU's next event.
     bool issued = false;
-    Cycles next = kNoCycle;
+    TickResult result;
     for (WarpScheduler &sched : schedulers_) {
         const WarpScheduler::Scan scan = sched.scan(now);
         meter_.accumulate(scan.ready);
-        next = std::min(next, scan.nextWake);
+        result.next = std::min(result.next, scan.nextWake);
         if (scan.pick < 0)
             continue;
         const auto local = static_cast<std::uint32_t>(scan.pick);
@@ -140,18 +140,19 @@ StreamingMultiprocessor::tick(Cycles now)
             local * cfg_.schedulersPerSm + sched.id();
         sched.noteIssued(local);
         meter_.noteIssue(sched.id(), slot);
-        sched.setWake(local, issueWarp(warps_[slot], now));
+        sched.setWake(local, issueWarp(warps_[slot], now, result));
         issued = true;
     }
     if (issued)
-        return now + 1;
-    if (lsu_.busy())
-        next = std::min(next, lsu_.nextEvent(now));
-    return next;
+        result.next = now + 1;
+    else if (lsu_.busy())
+        result.next = std::min(result.next, lsu_.nextEvent(now));
+    return result;
 }
 
 Cycles
-StreamingMultiprocessor::issueWarp(Warp &warp, Cycles now)
+StreamingMultiprocessor::issueWarp(Warp &warp, Cycles now,
+                                   TickResult &result)
 {
     metrics::ProfileScope profile(metrics::ProfileZone::SmIssue);
     const DecodedInstr instr =
@@ -168,18 +169,20 @@ StreamingMultiprocessor::issueWarp(Warp &warp, Cycles now)
 
     switch (instr.op) {
       case Op::Exit:
-        finishWarp(warp);
+        result.ctaRetired |= finishWarp(warp);
         return kNoCycle;
 
       case Op::Alu:
       case Op::Sfu:
         ++instructions;
+        ++result.issued;
         ++aluInstructions;
         ++warp.pc;
         return now + std::max<Cycles>(instr.latency, 1);
 
       case Op::Load: {
         ++instructions;
+        ++result.issued;
         ++memInstructions;
         ++warp.pc;
         const LineList &lines = instr.laneAddrs;
@@ -195,6 +198,7 @@ StreamingMultiprocessor::issueWarp(Warp &warp, Cycles now)
 
       case Op::Store:
         ++instructions;
+        ++result.issued;
         ++memInstructions;
         ++warp.pc;
         lsu_.enqueueStore(instr.laneAddrs);
@@ -204,23 +208,24 @@ StreamingMultiprocessor::issueWarp(Warp &warp, Cycles now)
     latte_panic("unknown opcode");
 }
 
-void
+bool
 StreamingMultiprocessor::finishWarp(Warp &warp)
 {
     warp.state = WarpState::Finished;
     latte_assert(warp.ctaSlot < ctaRemaining_.size());
     latte_assert(ctaRemaining_[warp.ctaSlot] > 0);
-    if (--ctaRemaining_[warp.ctaSlot] == 0) {
-        --residentCtas_;
-        ++ctasCompleted;
-        for (Warp &other : warps_) {
-            if (other.state == WarpState::Finished &&
-                other.ctaSlot == warp.ctaSlot) {
-                other.state = WarpState::Unassigned;
-                freeSlots_.push_back(other.slot);
-            }
+    if (--ctaRemaining_[warp.ctaSlot] != 0)
+        return false;
+    --residentCtas_;
+    ++ctasCompleted;
+    for (Warp &other : warps_) {
+        if (other.state == WarpState::Finished &&
+            other.ctaSlot == warp.ctaSlot) {
+            other.state = WarpState::Unassigned;
+            freeSlots_.push_back(other.slot);
         }
     }
+    return true;
 }
 
 } // namespace latte

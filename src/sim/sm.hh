@@ -49,12 +49,19 @@ class StreamingMultiprocessor : public StatGroup
     /** True when every assigned warp finished and the LSU drained. */
     bool drained() const;
 
-    /**
-     * Execute one cycle.
-     * @return the next cycle this SM needs to be ticked, or kNoCycle if
-     *         it is idle until more work arrives.
-     */
-    Cycles tick(Cycles now);
+    /** What one cycle of the SM did, and when it needs the next. */
+    struct TickResult
+    {
+        /** The next cycle to tick, or kNoCycle until more work arrives. */
+        Cycles next = kNoCycle;
+        /** Instructions issued (exits not counted). */
+        std::uint32_t issued = 0;
+        /** A CTA retired, so the SM may take another. */
+        bool ctaRetired = false;
+    };
+
+    /** Execute one cycle. */
+    TickResult tick(Cycles now);
 
     /** Account @p cycles of skipped (idle) time to the tolerance meter. */
     void noteIdle(std::uint64_t cycles);
@@ -77,9 +84,13 @@ class StreamingMultiprocessor : public StatGroup
     Average accessesPerLoad;
 
   private:
-    /** Execute @p warp's next instruction; returns its new wake cycle. */
-    Cycles issueWarp(Warp &warp, Cycles now);
-    void finishWarp(Warp &warp);
+    /**
+     * Execute @p warp's next instruction and note it in @p result.
+     * @return the warp's new wake cycle
+     */
+    Cycles issueWarp(Warp &warp, Cycles now, TickResult &result);
+    /** Retire @p warp; true when its CTA retired with it. */
+    bool finishWarp(Warp &warp);
 
     const GpuConfig &cfg_;
     SmId smId_;

@@ -49,7 +49,10 @@ enum class TraceEventKind : std::uint8_t
     L1Miss,        //!< primary miss; arg0 = line addr, arg1 = set
     L1MissMerged,  //!< secondary miss merged into an MSHR
     L1Reject,      //!< access refused (MSHR file full)
-    L1Insert,      //!< fill inserted; mode = storage mode, value = ratio
+    // L1Insert and L1Evict: arg0 = the line's byte address, so an
+    // eviction pairs with the insert it undoes.
+    L1Insert,      //!< fill inserted; arg1 = sub-blocks, mode = storage
+                   //!< mode, value = ratio
     L1Evict,       //!< victim dropped; arg1 = set, mode = victim mode
     L1WriteInval,  //!< write-avoid invalidation; arg0 = line addr
 
@@ -79,7 +82,10 @@ enum class TraceEventKind : std::uint8_t
     ScRebuild,     //!< SC code book rebuilt; arg0 = new generation
 
     // --- compressed L2 (--l2-compress) ---
-    L2Insert,        //!< fill inserted; mode = storage mode, value = ratio
+    // L2Insert and L2Evict: arg0 = the line's byte address, as for the
+    // L1.
+    L2Insert,        //!< fill inserted; arg1 = sub-blocks, mode = storage
+                     //!< mode, value = ratio
     L2Evict,         //!< victim dropped; arg1 = set, mode = victim mode
     L2WriteInval,    //!< write dropped a compressed copy; arg0 = line addr
     L2DecompEnqueue, //!< L2 hit queued for decompression; arg1 = depth

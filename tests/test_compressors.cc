@@ -7,8 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
+#include <limits>
+#include <map>
+#include <vector>
+
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "common/rng.hh"
 #include "compress/bdi.hh"
@@ -408,6 +416,188 @@ TEST(Sc, VftCountersSaturate)
     const auto snapshot = vft.snapshot();
     ASSERT_EQ(snapshot.size(), 1u);
     EXPECT_EQ(snapshot[0].second, 15u);
+}
+
+// ------------------------------------- VFT and drift-check differentials
+
+namespace
+{
+
+/** Heap bytes in use (0 where the allocator does not report them). */
+std::size_t
+heapBytesInUse()
+{
+#ifdef __GLIBC__
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+#else
+    return 0;
+#endif
+}
+
+/** @p values' words packed into lines (the last one topped up). */
+std::vector<Line>
+packLines(const std::vector<std::uint32_t> &values)
+{
+    std::vector<Line> lines((values.size() + 31) / 32);
+    for (std::size_t i = 0; i < lines.size() * 32; ++i) {
+        storeLe(lines[i / 32].data() + 4 * (i % 32),
+                values[i < values.size() ? i : i % values.size()], 4);
+    }
+    return lines;
+}
+
+/**
+ * The drift check as `codeDivergence() > limit` computed it before the
+ * bounded decision: the VFT in value order, std::sort'ed by descending
+ * count, and the fraction of its first 64 values without a code.
+ */
+bool
+fullSortDivergenceAbove(const ScCompressor &sc, double limit)
+{
+    if (!sc.hasCodes())
+        return 1.0 > limit;
+    auto freqs = sc.vft().snapshot();
+    if (freqs.empty())
+        return 0.0 > limit;
+    std::sort(freqs.begin(), freqs.end());
+    std::sort(freqs.begin(), freqs.end(),
+              [](const auto &a, const auto &b) {
+                  return a.second > b.second;
+              });
+    const std::size_t top = std::min<std::size_t>(freqs.size(), 64);
+    std::size_t missing = 0;
+    for (std::size_t i = 0; i < top; ++i) {
+        if (!sc.codeBook().hasCode(freqs[i].first))
+            ++missing;
+    }
+    return static_cast<double>(missing) / static_cast<double>(top) > limit;
+}
+
+} // namespace
+
+TEST(VftDiff, MatchesMapOracle)
+{
+    // Small tables overflow (misses), narrow counters saturate, and a
+    // clear() now and then starts a new window.
+    Rng rng(41);
+    for (int trial = 0; trial < 300; ++trial) {
+        SCOPED_TRACE(testing::Message() << "trial " << trial);
+        const auto entries = static_cast<std::uint32_t>(
+            1 + rng.below(trial % 3 == 0 ? 40 : 1500));
+        const auto bits = static_cast<std::uint32_t>(1 + rng.below(12));
+        const std::uint32_t counter_max = (1u << bits) - 1;
+        ValueFrequencyTable vft(entries, bits);
+        std::map<std::uint32_t, std::uint32_t> ref;
+        std::uint64_t misses = 0, samples = 0;
+
+        // Clustered small values and spread ones, a few of them hot.
+        std::vector<std::uint32_t> pool(1 + rng.below(3000));
+        for (std::uint32_t &value : pool) {
+            value = static_cast<std::uint32_t>(
+                rng.chance(0.5) ? rng.below(4096) : rng.next());
+        }
+        const auto check = [&] {
+            ASSERT_EQ(vft.size(), ref.size());
+            ASSERT_EQ(vft.misses(), misses);
+            ASSERT_EQ(vft.samples(), samples);
+            auto got = vft.snapshot();
+            std::sort(got.begin(), got.end());
+            ASSERT_EQ(got.size(), ref.size());
+            auto it = ref.begin();
+            for (const auto &[value, count] : got) {
+                ASSERT_EQ(value, it->first);
+                ASSERT_EQ(count, it->second);
+                ++it;
+            }
+        };
+        for (int step = 0; step < 6000; ++step) {
+            if (rng.chance(0.0005)) {
+                vft.clear();
+                ref.clear();
+                misses = samples = 0;
+                ASSERT_NO_FATAL_FAILURE(check());
+            }
+            const std::uint32_t value =
+                pool[rng.chance(0.3) ? rng.below(std::min<std::size_t>(
+                                           pool.size(), 8))
+                                     : rng.below(pool.size())];
+            vft.record(value);
+            ++samples;
+            if (const auto it = ref.find(value); it != ref.end())
+                it->second = std::min(it->second + 1, counter_max);
+            else if (ref.size() < entries)
+                ref.emplace(value, 1);
+            else
+                ++misses;
+            if (step % 1000 == 999) {
+                ASSERT_NO_FATAL_FAILURE(check());
+            }
+        }
+        ASSERT_NO_FATAL_FAILURE(check());
+    }
+}
+
+TEST(Sc, VftWithUint32MaxEntriesGrowsWithItsContents)
+{
+    // cfg.latte.vft_entries is bounded only by uint32: the table must
+    // grow with the values it holds, not be sized from its limit.
+    const std::size_t before = heapBytesInUse();
+    LatteParams params;
+    params.vftEntries = std::numeric_limits<std::uint32_t>::max();
+    ScCompressor sc({}, params);
+    ValueFrequencyTable vft(std::numeric_limits<std::uint32_t>::max(), 12);
+    for (std::uint32_t v = 0; v < 1000; ++v)
+        vft.record(v * 7919);
+    EXPECT_EQ(vft.size(), 1000u);
+    EXPECT_EQ(vft.misses(), 0u);
+    EXPECT_LT(heapBytesInUse() - before, std::size_t{1} << 20);
+}
+
+TEST(ScDrift, BoundedDecisionMatchesFullSort)
+{
+    // Values drawn a few times each tie at the 64th-largest count, so
+    // which of them the sort puts in the top decides many answers.
+    const double kLimits[] = {0.0, 0.1, 0.3, 0.5, 0.95};
+    Rng rng(43);
+    for (int trial = 0; trial < 1500; ++trial) {
+        SCOPED_TRACE(testing::Message() << "trial " << trial);
+        LatteParams params;
+        params.vftEntries =
+            static_cast<std::uint32_t>(trial % 4 == 0 ? 48 : 1024);
+        ScCompressor sc({}, params);
+        const auto draw = [&](std::size_t distinct, std::uint64_t repeat) {
+            std::vector<std::uint32_t> values;
+            for (std::size_t i = 0; i < distinct; ++i) {
+                const auto value =
+                    static_cast<std::uint32_t>(rng.below(2000));
+                for (std::uint64_t k = 1 + rng.below(repeat); k > 0; --k)
+                    values.push_back(value);
+            }
+            for (std::size_t i = values.size(); i > 1; --i)
+                std::swap(values[i - 1], values[rng.below(i)]);
+            return values;
+        };
+        // A code book over one palette (none every tenth trial), then a
+        // sampling window over an overlapping one.
+        if (trial % 10 != 0) {
+            for (const Line &line : packLines(draw(1 + rng.below(300), 4)))
+                sc.trainLine(line);
+            sc.rebuildCodes();
+        }
+        if (trial % 10 != 1) {
+            const std::size_t distinct = 1 + rng.below(trial % 2 ? 90 : 900);
+            for (const Line &line :
+                 packLines(draw(distinct, 1 + rng.below(4))))
+                sc.trainLine(line);
+        }
+        for (const double limit : kLimits) {
+            ASSERT_EQ(sc.codeDivergenceAbove(limit),
+                      fullSortDivergenceAbove(sc, limit))
+                << "limit " << limit << ", " << sc.vft().size()
+                << " entries";
+        }
+    }
 }
 
 // ------------------------------------------------ Cross-algorithm sweeps

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
+#include <random>
 #include <unordered_map>
 
 #include "common/rng.hh"
@@ -306,5 +307,70 @@ TEST(HuffmanDiff, MatchesPriorityQueueBuild)
         for (const std::uint32_t value : stream)
             ASSERT_EQ(book.decode(br), value);
         ASSERT_EQ(br.remaining(), 0u);
+    }
+}
+
+TEST(HuffmanDiff, ShuffledInputBuildsTheSameBook)
+{
+    // build() orders its leaves itself, so neither the order of its
+    // input nor a book rebuilt in place may change a code.
+    const std::uint64_t kMaxWeights[] = {3, 50, 4095};
+    Rng rng(2025);
+    std::mt19937_64 shuffle_rng(7);
+    HuffmanCode reused = HuffmanCode::build({{1, 1}, {2, 2}}, 1);
+    for (int b = 0; b < 3000; ++b) {
+        SCOPED_TRACE(testing::Message() << "book " << b);
+        const std::size_t count = b % 10 == 0 ? 0 : rng.below(1101);
+        const std::uint64_t max_weight = kMaxWeights[b % 3];
+        std::vector<std::uint32_t> symbols;
+        for (std::size_t i = 0; i < count; ++i) {
+            symbols.push_back(static_cast<std::uint32_t>(
+                rng.chance(0.5) ? rng.below(4096) : rng.next()));
+        }
+        std::sort(symbols.begin(), symbols.end());
+        symbols.erase(std::unique(symbols.begin(), symbols.end()),
+                      symbols.end());
+        std::vector<HuffmanCode::Freq> freqs;
+        for (const std::uint32_t symbol : symbols)
+            freqs.emplace_back(symbol, rng.below(max_weight + 1));
+        // Escape weights that tie with the symbols' and ones above 2^32.
+        const std::uint64_t escape_weight =
+            b % 7 == 0 ? (std::uint64_t{1} << 33) + rng.below(9)
+                       : 1 + rng.below(max_weight);
+
+        const HuffmanCode sorted = HuffmanCode::build(freqs, escape_weight);
+        std::shuffle(freqs.begin(), freqs.end(), shuffle_rng);
+        const HuffmanCode shuffled = HuffmanCode::build(freqs, escape_weight);
+        reused.rebuild(freqs, escape_weight);
+
+        std::uint32_t absent = static_cast<std::uint32_t>(rng.next());
+        while (std::binary_search(symbols.begin(), symbols.end(), absent))
+            ++absent;
+        std::vector<std::uint32_t> stream{absent};
+        for (const auto &[symbol, weight] : freqs) {
+            if (stream.size() < 200)
+                stream.push_back(symbol);
+        }
+        const HuffmanCode &rebuilt = reused;
+        for (const HuffmanCode *book : {&shuffled, &rebuilt}) {
+            ASSERT_EQ(book->numSymbols(), sorted.numSymbols());
+            for (const auto &[symbol, weight] : freqs) {
+                ASSERT_EQ(book->hasCode(symbol), sorted.hasCode(symbol));
+                ASSERT_EQ(book->encodedBits(symbol),
+                          sorted.encodedBits(symbol));
+            }
+            ASSERT_EQ(book->encodedBits(absent), sorted.encodedBits(absent));
+            BasicBitWriter<1 << 15> got, want;
+            for (const std::uint32_t value : stream) {
+                book->encode(value, got);
+                sorted.encode(value, want);
+            }
+            ASSERT_EQ(got.bitSize(), want.bitSize());
+            ASSERT_TRUE(std::equal(got.bytes().begin(), got.bytes().end(),
+                                   want.bytes().begin()));
+            BitReader br(got.bytes(), got.bitSize());
+            for (const std::uint32_t value : stream)
+                ASSERT_EQ(book->decode(br), value);
+        }
     }
 }

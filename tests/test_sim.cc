@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <random>
 #include <utility>
@@ -576,6 +577,89 @@ TEST(SchedulerDiff, RewakingPendingAndReadySlotsMatchesThreeScans)
         runIssueStream(rng, pair, slots, 2000, /*reassign=*/true);
         if (::testing::Test::HasFailure())
             FAIL() << "trial " << trial;
+    }
+}
+
+TEST(SchedulerDiff, WakeCalendarHorizonMatchesThreeScans)
+{
+    // Wakes at and around the 64-cycle calendar horizon and far beyond
+    // it, idle gaps longer than the horizon, load completions filed
+    // before the scan of the cycle they happen at, clocks that start
+    // late (a second kernel), and more than 64 local slots.
+    const Cycles kDistances[] = {1, 2, 63, 64, 65, 127, 128, 129, 300};
+    std::mt19937_64 rng(19);
+    for (int trial = 0; trial < 80; ++trial) {
+        const std::uint32_t schedulers = 1 + rng() % 2;
+        const std::uint32_t slots =
+            trial % 2 ? 65 * schedulers + rng() % 100 : 1 + rng() % 48;
+        SchedulerPair pair(randomPolicy(rng), schedulers, slots);
+        const auto distance = [&] {
+            return rng() % 2 ? kDistances[rng() % std::size(kDistances)]
+                             : 1 + rng() % 400;
+        };
+
+        std::uint64_t age_clock = 0;
+        Cycles now = trial % 4 < 2 ? 0 : (Cycles{1} << 40) + rng() % 1000;
+        for (std::uint32_t w = 0; w < slots; ++w) {
+            if (rng() % 4 != 0)
+                pair.set(w, WarpState::Active, now + 1, age_clock++);
+        }
+        // Loads in flight: completion cycle per waiting slot.
+        std::map<std::uint32_t, Cycles> loads;
+
+        for (int step = 0; step < 1500; ++step) {
+            // The LSU finishes the loads due by now before the scan; the
+            // warp can issue `distance` cycles on, or at once.
+            for (auto it = loads.begin(); it != loads.end();) {
+                if (it->second > now) {
+                    ++it;
+                    continue;
+                }
+                pair.wake(it->first, WarpState::Active,
+                          rng() % 4 == 0 ? now : now + distance());
+                it = loads.erase(it);
+            }
+            const Cycles next = pair.tick(now, [&](std::uint32_t slot) {
+                switch (rng() % 8) {
+                  case 0:
+                  case 1:
+                    loads[slot] = now + distance();
+                    return std::pair{WarpState::WaitMem, kNoCycle};
+                  case 2:
+                    return std::pair{WarpState::Finished, kNoCycle};
+                  default:
+                    return std::pair{WarpState::Active, now + distance()};
+                }
+            });
+            if (::testing::Test::HasFailure())
+                FAIL() << "trial " << trial << " step " << step;
+
+            // The next scan: the SM's next tick or a load's completion,
+            // or now and then well past both (an idle gap).
+            Cycles load_due = kNoCycle;
+            for (const auto &[slot, due] : loads)
+                load_due = std::min(load_due, due);
+            const Cycles prev = now;
+            now = std::min(next, load_due);
+            if (now == kNoCycle) {
+                now = prev + 1 + rng() % 200;
+                for (std::uint32_t w = 0; w < slots; ++w) {
+                    if (pair.warp(w).state != WarpState::WaitMem)
+                        pair.set(w, WarpState::Active, now + distance(),
+                                 age_clock++);
+                }
+                continue;
+            }
+            if (rng() % 8 == 0)
+                now += 1 + rng() % 300;
+            for (std::uint32_t w = 0; w < slots; ++w) {
+                if (pair.warp(w).state == WarpState::Finished &&
+                    rng() % 16 == 0) {
+                    pair.set(w, WarpState::Unassigned,
+                             pair.warp(w).readyAt, pair.warp(w).age);
+                }
+            }
+        }
     }
 }
 

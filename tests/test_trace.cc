@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -124,6 +126,50 @@ TEST(Trace, EventCountsReconcileWithRunCounters)
     EXPECT_GE(tracer.countOf(TraceEventKind::EpBoundary),
               result.trace.size());
     EXPECT_GT(tracer.countOf(TraceEventKind::WarpIssue), 0u);
+}
+
+TEST(Trace, EvictionsNameLinesTheirSmHolds)
+{
+    // An L2 small enough for a short run to fill, so both levels evict.
+    DriverOptions options = tinyOptions();
+    options.cfg.l2.sizeBytes = 96 * 1024;
+    RunRequest request;
+    request.workload = findWorkload("KM");
+    request.policy = PolicyKind::L2StaticBdi;
+    request.options = options;
+    Tracer tracer;
+    request.tracer = &tracer;
+    ASSERT_TRUE(run(request).ok());
+    ASSERT_EQ(tracer.dropped(), 0u);
+
+    // An eviction's arg0 is the byte address an insert on the same SM
+    // (or the L2) put there, and not since written over or evicted.
+    std::map<std::uint16_t, std::set<std::uint64_t>> resident;
+    std::uint64_t l1_evicts = 0, l2_evicts = 0;
+    tracer.forEach([&](const TraceEvent &ev) {
+        std::set<std::uint64_t> &lines = resident[ev.sm];
+        switch (ev.kind) {
+          case TraceEventKind::L1Insert:
+          case TraceEventKind::L2Insert:
+            lines.insert(ev.arg0);
+            break;
+          case TraceEventKind::L1WriteInval:
+          case TraceEventKind::L2WriteInval:
+            lines.erase(ev.arg0);
+            break;
+          case TraceEventKind::L1Evict:
+          case TraceEventKind::L2Evict:
+            ++(ev.kind == TraceEventKind::L1Evict ? l1_evicts : l2_evicts);
+            EXPECT_EQ(lines.erase(ev.arg0), 1u)
+                << traceEventKindName(ev.kind) << " of 0x" << std::hex
+                << ev.arg0 << " at cycle " << std::dec << ev.ts;
+            break;
+          default:
+            break;
+        }
+    });
+    EXPECT_GT(l1_evicts, 0u);
+    EXPECT_GT(l2_evicts, 0u);
 }
 
 TEST(Trace, ChromeExportIsValidJson)
