@@ -8,10 +8,16 @@
  * are probe >= 2x compress on at least three of the five algorithms
  * (measured on the scalar reference kernels, so the ratio stays a
  * property of the algorithm design), and batched probeLines() on the
- * best SIMD backend >= 2x the scalar per-line BDI+FPC mix (the blend
- * the L1 fill path probes most, one fill at a time). The batch measures
- * the kernels, not the simulator: every probeLines() is a per-line
- * loop over the backend kernel.
+ * best SIMD backend >= 2x the scalar per-line BDI+FPC mix. That mix is
+ * a kernel gate, not the simulator's blend: an L1 fill probes BDI, SC
+ * or BPC, one fill at a time, and never FPC. The batch measures the
+ * kernels, not the simulator: every probeLines() is a per-line loop
+ * over the backend kernel.
+ *
+ * The synthetic corpus can rank backends differently from the lines
+ * the simulator probes, so a last table times BDI and SC probe() per
+ * backend over the L1 fill stream of perfbench hotloop's cells (the 11
+ * C-Sens workloads under LATTE-CC at seed 1), recorded by running them.
  *
  *   bench_compress_throughput [--json out.json] [--lines N] [--reps R]
  */
@@ -23,16 +29,21 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "compress/backend.hh"
 #include "compress/factory.hh"
 #include "compress/sc.hh"
+#include "core/driver.hh"
+#include "core/policies.hh"
 #include "runner/json.hh"
 #include "workloads/value_gens.hh"
+#include "workloads/zoo.hh"
 
 using namespace latte;
 using namespace latte::runner;
@@ -142,6 +153,99 @@ mixRate(double bdi, double fpc)
     return 2.0 / (1.0 / bdi + 1.0 / fpc);
 }
 
+/**
+ * The L1 fill stream of one cell: the bytes of every BDI and SC fill,
+ * in fill order. Each SC fill also names the SC engine it was probed
+ * with: a copy of its SM's engine, taken once per code generation.
+ */
+struct FillStream
+{
+    std::vector<Line> bdi;
+    std::vector<Line> sc;
+    std::vector<std::uint32_t> scEngine; //!< parallel to sc
+    std::vector<std::unique_ptr<ScCompressor>> engines;
+};
+
+/** LATTE-CC that also keeps each fill's mode and bytes. */
+class FillRecorder final : public LatteCcPolicy
+{
+  public:
+    FillRecorder(const GpuConfig &cfg, FillStream &stream)
+        : LatteCcPolicy(cfg), stream_(stream)
+    {}
+
+    void
+    observeInsertion(Cycles now, std::uint32_t set_index,
+                     CompressorId mode,
+                     std::span<const std::uint8_t> data) override
+    {
+        LatteCcPolicy::observeInsertion(now, set_index, mode, data);
+        Line line;
+        std::copy(data.begin(), data.end(), line.begin());
+        if (mode == CompressorId::Bdi) {
+            stream_.bdi.push_back(line);
+        } else if (mode == CompressorId::Sc) {
+            const ScCompressor &sc = engines_->sc;
+            if (generation_ != sc.generation()) {
+                generation_ = sc.generation();
+                engine_ = static_cast<std::uint32_t>(
+                    stream_.engines.size());
+                stream_.engines.push_back(
+                    std::make_unique<ScCompressor>(sc));
+            }
+            stream_.sc.push_back(line);
+            stream_.scEngine.push_back(engine_);
+        }
+    }
+
+  private:
+    FillStream &stream_;
+    /** The generation of the last engine copy; none before the first. */
+    std::optional<std::uint32_t> generation_;
+    std::uint32_t engine_ = 0;
+};
+
+/** Run @p workload as perfbench hotloop does and record its fills. */
+FillStream
+recordFills(const Workload &workload, std::uint64_t seed)
+{
+    FillStream stream;
+    RunRequest request;
+    request.workload = &workload;
+    request.seed = seed;
+    request.policy = PolicyFactory([&stream](const GpuConfig &cfg) {
+        return std::make_unique<FillRecorder>(cfg, stream);
+    });
+    const RunOutcome outcome = latte::run(request);
+    if (!outcome.ok()) {
+        std::cerr << "fill-stream cell " << workload.abbr
+                  << " failed: " << outcome.error.message << "\n";
+        std::exit(1);
+    }
+    return stream;
+}
+
+/** Nanoseconds of @p probe(i) for i in [0, n); folds into @p sink. */
+template <typename Probe>
+double
+timeProbes(std::size_t n, std::uint64_t &sink, Probe &&probe)
+{
+    const auto start = Clock::now();
+    std::uint64_t checksum = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        checksum += probe(i);
+    const auto stop = Clock::now();
+    sink ^= checksum;
+    return std::chrono::duration<double, std::nano>(stop - start).count();
+}
+
+/** One backend's probe time over the whole fill stream. */
+struct FillTiming
+{
+    double bdiNs = 0;
+    double scNs = 0;
+};
+
 struct AlgoResult
 {
     std::string name;
@@ -241,10 +345,10 @@ main(int argc, char **argv)
     }
 
     // --- Backend sweep: batched probeLines() per dispatch tier. The
-    // baseline is per-line probe() on the scalar kernels — the call the
-    // L1 fill path makes — and the headline number is how much faster
-    // the best backend runs the batched BDI+FPC blend (the two modes
-    // the adaptive policies lean on hardest).
+    // baseline is per-line probe() on the scalar kernels, and the
+    // headline number (the CI gate) is how much faster the best backend
+    // runs the batched BDI+FPC blend. It gates the kernels; the L1
+    // never probes FPC (the fill-stream table below times its modes).
     const double scalar_bdi_perline = measure(
         lines, reps, sink, [&](const Line &line) {
             return engines.at(CompressorId::Bdi)->probe(line).sizeBits;
@@ -292,7 +396,75 @@ main(int argc, char **argv)
             best_backend = backend.name;
         }
     }
+
+    // --- Fill-stream table: probe() per backend over the lines
+    // hotloop's cells fill, one cell's stream held at a time. Each
+    // backend keeps its best of reps per cell, summed over the cells.
+    constexpr std::uint64_t kFillSeed = 1;
+    std::vector<const CompressorBackend *> supported;
+    for (const CompressorBackend &backend : compressorBackends()) {
+        if (compressorBackendSupported(backend))
+            supported.push_back(&backend);
+    }
+    std::vector<FillTiming> fill_ns(supported.size());
+    std::uint64_t bdi_fills = 0, sc_fills = 0;
+    Compressor &bdi = *engines.at(CompressorId::Bdi);
+    const std::vector<const Workload *> cells = workloadsByCategory(true);
+    for (const Workload *workload : cells) {
+        const FillStream stream = recordFills(*workload, kFillSeed);
+        bdi_fills += stream.bdi.size();
+        sc_fills += stream.sc.size();
+        constexpr double kNever = std::numeric_limits<double>::infinity();
+        std::vector<FillTiming> best(supported.size(), {kNever, kNever});
+        for (unsigned r = 0; r < reps; ++r) {
+            for (std::size_t b = 0; b < supported.size(); ++b) {
+                setCompressorBackend(*supported[b]);
+                best[b].bdiNs = std::min(
+                    best[b].bdiNs,
+                    timeProbes(stream.bdi.size(), sink, [&](std::size_t i) {
+                        return bdi.probe(stream.bdi[i]).sizeBits;
+                    }));
+                best[b].scNs = std::min(
+                    best[b].scNs,
+                    timeProbes(stream.sc.size(), sink, [&](std::size_t i) {
+                        return stream.engines[stream.scEngine[i]]
+                            ->probe(stream.sc[i])
+                            .sizeBits;
+                    }));
+            }
+        }
+        for (std::size_t b = 0; b < supported.size(); ++b) {
+            fill_ns[b].bdiNs += best[b].bdiNs;
+            fill_ns[b].scNs += best[b].scNs;
+        }
+    }
     setCompressorBackend(entry_backend);
+    const auto per_line = [](double ns, std::uint64_t lines) {
+        return lines > 0 ? ns / static_cast<double>(lines) : 0.0;
+    };
+
+    Json::Object fill_backends;
+    std::cout << "\n=== probe() ns/line over the L1 fill stream ("
+              << cells.size() << " hotloop cells, seed " << kFillSeed
+              << ") ===\n"
+              << std::left << std::setw(10) << "backend" << std::right
+              << std::setw(12) << "BDI" << std::setw(12) << "SC" << "\n";
+    for (std::size_t b = 0; b < supported.size(); ++b) {
+        const double bdi_ns = per_line(fill_ns[b].bdiNs, bdi_fills);
+        const double sc_ns = per_line(fill_ns[b].scNs, sc_fills);
+        std::cout << std::left << std::setw(10) << supported[b]->name
+                  << std::right << std::fixed << std::setprecision(1)
+                  << std::setw(12) << bdi_ns << std::setw(12) << sc_ns
+                  << "\n";
+        fill_backends.emplace(supported[b]->name,
+                              Json(Json::Object{
+                                  {"bdiNsPerLine", Json(bdi_ns)},
+                                  {"scNsPerLine", Json(sc_ns)},
+                              }));
+    }
+    std::cout << "(" << bdi_fills << " BDI fills, " << sc_fills
+              << " SC fills; best of " << reps << " per cell)\n";
+
     const double mix_speedup =
         scalar_perline_mix > 0 ? best_mix / scalar_perline_mix : 0;
 
@@ -326,6 +498,14 @@ main(int argc, char **argv)
         {"bestBackend", Json(best_backend)},
         {"scalarPerLineMixLinesPerSec", Json(scalar_perline_mix)},
         {"bdiFpcMixSpeedup", Json(mix_speedup)},
+        {"fillStream",
+         Json(Json::Object{
+             {"cells", Json(std::uint64_t{cells.size()})},
+             {"seed", Json(kFillSeed)},
+             {"bdiFills", Json(bdi_fills)},
+             {"scFills", Json(sc_fills)},
+             {"backends", Json(std::move(fill_backends))},
+         })},
     });
 
     std::ofstream out(json_path);

@@ -22,7 +22,9 @@ namespace
  * BDI-resistant one (KM) across l2.compress in {off, static:bdi,
  * latte}, recorded in the --bench-out report so CI tracks that the
  * compressed-L2 rows keep running end-to-end and that the adaptive
- * row never loses to off by more than noise.
+ * row never loses to off by more than noise. The cells run through a
+ * second Sweep on the main sweep's result cache and thread count,
+ * with no exports of its own.
  */
 void
 runL2CompressGrid(Sweep &sweep)
@@ -33,18 +35,27 @@ runL2CompressGrid(Sweep &sweep)
         {"latte", PolicyKind::L2Latte},
     };
 
-    runner::Json::Array entries;
+    const runner::RunnerOptions &main = sweep.runner().options();
+    runner::SweepCliOptions cli;
+    cli.jobs = main.threads;
+    cli.cacheDir = main.cacheDir;
+    cli.progress = main.progress;
+    Sweep grid(cli, sweep.defaults());
+    std::vector<const Workload *> workloads;
     for (const char *abbr : {"NW", "KM"}) {
-        const Workload *workload = findWorkload(abbr);
-        if (!workload)
-            continue;
+        if (const Workload *workload = findWorkload(abbr)) {
+            workloads.push_back(workload);
+            for (const auto &row : rows)
+                grid.add(*workload, row.kind);
+        }
+    }
+
+    runner::Json::Array entries;
+    for (const Workload *workload : workloads) {
+        const std::string &abbr = workload->abbr;
         double off_cycles = 0;
         for (const auto &row : rows) {
-            RunRequest request;
-            request.workload = workload;
-            request.policy = row.kind;
-            request.options = sweep.defaults();
-            const RunOutcome outcome = latte::run(request);
+            const RunOutcome &outcome = grid.outcome(*workload, row.kind);
             if (!outcome.ok())
                 latte_fatal("l2-compress grid failed on {} at "
                             "l2.compress={}: {}",
@@ -54,7 +65,7 @@ runL2CompressGrid(Sweep &sweep)
                 off_cycles = static_cast<double>(result.cycles);
 
             runner::Json::Object entry;
-            entry["workload"] = std::string(abbr);
+            entry["workload"] = abbr;
             entry["l2_compress"] = std::string(row.spec);
             entry["cycles"] = result.cycles;
             entry["speedup_vs_off"] =

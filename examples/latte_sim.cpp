@@ -138,7 +138,7 @@ main(int argc, char **argv)
                        runner::parseFlag<std::uint64_t>("--max-instr", v);
                });
     parser.add("--compress-backend", "", "NAME",
-               "compression kernel backend: auto|scalar|sse4|avx2 "
+               "compression kernel backend: auto|scalar|avx2 "
                "(speed only; results are bit-identical)",
                [&](const std::string &v) {
                    std::string error;

@@ -68,12 +68,6 @@ CompressedCache::setMetrics(metrics::MetricRegistry *metrics)
     decompWaitHist_ = &metrics->histogram("decomp_queue_wait");
 }
 
-std::uint32_t
-CompressedCache::usedSubBlocksInSet(std::uint32_t set_index) const
-{
-    return domain_.usedSubBlocksInSet(set_index);
-}
-
 DecompressionQueue &
 CompressedCache::queueFor(CompressorId mode)
 {
@@ -314,18 +308,6 @@ std::uint64_t
 CompressedCache::effectiveCapacityBytes() const
 {
     return domain_.effectiveCapacityBytes();
-}
-
-std::uint64_t
-CompressedCache::usedSubBlocks() const
-{
-    return domain_.usedSubBlocks();
-}
-
-std::uint64_t
-CompressedCache::validLines() const
-{
-    return domain_.validLines();
 }
 
 void

@@ -116,30 +116,12 @@ class CompressedCache : public StatGroup
     {
         return domain_.setIndexOf(addr);
     }
-    std::uint32_t tagsPerSet() const { return domain_.tagsPerSet(); }
-    std::uint32_t
-    subBlocksPerSet() const
-    {
-        return domain_.subBlocksPerSet();
-    }
 
     // --- Introspection for the policies and experiments ---
     /** The tag/sub-block store and decompression queues. */
     const CompressionDomain &domain() const { return domain_; }
     /** Sum of the *uncompressed* size of all valid lines (Figure 16). */
     std::uint64_t effectiveCapacityBytes() const;
-    /** Sub-blocks currently allocated. */
-    std::uint64_t usedSubBlocks() const;
-    /** Sub-blocks allocated in one set, recomputed from the tags. */
-    std::uint32_t usedSubBlocksInSet(std::uint32_t set_index) const;
-    /** The incrementally-maintained counter for one set (O(1)). */
-    std::uint32_t
-    usedSubBlocksCounter(std::uint32_t set_index) const
-    {
-        return domain_.usedSubBlocksCounter(set_index);
-    }
-    /** Valid lines currently held. */
-    std::uint64_t validLines() const;
     /** Decompression queue for @p mode (Bdi, Sc or Bpc). */
     DecompressionQueue &queueFor(CompressorId mode);
     const DecompressionQueue &queueFor(CompressorId mode) const;

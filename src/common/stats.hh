@@ -120,8 +120,6 @@ class StatGroup
     StatGroup(const StatGroup &) = delete;
     StatGroup &operator=(const StatGroup &) = delete;
 
-    const std::string &groupName() const { return name_; }
-
     /** Register a stat; called by StatBase's constructor. */
     void addStat(StatBase *stat);
 

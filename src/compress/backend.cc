@@ -12,22 +12,17 @@ namespace
 {
 
 /**
- * The dispatch table. Scalar is unconditional; the accelerated rows
- * exist only when CMake compiled their translation units (per-file ISA
- * flags + LATTE_SIMD_* definitions), so a non-x86 build degrades to a
- * scalar-only table instead of failing to link. The SSE4 row reuses
- * the scalar SC kernel — the slot gather needs AVX2.
+ * The dispatch table. Scalar is unconditional; the AVX2 row exists
+ * only when CMake compiled its translation unit (per-file ISA flag +
+ * LATTE_SIMD_AVX2), so a non-x86 build degrades to a scalar-only table
+ * instead of failing to link.
  */
 constexpr CompressorBackend kBackends[] = {
     {"scalar", IsaLevel::Scalar, &simd::scalar::bdiScan,
-     &simd::scalar::fpcCountBits, &simd::scalar::scLineBits},
-#if defined(LATTE_SIMD_SSE4)
-    {"sse4", IsaLevel::Sse4, &simd::sse4::bdiScan,
-     &simd::sse4::fpcCountBits, &simd::scalar::scLineBits},
-#endif
+     &simd::scalar::fpcCountBits},
 #if defined(LATTE_SIMD_AVX2)
     {"avx2", IsaLevel::Avx2, &simd::avx2::bdiScan,
-     &simd::avx2::fpcCountBits, &simd::avx2::scLineBits},
+     &simd::avx2::fpcCountBits},
 #endif
 };
 
@@ -37,12 +32,6 @@ isaSupported(IsaLevel isa)
     switch (isa) {
       case IsaLevel::Scalar:
         return true;
-      case IsaLevel::Sse4:
-#if defined(__x86_64__) || defined(__i386__)
-        return __builtin_cpu_supports("sse4.1");
-#else
-        return false;
-#endif
       case IsaLevel::Avx2:
 #if defined(__x86_64__) || defined(__i386__)
         return __builtin_cpu_supports("avx2");

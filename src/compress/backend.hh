@@ -1,17 +1,19 @@
 /**
  * @file
  * Runtime-dispatched compression kernel backends. Each backend is a
- * descriptor naming an ISA tier and the three hot probe kernels (BDI
- * layout scan, FPC word classifier, SC Huffman length lookup); the
- * scalar backend is always compiled and every accelerated backend is
- * pinned bit-identical to it, so switching backends can never change a
- * simulation result — only how fast probes run.
+ * descriptor naming an ISA tier and the two probe kernels it
+ * accelerates (BDI layout scan, FPC word classifier); the scalar
+ * backend is always compiled and every accelerated backend is pinned
+ * bit-identical to it, so switching backends can never change a
+ * simulation result — only how fast probes run. SC has no kernel
+ * here: its probe is one walk of the code book's symbol table
+ * (HuffmanCode::encodedBits), on every backend.
  *
  * Dispatch is process-wide: one atomic pointer, resolved lazily on
  * first use to the best ISA the host supports (overridable with the
  * LATTE_COMPRESS_BACKEND environment variable or --compress-backend).
- * A future ISA-L/AVX-512 backend is one more table row — callers go
- * through the descriptor and never name an ISA directly.
+ * Another ISA is one more table row — callers go through the
+ * descriptor and never name an ISA directly.
  */
 
 #ifndef LATTE_COMPRESS_BACKEND_HH
@@ -30,7 +32,6 @@ namespace latte
 enum class IsaLevel : std::uint8_t
 {
     Scalar = 0,
-    Sse4,
     Avx2,
 };
 
@@ -41,7 +42,6 @@ struct CompressorBackend
     IsaLevel isa;                 //!< host support requirement
     simd::BdiScanFn bdiScan;
     simd::FpcCountBitsFn fpcCountBits;
-    simd::ScLineBitsFn scLineBits;
 };
 
 /** Every compiled-in backend, scalar first, fastest last. */

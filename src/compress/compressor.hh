@@ -157,13 +157,14 @@ class Compressor
      * alignment requirement beyond what the caller's buffer gives),
      * the exact LineMeta compress() would produce — same algo,
      * encoding, sizeBits and generation — without materialising any
-     * bit stream. Implementations loop over the active backend's
-     * per-line kernel, so a batch saves one dispatch-table read and one
-     * virtual call per line; the throughput bench and the backend
-     * fuzzer sweep whole corpora, while the compressed L1 probes one
-     * fill at a time through probe(). Results are independent per line
-     * and bit-identical across backends and batch sizes. Pinned to
-     * compress() by the ProbeMatchesCompress property test.
+     * bit stream. Implementations loop over a per-line probe (BDI and
+     * FPC through the active backend's kernel), so a batch saves one
+     * virtual call (and one dispatch-table read) per line; the
+     * throughput bench and the backend fuzzer sweep whole corpora,
+     * while the compressed L1 probes one fill at a time through
+     * probe(). Results are independent per line and bit-identical
+     * across backends and batch sizes. Pinned to compress() by the
+     * ProbeMatchesCompress property test.
      *
      * @pre lines.size() == out.size() * kLineBytes.
      */

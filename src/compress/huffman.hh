@@ -25,36 +25,6 @@ class HuffmanCode
     /** (symbol value, weight) training pair. */
     using Freq = std::pair<std::uint32_t, std::uint64_t>;
 
-    /**
-     * One slot of the open-addressing symbol table: a coded symbol and
-     * its code length. bits == 0 marks an empty slot (no code is
-     * shorter than one bit).
-     */
-    struct LenSlot
-    {
-        std::uint32_t symbol = 0;
-        std::uint32_t bits = 0;
-    };
-
-    /**
-     * A borrowed, read-only view of the symbol table in the exact
-     * layout encodedBits() probes: the open-addressing LenSlot table,
-     * the membership filter bitmap and the escape cost. The SIMD probe
-     * kernels take this view so they can batch the hash + table walk
-     * without friending their way into the code book; it stays valid
-     * until the next build(). A book without coded symbols yields
-     * empty == true, where every value costs escapeBits.
-     */
-    struct LengthView
-    {
-        const LenSlot *slots = nullptr;
-        std::uint32_t slotMask = 0;
-        const std::uint64_t *filter = nullptr;
-        std::uint32_t filterMask = 0;
-        std::uint32_t escapeBits = 0; //!< escape prefix + 32 raw bits
-        bool empty = true;
-    };
-
     HuffmanCode() = default;
 
     /**
@@ -121,22 +91,6 @@ class HuffmanCode
         return find(value) != kNoSlot;
     }
 
-    /** Borrow the symbol table for batched/SIMD length probing. */
-    LengthView
-    lengthView() const
-    {
-        LengthView view;
-        view.escapeBits = escapeLength_ + 32;
-        view.empty = lens_.empty();
-        if (!view.empty) {
-            view.slots = lens_.data();
-            view.slotMask = static_cast<std::uint32_t>(lenMask_);
-            view.filter = filter_.data();
-            view.filterMask = static_cast<std::uint32_t>(filterMask_);
-        }
-        return view;
-    }
-
     /** Decode one symbol; reads the raw value itself after an escape. */
     std::uint32_t decode(BitReader &br) const;
 
@@ -144,9 +98,22 @@ class HuffmanCode
     static constexpr std::size_t kNoSlot = ~std::size_t{0};
 
     /**
+     * One slot of the open-addressing symbol table: a coded symbol and
+     * its code length. bits == 0 marks an empty slot (no code is
+     * shorter than one bit).
+     */
+    struct LenSlot
+    {
+        std::uint32_t symbol = 0;
+        std::uint32_t bits = 0;
+    };
+
+    /**
      * The table slot of @p value, or kNoSlot: escape it. The membership
      * filter answers most misses — the common case on noisy lines —
-     * with one load from a ~1 KiB bitmap instead of a probe chain.
+     * with one load from a ~1 KiB bitmap instead of a probe chain. The
+     * home slot is loaded before the filter is tested: the two loads
+     * are independent, so a hit pays one load latency instead of two.
      */
     std::size_t
     find(std::uint32_t value) const
@@ -155,13 +122,16 @@ class HuffmanCode
             return kNoSlot;
         // Fibonacci mix spreads clustered values (small ints, pointers).
         const std::uint32_t hash = value * 0x9e3779b9u;
+        std::size_t i = hash & lenMask_;
+        LenSlot slot = lens_[i];
         const std::size_t bit = hash & filterMask_;
         if (!((filter_[bit / 64] >> (bit % 64)) & 1))
             return kNoSlot;
-        for (std::size_t i = hash & lenMask_; lens_[i].bits != 0;
-             i = (i + 1) & lenMask_) {
-            if (lens_[i].symbol == value)
+        while (slot.bits != 0) {
+            if (slot.symbol == value)
                 return i;
+            i = (i + 1) & lenMask_;
+            slot = lens_[i];
         }
         return kNoSlot;
     }

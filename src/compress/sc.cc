@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "backend.hh"
 #include "common/logging.hh"
 
 namespace latte
@@ -191,22 +190,28 @@ ScCompressor::probeLines(std::span<const std::uint8_t> lines,
         return;
     }
 
-    // No per-word early exit in the kernel: the running size is
-    // monotone, so the total crosses kLineBits iff compress()'s capped
-    // stream does, and both sides then report the same raw line. The
-    // length-table view is borrowed once for the whole batch — the
-    // code book cannot change mid-call.
-    const simd::ScLineBitsFn lineBits =
-        activeCompressorBackend().scLineBits;
-    const HuffmanCode::LengthView view = codes_.lengthView();
+    // No per-word early exit: the running size is monotone, so the
+    // total crosses kLineBits iff compress()'s capped stream does, and
+    // both sides then report the same raw line.
+    const auto word_bits = [this](std::uint64_t word) {
+        return codes_.encodedBits(static_cast<std::uint32_t>(word));
+    };
     for (std::size_t i = 0; i < out.size(); ++i) {
-        const std::uint64_t bits =
-            lineBits(lines.data() + i * kLineBytes, view);
-        out[i] = makeProbedMeta(
-            CompressorId::Sc, 0,
-            static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(bits, kLineBits)),
-            generation_);
+        const std::uint8_t *line = lines.data() + i * kLineBytes;
+        // Four accumulators so the adds of neighbouring lookups don't
+        // serialise behind one register.
+        std::uint32_t bits0 = 0, bits1 = 0, bits2 = 0, bits3 = 0;
+        for (unsigned off = 0; off < kLineBytes; off += 16) {
+            const std::uint64_t pa = loadLe(line + off, 8);
+            const std::uint64_t pb = loadLe(line + off + 8, 8);
+            bits0 += word_bits(pa);
+            bits1 += word_bits(pa >> 32);
+            bits2 += word_bits(pb);
+            bits3 += word_bits(pb >> 32);
+        }
+        const std::uint32_t bits = (bits0 + bits1) + (bits2 + bits3);
+        out[i] = makeProbedMeta(CompressorId::Sc, 0,
+                                std::min(bits, kLineBits), generation_);
     }
 }
 

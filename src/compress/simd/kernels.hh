@@ -1,11 +1,11 @@
 /**
  * @file
- * The three data-parallel probe kernels behind the CompressorBackend
- * dispatch table: the BDI base+delta layout scan, the FPC word
- * classifier and the SC Huffman length lookup. Each exists in a scalar
- * reference implementation (always compiled, the bit-identity anchor)
- * and, where the build enables them, SSE4/AVX2 variants compiled in
- * their own translation units with per-file ISA flags.
+ * The two data-parallel probe kernels behind the CompressorBackend
+ * dispatch table: the BDI base+delta layout scan and the FPC word
+ * classifier. Each exists in a scalar reference implementation (always
+ * compiled, the bit-identity anchor) and, where the build enables it,
+ * an AVX2 variant compiled in its own translation unit with a per-file
+ * ISA flag.
  *
  * Every variant of a kernel must return bit-identical results for every
  * input line — the golden tests and the BackendFuzz differential fuzzer
@@ -21,7 +21,6 @@
 #include <cstdint>
 
 #include "compress/bdi.hh"
-#include "compress/huffman.hh"
 
 namespace latte::simd
 {
@@ -46,38 +45,6 @@ using BdiScanFn = BdiScanResult (*)(const std::uint8_t *line);
 
 /** Exact FPC encoded bit count of one kLineBytes line. */
 using FpcCountBitsFn = std::uint32_t (*)(const std::uint8_t *line);
-
-/** Exact SC encoded bit count of one line against a borrowed book. */
-using ScLineBitsFn = std::uint64_t (*)(const std::uint8_t *line,
-                                       const HuffmanCode::LengthView &view);
-
-/**
- * Scalar Huffman length lookup against a LengthView — the answer of
- * HuffmanCode::encodedBits(), from the same filter bit and symbol-table
- * walk over the borrowed table, so SIMD kernels can fall back to it for
- * the slot walk of unresolved lanes. The home slot is loaded before the
- * filter is tested: the two loads are independent, so a hit pays one
- * load latency instead of two.
- */
-inline std::uint32_t
-scLookupBits(std::uint32_t value, const HuffmanCode::LengthView &view)
-{
-    if (view.empty)
-        return view.escapeBits;
-    const std::uint32_t hash = value * 0x9e3779b9u;
-    std::uint32_t i = hash & view.slotMask;
-    HuffmanCode::LenSlot slot = view.slots[i];
-    const std::uint32_t bit = hash & view.filterMask;
-    if (!((view.filter[bit / 64] >> (bit % 64)) & 1))
-        return view.escapeBits;
-    while (slot.bits != 0) {
-        if (slot.symbol == value)
-            return slot.bits;
-        i = (i + 1) & view.slotMask;
-        slot = view.slots[i];
-    }
-    return view.escapeBits;
-}
 
 namespace detail
 {
@@ -109,8 +76,8 @@ bdiRepeated8(const std::uint8_t *line)
  * base-relative; the first non-immediate block defines the base.
  * Feasibility only — no outputs kept. The block and delta widths are
  * template parameters so the per-block loads and range checks compile
- * to fixed-width instructions. Shared here so the SIMD kernels can
- * reuse it for the layouts they leave scalar (B2D1, the last-resort
+ * to fixed-width instructions. Shared here so the AVX2 kernel can
+ * reuse it for the layout it leaves scalar (B2D1, the last-resort
  * 592-bit layout, is not worth a 16-bit-lane vector path).
  */
 template <unsigned BaseBytes, unsigned DeltaBytes>
@@ -146,27 +113,13 @@ namespace scalar
 {
 BdiScanResult bdiScan(const std::uint8_t *line);
 std::uint32_t fpcCountBits(const std::uint8_t *line);
-std::uint64_t scLineBits(const std::uint8_t *line,
-                         const HuffmanCode::LengthView &view);
 } // namespace scalar
-
-#if defined(LATTE_SIMD_SSE4)
-namespace sse4
-{
-BdiScanResult bdiScan(const std::uint8_t *line);
-std::uint32_t fpcCountBits(const std::uint8_t *line);
-// No scLineBits: the slot gather needs AVX2; the SSE4 backend reuses
-// the scalar SC kernel.
-} // namespace sse4
-#endif
 
 #if defined(LATTE_SIMD_AVX2)
 namespace avx2
 {
 BdiScanResult bdiScan(const std::uint8_t *line);
 std::uint32_t fpcCountBits(const std::uint8_t *line);
-std::uint64_t scLineBits(const std::uint8_t *line,
-                         const HuffmanCode::LengthView &view);
 } // namespace avx2
 #endif
 

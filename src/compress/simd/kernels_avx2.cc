@@ -15,11 +15,6 @@
  *    compares reproduce the scalar unsigned thresholds; the wide-class
  *    blends apply in the scalar code's inverted priority order and the
  *    zero-run fixup loop is byte-for-byte the scalar one.
- *  - SC: one 8-byte gather fetches each word's home LenSlot. An empty
- *    slot is an escape regardless of the filter, and a symbol match in
- *    the home slot always passes the filter (its bit was set when the
- *    symbol was inserted), so only collision lanes fall back to the
- *    scalar walk. Sums are exact integers, so lane order is free.
  */
 
 #include <immintrin.h>
@@ -246,72 +241,6 @@ fpcCountBits(const std::uint8_t *line)
                 7 * run;
     }
     return bits;
-}
-
-std::uint64_t
-scLineBits(const std::uint8_t *line, const HuffmanCode::LengthView &view)
-{
-    if (view.empty)
-        return std::uint64_t{kLineBytes / 4} * view.escapeBits;
-
-    const __m128i mul = _mm_set1_epi32(static_cast<int>(0x9e3779b9u));
-    const __m128i slot_mask =
-        _mm_set1_epi32(static_cast<int>(view.slotMask));
-    const __m128i esc =
-        _mm_set1_epi32(static_cast<int>(view.escapeBits));
-    const __m128i zero = _mm_setzero_si128();
-    const __m128i ones = _mm_set1_epi32(-1);
-    // Gathered slots carry symbol in the low dword, bits in the high
-    // dword; this permutation splits them into two 4-lane vectors.
-    const __m256i split_idx = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
-    const auto *slot_base =
-        reinterpret_cast<const long long *>(view.slots);
-
-    std::uint64_t total = 0;
-    __m128i acc = zero;
-    for (unsigned off = 0; off < kLineBytes; off += 16) {
-        const __m128i vals = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(line + off));
-        const __m128i idx = _mm_and_si128(
-            _mm_mullo_epi32(vals, mul), slot_mask);
-        const __m256i slots = _mm256_i32gather_epi64(slot_base, idx, 8);
-        const __m256i split =
-            _mm256_permutevar8x32_epi32(slots, split_idx);
-        const __m128i sym = _mm256_castsi256_si128(split);
-        const __m128i sbits = _mm256_extracti128_si256(split, 1);
-
-        // Resolved lanes: an empty home slot escapes (the filter could
-        // only agree), and a home-slot symbol match returns slot.bits
-        // (a present symbol always passes the filter). Collision lanes
-        // take the scalar walk, filter check included.
-        const __m128i empty_slot = _mm_cmpeq_epi32(sbits, zero);
-        const __m128i hit =
-            _mm_andnot_si128(empty_slot, _mm_cmpeq_epi32(sym, vals));
-        acc = _mm_add_epi32(
-            acc, _mm_or_si128(_mm_and_si128(empty_slot, esc),
-                              _mm_and_si128(hit, sbits)));
-
-        unsigned pending = static_cast<unsigned>(
-            _mm_movemask_ps(_mm_castsi128_ps(_mm_andnot_si128(
-                _mm_or_si128(empty_slot, hit), ones))));
-        if (pending) {
-            alignas(16) std::uint32_t words[4];
-            _mm_store_si128(reinterpret_cast<__m128i *>(words), vals);
-            do {
-                const unsigned lane =
-                    static_cast<unsigned>(std::countr_zero(pending));
-                pending &= pending - 1;
-                total += scLookupBits(words[lane], view);
-            } while (pending);
-        }
-    }
-
-    acc = _mm_add_epi32(acc,
-                        _mm_shuffle_epi32(acc, _MM_SHUFFLE(1, 0, 3, 2)));
-    acc = _mm_add_epi32(acc,
-                        _mm_shuffle_epi32(acc, _MM_SHUFFLE(2, 3, 0, 1)));
-    total += static_cast<std::uint32_t>(_mm_cvtsi128_si32(acc));
-    return total;
 }
 
 } // namespace latte::simd::avx2

@@ -108,21 +108,4 @@ fpcCountBits(const std::uint8_t *line)
     return bits;
 }
 
-std::uint64_t
-scLineBits(const std::uint8_t *line, const HuffmanCode::LengthView &view)
-{
-    // Four accumulators so the adds of neighbouring lookups don't
-    // serialise behind one register.
-    std::uint64_t bits0 = 0, bits1 = 0, bits2 = 0, bits3 = 0;
-    for (unsigned off = 0; off < kLineBytes; off += 16) {
-        const std::uint64_t pa = loadLe(line + off, 8);
-        const std::uint64_t pb = loadLe(line + off + 8, 8);
-        bits0 += scLookupBits(static_cast<std::uint32_t>(pa), view);
-        bits1 += scLookupBits(static_cast<std::uint32_t>(pa >> 32), view);
-        bits2 += scLookupBits(static_cast<std::uint32_t>(pb), view);
-        bits3 += scLookupBits(static_cast<std::uint32_t>(pb >> 32), view);
-    }
-    return (bits0 + bits1) + (bits2 + bits3);
-}
-
 } // namespace latte::simd::scalar

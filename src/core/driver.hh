@@ -132,7 +132,7 @@ struct DriverOptions
     CacheTuning tuning{};
     std::uint64_t maxInstructionsPerKernel = 50'000'000;
     /**
-     * Compression kernel backend ("auto", "scalar", "sse4", "avx2";
+     * Compression kernel backend ("auto", "scalar", "avx2";
      * empty keeps the process-wide selection). Execution speed only:
      * every backend is pinned bit-identical, so this is deliberately
      * NOT part of the result-cache fingerprint — a cached result is

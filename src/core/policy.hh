@@ -128,13 +128,11 @@ class Policy : public CompressionModeProvider
     }
 
     void
-    observeInsertion(Cycles now, std::uint32_t set_index,
-                     CompressorId mode,
+    observeInsertion(Cycles, std::uint32_t, CompressorId,
                      std::span<const std::uint8_t> data) override
     {
         if (usesSc_ && scTrainingWindow())
             engines_->sc.trainLine(data);
-        onInsertion(now, set_index, mode, data);
     }
 
     /** The mode follower sets currently insert with. */
@@ -172,12 +170,6 @@ class Policy : public CompressionModeProvider
     /** Fill policy-specific fields of a freshly recorded trace point. */
     virtual void
     annotateTracePoint(PolicyTracePoint &)
-    {}
-
-    /** Policy-specific insertion hook. */
-    virtual void
-    onInsertion(Cycles, std::uint32_t, CompressorId,
-                std::span<const std::uint8_t>)
     {}
 
     /** Called at every EP boundary with the fresh tolerance estimate. */

@@ -102,7 +102,7 @@ const ArgSpec kSpecs[] = {
          o.progress = false;
      }},
     {"--compress-backend", nullptr, "<name>",
-     "compression kernel backend: auto|scalar|sse4|avx2 (speed only; "
+     "compression kernel backend: auto|scalar|avx2 (speed only; "
      "results are bit-identical)",
      [](SweepCliOptions &o, const std::string &v) {
          std::string error;

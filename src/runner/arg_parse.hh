@@ -26,7 +26,7 @@
  *   --bench-out PATH      write an end-to-end throughput report JSON
  *   --no-progress         suppress the stderr progress/ETA lines
  *   --compress-backend B  compression kernel backend
- *                         (auto|scalar|sse4|avx2; speed only)
+ *                         (auto|scalar|avx2; speed only)
  *   --sim-threads N       accepted for compatibility; ignored
  *                         (count or "auto")
  *   --log-level L         stderr log threshold
@@ -105,7 +105,7 @@ struct SweepCliOptions
     std::string benchOut;    //!< empty = no throughput report
     bool progress = true;
     /**
-     * Compression kernel backend (auto|scalar|sse4|avx2). Applied
+     * Compression kernel backend (auto|scalar|avx2). Applied
      * process-wide at parse time and recorded in DriverOptions for the
      * result envelopes; bit-identical results either way, so it is not
      * part of the result-cache key. Empty = auto.

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
+#include "compress/backend.hh"
 #include "metrics/exposition.hh"
 #include "metrics/live.hh"
 #include "runner/experiment_runner.hh"
@@ -65,7 +66,9 @@ JobInfo::toJson() const
 }
 
 SweepService::SweepService(ServiceOptions options)
-    : options_(std::move(options)), paused_(options_.startPaused)
+    : options_(std::move(options)),
+      startupBackend_(activeCompressorBackend()),
+      paused_(options_.startPaused)
 {
     latte_assert(!options_.stateDir.empty(),
                  "SweepService needs a state directory");
@@ -589,6 +592,7 @@ SweepService::execute(Job &job)
     // RunnerOptions::logContext — under one greppable "job-<id>/" id.
     const std::string correlation = strfmt("job-{}/", id);
     LogScope job_ctx(correlation);
+    setCompressorBackend(startupBackend_);
 
     std::vector<RunRequest> cells;
     std::string error;

@@ -40,6 +40,11 @@
 #include "runner/json_fields.hh"
 #include "runner/sweep_spec.hh"
 
+namespace latte
+{
+struct CompressorBackend;
+} // namespace latte
+
 namespace latte::service
 {
 
@@ -284,6 +289,12 @@ class SweepService
     void finishJob(Job &job, JobState state, std::string error);
 
     ServiceOptions options_;
+    /**
+     * The compression backend active when the service started. A spec's
+     * compress_backend installs its backend process-wide; execute()
+     * puts this one back first, so that choice ends with its job.
+     */
+    const CompressorBackend &startupBackend_;
 
     mutable std::mutex mutex_;
     std::condition_variable wake_;     //!< scheduler wakeups

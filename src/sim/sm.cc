@@ -81,20 +81,6 @@ StreamingMultiprocessor::assignCta(Cycles now, std::uint32_t cta_index)
     }
 }
 
-bool
-StreamingMultiprocessor::drained() const
-{
-    if (lsu_.busy())
-        return false;
-    for (const Warp &warp : warps_) {
-        if (warp.state == WarpState::Active ||
-            warp.state == WarpState::WaitMem) {
-            return false;
-        }
-    }
-    return true;
-}
-
 std::uint32_t
 StreamingMultiprocessor::activeWarps() const
 {

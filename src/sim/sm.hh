@@ -46,9 +46,6 @@ class StreamingMultiprocessor : public StatGroup
     /** Place CTA @p cta_index on this SM; its warps wake at now+1. */
     void assignCta(Cycles now, std::uint32_t cta_index);
 
-    /** True when every assigned warp finished and the LSU drained. */
-    bool drained() const;
-
     /** What one cycle of the SM did, and when it needs the next. */
     struct TickResult
     {

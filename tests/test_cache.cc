@@ -95,8 +95,9 @@ class StaticModeProvider : public CompressionModeProvider
 TEST_F(CacheFixture, GeometryMatchesTableII)
 {
     EXPECT_EQ(cache.numSets(), 32u);
-    EXPECT_EQ(cache.tagsPerSet(), 16u);     // 4x tags
-    EXPECT_EQ(cache.subBlocksPerSet(), 16u); // 4 lines x 4 sub-blocks
+    EXPECT_EQ(cache.domain().tagsPerSet(), 16u); // 4x tags
+    // 4 lines x 4 sub-blocks
+    EXPECT_EQ(cache.domain().subBlocksPerSet(), 16u);
 }
 
 TEST_F(CacheFixture, MissThenHit)
@@ -279,7 +280,7 @@ TEST_F(CacheFixture, EffectiveCapacityCountsUncompressedSize)
         installLine(addrInSet(7, t + 1), now);
     }
     EXPECT_EQ(cache.effectiveCapacityBytes(), 6u * 128u);
-    EXPECT_LT(cache.usedSubBlocks(), 6u * 4u);
+    EXPECT_LT(cache.domain().usedSubBlocks(), 6u * 4u);
 }
 
 TEST_F(CacheFixture, ScGenerationInvalidation)
@@ -309,7 +310,7 @@ TEST_F(CacheFixture, InvalidateAllEmptiesCache)
     installLine(0x8000, now);
     installLine(0x9000, now);
     cache.invalidateAll();
-    EXPECT_EQ(cache.validLines(), 0u);
+    EXPECT_EQ(cache.domain().validLines(), 0u);
     EXPECT_EQ(cache.effectiveCapacityBytes(), 0u);
 }
 
@@ -323,8 +324,8 @@ TEST_F(CacheFixture, PerSetSubBlockCounterTracksTagWalk)
 
     const auto check_all = [&](const char *when) {
         for (std::uint32_t set = 0; set < cache.numSets(); ++set) {
-            ASSERT_EQ(cache.usedSubBlocksCounter(set),
-                      cache.usedSubBlocksInSet(set))
+            ASSERT_EQ(cache.domain().usedSubBlocksCounter(set),
+                      cache.domain().usedSubBlocksInSet(set))
                 << when << ", set " << set;
         }
     };
@@ -351,7 +352,7 @@ TEST_F(CacheFixture, PerSetSubBlockCounterTracksTagWalk)
     cache.invalidateAll();
     check_all("after invalidateAll");
     for (std::uint32_t set = 0; set < cache.numSets(); ++set)
-        EXPECT_EQ(cache.usedSubBlocksCounter(set), 0u);
+        EXPECT_EQ(cache.domain().usedSubBlocksCounter(set), 0u);
 }
 
 // ------------------------------- tuning knobs used by Figures 3 and 4

@@ -66,8 +66,9 @@ TEST_P(CacheGeometry, GeometryArithmeticConsistent)
 {
     EXPECT_EQ(cache->numSets() * cfg.l1.assoc * cfg.l1.lineBytes,
               cfg.l1.sizeBytes);
-    EXPECT_EQ(cache->tagsPerSet(), cfg.l1.assoc * cfg.l1.tagFactor);
-    EXPECT_EQ(cache->subBlocksPerSet() * cfg.l1.subBlockBytes,
+    EXPECT_EQ(cache->domain().tagsPerSet(),
+              cfg.l1.assoc * cfg.l1.tagFactor);
+    EXPECT_EQ(cache->domain().subBlocksPerSet() * cfg.l1.subBlockBytes,
               cfg.l1.assoc * cfg.l1.lineBytes);
 }
 
@@ -82,12 +83,12 @@ TEST_P(CacheGeometry, SubBlockUsageNeverExceedsCapacity)
         mem.writeBytes(addr, bytes);
         install(addr, now);
     }
-    EXPECT_LE(cache->usedSubBlocks(),
+    EXPECT_LE(cache->domain().usedSubBlocks(),
               static_cast<std::uint64_t>(cache->numSets()) *
-                  cache->subBlocksPerSet());
-    EXPECT_LE(cache->validLines(),
+                  cache->domain().subBlocksPerSet());
+    EXPECT_LE(cache->domain().validLines(),
               static_cast<std::uint64_t>(cache->numSets()) *
-                  cache->tagsPerSet());
+                  cache->domain().tagsPerSet());
 }
 
 TEST_P(CacheGeometry, HitAfterInstallAlways)

@@ -4,11 +4,11 @@
  * acceptance property (a job submitted through the service produces a
  * result byte-identical to the same spec run in-process, and a
  * resubmit is served from cache with zero simulated cells), queue
- * order / quotas / cancellation, journal recovery after an unclean
- * stop, the wire protocol via RequestDispatcher, and the AF_UNIX
- * SocketServer itself (concurrent clients, reaping finished
- * connections, idling at the fd limit, stale-socket takeover, the
- * live-daemon probe).
+ * order / quotas / cancellation, a job's compress_backend ending with
+ * the job, journal recovery after an unclean stop, the wire protocol
+ * via RequestDispatcher, and the AF_UNIX SocketServer itself
+ * (concurrent clients, reaping finished connections, idling at the fd
+ * limit, stale-socket takeover, the live-daemon probe).
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +30,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "compress/backend.hh"
 #include "core/driver.hh"
 #include "fd_pressure.hh"
 #include "runner/sweep.hh"
@@ -266,6 +267,55 @@ TEST(Service, ZeroSampleSetsOrVftEntriesFailCellsNotTheService)
     ASSERT_TRUE(service.waitJob(good, info));
     EXPECT_EQ(info.state, JobState::Done) << info.error;
     EXPECT_EQ(info.cellsFailed, 0u);
+}
+
+TEST(Service, CompressBackendDoesNotOutliveItsJob)
+{
+    // A spec's compress_backend installs its backend process-wide for
+    // its cells; the next job, which names none, must run on (and its
+    // envelopes name) the backend the service started with.
+    const std::string startup = activeCompressorBackend().name;
+    if (startup == "scalar")
+        GTEST_SKIP() << "the service starts on the scalar backend";
+
+    ServiceOptions options;
+    options.stateDir = freshDir("latte_service_backend_state");
+    options.threads = 1;
+    SweepService service(options);
+
+    const auto envelope_backends = [](const std::string &path) {
+        std::string error;
+        const runner::Json doc = runner::Json::parse(readFile(path), &error);
+        EXPECT_EQ(error, "");
+        std::vector<std::string> names;
+        for (const runner::Json &outcome : doc.asArray())
+            names.push_back(outcome.at("compressBackend").asString());
+        return names;
+    };
+
+    runner::SweepSpec scalar_spec = tinySpec();
+    scalar_spec.options["compress_backend"] = runner::Json("scalar");
+    std::string error;
+    const std::uint64_t first =
+        service.submit(scalar_spec, "tester", 0, &error);
+    ASSERT_NE(first, 0u) << error;
+    JobInfo info;
+    ASSERT_TRUE(service.waitJob(first, info));
+    ASSERT_EQ(info.state, JobState::Done) << info.error;
+    for (const std::string &name : envelope_backends(info.resultPath))
+        EXPECT_EQ(name, "scalar");
+
+    const std::uint64_t second =
+        service.submit(tinySpec(), "tester", 0, &error);
+    ASSERT_NE(second, 0u) << error;
+    ASSERT_TRUE(service.waitJob(second, info));
+    ASSERT_EQ(info.state, JobState::Done) << info.error;
+    const std::vector<std::string> names =
+        envelope_backends(info.resultPath);
+    EXPECT_EQ(names.size(), tinySpec().cellCount());
+    for (const std::string &name : names)
+        EXPECT_EQ(name, startup);
+    EXPECT_EQ(activeCompressorBackend().name, startup);
 }
 
 TEST(Service, QuotasQueueCapAndPriorities)
