@@ -7,12 +7,21 @@
  * CI can track the probe speedup as an artifact; the acceptance bars
  * are probe >= 2x compress on at least three of the five algorithms
  * (measured on the scalar reference kernels, so the ratio stays a
- * property of the algorithm design), and batched probeLines() on the
- * best SIMD backend >= 2x the scalar per-line BDI+FPC mix. That mix is
- * a kernel gate, not the simulator's blend: an L1 fill probes BDI, SC
- * or BPC, one fill at a time, and never FPC. The batch measures the
- * kernels, not the simulator: every probeLines() is a per-line loop
- * over the backend kernel.
+ * property of the algorithm design), and per-line probe() on the best
+ * SIMD backend >= 2x the scalar BDI+FPC mix. That mix is a kernel
+ * gate, not the simulator's blend: an L1 fill probes BDI, SC or BPC,
+ * one fill at a time, and never FPC.
+ *
+ * Both verdicts read median per-pair ratios: probe against compress
+ * per algorithm, and the blend on the scalar row against the best
+ * row, each over kRatioPairs alternating pairs and printed with their
+ * quartiles. FPC's and SC's medians sit at the 2x bar, so the count of
+ * algorithms at or above it meets its bar of 3 on most runs but not
+ * all: 15 runs on a 4-core Xeon (gcc 12.2, Release) read 3 in 11 and
+ * 2 in 4 (four consecutive runs, as the host's load drifted), with
+ * BDI's median about 5x, FPC's 2.00-2.13x and SC's 1.90-2.16x. C-PACK
+ * and BPC share their encoder with probe(), so theirs is about 1.1x by
+ * construction.
  *
  * The synthetic corpus can rank backends differently from the lines
  * the simulator probes, so a last table times BDI and SC probe() per
@@ -30,15 +39,13 @@
 #include <iomanip>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "compress/backend.hh"
-#include "compress/factory.hh"
-#include "compress/sc.hh"
+#include "compress/engines.hh"
 #include "core/driver.hh"
 #include "core/policies.hh"
 #include "runner/json.hh"
@@ -73,17 +80,18 @@ corpus(std::uint64_t seed, unsigned n)
     return lines;
 }
 
-std::unique_ptr<Compressor>
-trainedEngine(CompressorId id, const std::vector<Line> &lines)
+/** Probe/compress pairs per algorithm; odd, so the median is a pair. */
+constexpr unsigned kRatioPairs = 11;
+
+/** The five engines at default timings, SC trained on @p lines. */
+CompressionEngines
+trainedEngines(const std::vector<Line> &lines)
 {
-    auto engine = makeCompressor(id);
-    if (id == CompressorId::Sc) {
-        auto *sc = static_cast<ScCompressor *>(engine.get());
-        for (const auto &line : lines)
-            sc->trainLine(line);
-        sc->rebuildCodes();
-    }
-    return engine;
+    CompressionEngines engines{GpuConfig{}};
+    for (const auto &line : lines)
+        engines.sc.trainLine(line);
+    engines.sc.rebuildCodes();
+    return engines;
 }
 
 /**
@@ -104,36 +112,6 @@ measure(const std::vector<Line> &lines, unsigned reps, std::uint64_t &sink,
         for (const auto &line : lines)
             checksum += op(line);
         const auto stop = Clock::now();
-        sink ^= checksum;
-        const double seconds =
-            std::chrono::duration<double>(stop - start).count();
-        if (seconds > 0)
-            best = std::max(best,
-                            static_cast<double>(lines.size()) / seconds);
-    }
-    return best;
-}
-
-/**
- * Best lines/second of one batched probeLines() sweep over the whole
- * corpus (the vector<Line> storage is contiguous, so it doubles as the
- * flat batch buffer the API takes).
- */
-double
-measureBatched(const std::vector<Line> &lines, unsigned reps,
-               std::uint64_t &sink, Compressor &engine)
-{
-    const std::span<const std::uint8_t> flat(lines.front().data(),
-                                             lines.size() * kLineBytes);
-    std::vector<LineMeta> metas(lines.size());
-    double best = 0.0;
-    for (unsigned r = 0; r < reps; ++r) {
-        const auto start = Clock::now();
-        engine.probeLines(flat, metas);
-        const auto stop = Clock::now();
-        std::uint64_t checksum = 0;
-        for (const LineMeta &meta : metas)
-            checksum += meta.sizeBits;
         sink ^= checksum;
         const double seconds =
             std::chrono::duration<double>(stop - start).count();
@@ -225,15 +203,15 @@ recordFills(const Workload &workload, std::uint64_t seed)
     return stream;
 }
 
-/** Nanoseconds of @p probe(i) for i in [0, n); folds into @p sink. */
-template <typename Probe>
+/** Nanoseconds of @p op(i) for i in [0, n); folds into @p sink. */
+template <typename Op>
 double
-timeProbes(std::size_t n, std::uint64_t &sink, Probe &&probe)
+timePass(std::size_t n, std::uint64_t &sink, Op &&op)
 {
     const auto start = Clock::now();
     std::uint64_t checksum = 0;
     for (std::size_t i = 0; i < n; ++i)
-        checksum += probe(i);
+        checksum += op(i);
     const auto stop = Clock::now();
     sink ^= checksum;
     return std::chrono::duration<double, std::nano>(stop - start).count();
@@ -246,13 +224,63 @@ struct FillTiming
     double scNs = 0;
 };
 
+/** Lower quartile, median and upper quartile (nearest rank). */
+struct Quartiles
+{
+    double q1 = 0;
+    double median = 0;
+    double q3 = 0;
+};
+
+Quartiles
+quartiles(std::vector<double> xs)
+{
+    std::sort(xs.begin(), xs.end());
+    const std::size_t n = xs.size();
+    return {xs[n / 4], xs[n / 2], xs[3 * n / 4]};
+}
+
+/** Two sides' median pass times and the quartiles of their ratio. */
+struct PairedTiming
+{
+    double slowNs = 0;
+    double fastNs = 0;
+    Quartiles ratio; //!< slow ns / fast ns, per pair
+};
+
+/**
+ * Time @p slow() and @p fast(), each returning one pass's nanoseconds,
+ * in kRatioPairs pairs, alternating which runs first so neither always
+ * finds the caches the other left. Both sides of a pair share the
+ * host's load, so a noisy moment moves their ratio far less than it
+ * moves a best-of rate.
+ */
+template <typename Slow, typename Fast>
+PairedTiming
+timePairs(Slow &&slow, Fast &&fast)
+{
+    std::vector<double> slow_ns, fast_ns, ratios;
+    for (unsigned pair = 0; pair < kRatioPairs; ++pair) {
+        if (pair % 2 == 0) {
+            slow_ns.push_back(slow());
+            fast_ns.push_back(fast());
+        } else {
+            fast_ns.push_back(fast());
+            slow_ns.push_back(slow());
+        }
+        ratios.push_back(slow_ns.back() / fast_ns.back());
+    }
+    return {quartiles(slow_ns).median, quartiles(fast_ns).median,
+            quartiles(ratios)};
+}
+
 struct AlgoResult
 {
-    std::string name;
-    double probeLinesPerSec = 0;
-    double compressLinesPerSec = 0;
+    const char *name = "";
+    double probeLinesPerSec = 0;    //!< median pass
+    double compressLinesPerSec = 0; //!< median pass
     double decompressLinesPerSec = 0;
-    double probeSpeedup = 0;
+    Quartiles probeSpeedup;
 };
 
 } // namespace
@@ -283,91 +311,91 @@ main(int argc, char **argv)
     std::vector<AlgoResult> results;
     unsigned fast_probes = 0;
 
-    std::map<CompressorId, std::unique_ptr<Compressor>> engines;
-    for (const CompressorId id : allCompressorIds())
-        engines.emplace(id, trainedEngine(id, lines));
+    CompressionEngines engines = trainedEngines(lines);
 
     // The per-algorithm table measures the portable scalar reference
     // kernels, so the probe/compress ratios characterise the algorithm
     // design and stay comparable across hosts; the SIMD tiers are
     // compared against each other (and against this baseline) below.
     const CompressorBackend &entry_backend = activeCompressorBackend();
-    setCompressorBackend(*resolveCompressorBackend("scalar", nullptr));
+    const CompressorBackend &scalar =
+        *resolveCompressorBackend("scalar", nullptr);
+    setCompressorBackend(scalar);
+    const auto lines_per_sec = [&](double ns) {
+        return static_cast<double>(lines.size()) * 1e9 / ns;
+    };
+    const auto probe_pass = [&](Compressor &engine) {
+        return timePass(lines.size(), sink, [&](std::size_t i) {
+            return engine.probe(lines[i]).sizeBits;
+        });
+    };
 
-    for (const CompressorId id : allCompressorIds()) {
-        Compressor *engine = engines.at(id).get();
+    for (const CompressorId id : kAlgorithmIds) {
+        Compressor &engine = *engines.get(id);
         AlgoResult res;
-        res.name = engine->name();
+        res.name = compressorName(id);
 
-        res.probeLinesPerSec = measure(
-            lines, reps, sink,
-            [&](const Line &line) { return engine->probe(line).sizeBits; });
-        res.compressLinesPerSec = measure(
-            lines, reps, sink, [&](const Line &line) {
-                return engine->compress(line).sizeBits;
-            });
+        const PairedTiming timing = timePairs(
+            [&] {
+                return timePass(lines.size(), sink, [&](std::size_t i) {
+                    return engine.compress(lines[i]).sizeBits;
+                });
+            },
+            [&] { return probe_pass(engine); });
+        res.compressLinesPerSec = lines_per_sec(timing.slowNs);
+        res.probeLinesPerSec = lines_per_sec(timing.fastNs);
+        res.probeSpeedup = timing.ratio;
 
         std::vector<CompressedLine> compressed;
         compressed.reserve(lines.size());
         for (const auto &line : lines)
-            compressed.push_back(engine->compress(line));
+            compressed.push_back(engine.compress(line));
         std::size_t i = 0;
         Line scratch;
         res.decompressLinesPerSec = measure(
             lines, reps, sink, [&](const Line &) {
-                engine->decompressInto(compressed[i++ % compressed.size()],
-                                       scratch);
+                engine.decompressInto(compressed[i++ % compressed.size()],
+                                      scratch);
                 return static_cast<std::uint64_t>(scratch[0]);
             });
 
-        res.probeSpeedup = res.compressLinesPerSec > 0
-                               ? res.probeLinesPerSec /
-                                     res.compressLinesPerSec
-                               : 0;
-        if (res.probeSpeedup >= 2.0)
+        if (res.probeSpeedup.median >= 2.0)
             ++fast_probes;
         results.push_back(res);
     }
 
     std::cout << "=== compression hot-path throughput (" << n_lines
-              << " lines, best of " << reps << ") ===\n";
+              << " lines; probe and compress: median of " << kRatioPairs
+              << " alternating pairs, decomp: best of " << reps
+              << ") ===\n";
     std::cout << std::left << std::setw(10) << "algo" << std::right
               << std::setw(16) << "probe (l/s)" << std::setw(16)
               << "compress (l/s)" << std::setw(16) << "decomp (l/s)"
-              << std::setw(12) << "probe/comp" << "\n";
+              << std::setw(22) << "probe/comp [q1, q3]" << "\n";
     for (const auto &res : results) {
         std::cout << std::left << std::setw(10) << res.name << std::right
                   << std::fixed << std::setprecision(0) << std::setw(16)
                   << res.probeLinesPerSec << std::setw(16)
                   << res.compressLinesPerSec << std::setw(16)
                   << res.decompressLinesPerSec << std::setprecision(2)
-                  << std::setw(12) << res.probeSpeedup << "\n";
+                  << std::setw(8) << res.probeSpeedup.median << " ["
+                  << res.probeSpeedup.q1 << ", " << res.probeSpeedup.q3
+                  << "]\n";
     }
 
-    // --- Backend sweep: batched probeLines() per dispatch tier. The
-    // baseline is per-line probe() on the scalar kernels, and the
-    // headline number (the CI gate) is how much faster the best backend
-    // runs the batched BDI+FPC blend. It gates the kernels; the L1
-    // never probes FPC (the fill-stream table below times its modes).
-    const double scalar_bdi_perline = measure(
-        lines, reps, sink, [&](const Line &line) {
-            return engines.at(CompressorId::Bdi)->probe(line).sizeBits;
-        });
-    const double scalar_fpc_perline = measure(
-        lines, reps, sink, [&](const Line &line) {
-            return engines.at(CompressorId::Fpc)->probe(line).sizeBits;
-        });
-    const double scalar_perline_mix =
-        mixRate(scalar_bdi_perline, scalar_fpc_perline);
-
+    // --- Backend sweep: per-line probe() per dispatch tier, best of
+    // reps. The headline number (the CI gate) is how much faster the
+    // best backend runs the BDI+FPC blend than the scalar row. It gates
+    // the kernels; the L1 never probes FPC (the fill-stream table below
+    // times its modes).
     Json::Object backends_json;
+    double scalar_mix = 0;
     double best_mix = 0;
-    std::string best_backend;
-    std::cout << "\n=== batched probeLines() by backend (l/s) ===\n";
+    const CompressorBackend *best_backend = &scalar;
+    std::cout << "\n=== probe() by backend (l/s) ===\n";
     std::cout << std::left << std::setw(10) << "backend";
-    for (const CompressorId id : allCompressorIds())
-        std::cout << std::right << std::setw(12)
-                  << engines.at(id)->name();
+    for (const CompressorId id : kAlgorithmIds)
+        std::cout << std::right << std::setw(12) << compressorName(id);
     std::cout << std::right << std::setw(14) << "bdi+fpc mix" << "\n";
     for (const CompressorBackend &backend : compressorBackends()) {
         if (!compressorBackendSupported(backend))
@@ -377,10 +405,13 @@ main(int argc, char **argv)
         double bdi_rate = 0, fpc_rate = 0;
         std::cout << std::left << std::setw(10) << backend.name
                   << std::right << std::fixed << std::setprecision(0);
-        for (const CompressorId id : allCompressorIds()) {
+        for (const CompressorId id : kAlgorithmIds) {
+            Compressor &engine = *engines.get(id);
             const double rate =
-                measureBatched(lines, reps, sink, *engines.at(id));
-            per_algo.emplace(engines.at(id)->name(), Json(rate));
+                measure(lines, reps, sink, [&](const Line &line) {
+                    return engine.probe(line).sizeBits;
+                });
+            per_algo.emplace(compressorName(id), Json(rate));
             std::cout << std::setw(12) << rate;
             if (id == CompressorId::Bdi)
                 bdi_rate = rate;
@@ -391,11 +422,24 @@ main(int argc, char **argv)
         per_algo.emplace("bdiFpcMixLinesPerSec", Json(mix));
         backends_json.emplace(backend.name, Json(std::move(per_algo)));
         std::cout << std::setw(14) << mix << "\n";
+        if (&backend == &scalar)
+            scalar_mix = mix;
         if (mix > best_mix) {
             best_mix = mix;
-            best_backend = backend.name;
+            best_backend = &backend;
         }
     }
+
+    // The gate reads the blend on the scalar and the best row in
+    // alternating pairs, as the verdict above reads probe and compress.
+    const auto blend_pass = [&](const CompressorBackend &backend) {
+        setCompressorBackend(backend);
+        return probe_pass(engines.bdi) + probe_pass(engines.fpc);
+    };
+    const Quartiles mix_speedup =
+        timePairs([&] { return blend_pass(scalar); },
+                  [&] { return blend_pass(*best_backend); })
+            .ratio;
 
     // --- Fill-stream table: probe() per backend over the lines
     // hotloop's cells fill, one cell's stream held at a time. Each
@@ -408,7 +452,7 @@ main(int argc, char **argv)
     }
     std::vector<FillTiming> fill_ns(supported.size());
     std::uint64_t bdi_fills = 0, sc_fills = 0;
-    Compressor &bdi = *engines.at(CompressorId::Bdi);
+    Compressor &bdi = engines.bdi;
     const std::vector<const Workload *> cells = workloadsByCategory(true);
     for (const Workload *workload : cells) {
         const FillStream stream = recordFills(*workload, kFillSeed);
@@ -421,12 +465,12 @@ main(int argc, char **argv)
                 setCompressorBackend(*supported[b]);
                 best[b].bdiNs = std::min(
                     best[b].bdiNs,
-                    timeProbes(stream.bdi.size(), sink, [&](std::size_t i) {
+                    timePass(stream.bdi.size(), sink, [&](std::size_t i) {
                         return bdi.probe(stream.bdi[i]).sizeBits;
                     }));
                 best[b].scNs = std::min(
                     best[b].scNs,
-                    timeProbes(stream.sc.size(), sink, [&](std::size_t i) {
+                    timePass(stream.sc.size(), sink, [&](std::size_t i) {
                         return stream.engines[stream.scEngine[i]]
                             ->probe(stream.sc[i])
                             .sizeBits;
@@ -465,14 +509,13 @@ main(int argc, char **argv)
     std::cout << "(" << bdi_fills << " BDI fills, " << sc_fills
               << " SC fills; best of " << reps << " per cell)\n";
 
-    const double mix_speedup =
-        scalar_perline_mix > 0 ? best_mix / scalar_perline_mix : 0;
-
     std::cout << fast_probes
-              << "/5 algorithms with probe >= 2x compress (gate: >= 3)\n"
-              << std::setprecision(2) << "bdi+fpc mix: batched "
-              << best_backend << " is " << mix_speedup
-              << "x the scalar per-line baseline (gate: >= 2)\n"
+              << "/5 algorithms with median probe >= 2x compress "
+                 "(gate: >= 3)\n"
+              << std::setprecision(2) << "bdi+fpc mix: probe() on "
+              << best_backend->name << " is " << mix_speedup.median
+              << "x the scalar row [" << mix_speedup.q1 << ", "
+              << mix_speedup.q3 << "] (gate: >= 2)\n"
               << "(checksum " << sink << ")\n";
 
     Json::Object algos;
@@ -483,7 +526,9 @@ main(int argc, char **argv)
                 {"probeLinesPerSec", Json(res.probeLinesPerSec)},
                 {"compressLinesPerSec", Json(res.compressLinesPerSec)},
                 {"decompressLinesPerSec", Json(res.decompressLinesPerSec)},
-                {"probeSpeedup", Json(res.probeSpeedup)},
+                {"probeSpeedup", Json(res.probeSpeedup.median)},
+                {"probeSpeedupQ1", Json(res.probeSpeedup.q1)},
+                {"probeSpeedupQ3", Json(res.probeSpeedup.q3)},
             }));
     }
     const Json doc(Json::Object{
@@ -491,13 +536,16 @@ main(int argc, char **argv)
         {"lineBytes", Json(std::uint64_t{kLineBytes})},
         {"lines", Json(std::uint64_t{n_lines})},
         {"reps", Json(std::uint64_t{reps})},
+        {"ratioPairs", Json(std::uint64_t{kRatioPairs})},
         {"probeAtLeast2xCount", Json(std::uint64_t{fast_probes})},
         {"algorithms", Json(std::move(algos))},
         {"backend", Json(std::string(entry_backend.name))},
         {"backends", Json(std::move(backends_json))},
-        {"bestBackend", Json(best_backend)},
-        {"scalarPerLineMixLinesPerSec", Json(scalar_perline_mix)},
-        {"bdiFpcMixSpeedup", Json(mix_speedup)},
+        {"bestBackend", Json(std::string(best_backend->name))},
+        {"scalarPerLineMixLinesPerSec", Json(scalar_mix)},
+        {"bdiFpcMixSpeedup", Json(mix_speedup.median)},
+        {"bdiFpcMixSpeedupQ1", Json(mix_speedup.q1)},
+        {"bdiFpcMixSpeedupQ3", Json(mix_speedup.q3)},
         {"fillStream",
          Json(Json::Object{
              {"cells", Json(std::uint64_t{cells.size()})},

@@ -13,8 +13,7 @@
 #include <map>
 #include <vector>
 
-#include "compress/factory.hh"
-#include "compress/sc.hh"
+#include "compress/engines.hh"
 #include "mem/memory_image.hh"
 #include "workloads/zoo.hh"
 
@@ -71,7 +70,7 @@ main()
                  "algorithm ===\n";
     std::cout << std::left << std::setw(6) << "wl" << std::setw(9)
               << "cat";
-    for (const CompressorId id : allCompressorIds())
+    for (const CompressorId id : kAlgorithmIds)
         std::cout << std::right << std::setw(9) << compressorName(id);
     std::cout << "\n";
 
@@ -88,17 +87,15 @@ main()
                   << std::setw(9)
                   << (workload.cacheSensitive ? "C-Sens" : "C-InSens");
 
-        for (const CompressorId id : allCompressorIds()) {
-            auto engine = makeCompressor(id);
-            if (id == CompressorId::Sc) {
-                auto *sc = static_cast<ScCompressor *>(engine.get());
-                for (const auto &line : lines)
-                    sc->trainLine(line);
-                sc->rebuildCodes();
-            }
+        CompressionEngines engines{GpuConfig{}};
+        for (const auto &line : lines)
+            engines.sc.trainLine(line);
+        engines.sc.rebuildCodes();
+        for (const CompressorId id : kAlgorithmIds) {
+            Compressor &engine = *engines.get(id);
             double bits = 0;
             for (const auto &line : lines)
-                bits += engine->compress(line).sizeBits;
+                bits += engine.compress(line).sizeBits;
             const double ratio =
                 lines.size() * static_cast<double>(kLineBits) / bits;
             geo_sum[id] += std::log(ratio);
@@ -109,7 +106,7 @@ main()
     }
 
     std::cout << std::left << std::setw(15) << "geomean";
-    for (const CompressorId id : allCompressorIds()) {
+    for (const CompressorId id : kAlgorithmIds) {
         std::cout << std::right << std::fixed << std::setprecision(2)
                   << std::setw(9)
                   << std::exp(geo_sum[id] / n_workloads);

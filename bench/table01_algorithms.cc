@@ -13,8 +13,7 @@
 #include <iostream>
 
 #include "common/rng.hh"
-#include "compress/factory.hh"
-#include "compress/sc.hh"
+#include "compress/engines.hh"
 #include "mem/memory_image.hh"
 #include "workloads/value_gens.hh"
 
@@ -43,17 +42,15 @@ corpus(std::uint64_t seed, unsigned n)
     return lines;
 }
 
-std::unique_ptr<Compressor>
-trainedEngine(CompressorId id, const std::vector<Line> &lines)
+/** The five engines at default timings, SC trained on @p lines. */
+CompressionEngines
+trainedEngines(const std::vector<Line> &lines)
 {
-    auto engine = makeCompressor(id);
-    if (id == CompressorId::Sc) {
-        auto *sc = static_cast<ScCompressor *>(engine.get());
-        for (const auto &line : lines)
-            sc->trainLine(line);
-        sc->rebuildCodes();
-    }
-    return engine;
+    CompressionEngines engines{GpuConfig{}};
+    for (const auto &line : lines)
+        engines.sc.trainLine(line);
+    engines.sc.rebuildCodes();
+    return engines;
 }
 
 void
@@ -61,11 +58,12 @@ compressThroughput(benchmark::State &state)
 {
     const auto id = static_cast<CompressorId>(state.range(0));
     const auto lines = corpus(7, 256);
-    auto engine = trainedEngine(id, lines);
+    CompressionEngines engines = trainedEngines(lines);
+    Compressor &engine = *engines.get(id);
     std::size_t i = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            engine->compress(lines[i++ % lines.size()]));
+            engine.compress(lines[i++ % lines.size()]));
     }
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations()) * kLineBytes);
@@ -77,15 +75,19 @@ decompressThroughput(benchmark::State &state)
 {
     const auto id = static_cast<CompressorId>(state.range(0));
     const auto lines = corpus(7, 256);
-    auto engine = trainedEngine(id, lines);
+    CompressionEngines engines = trainedEngines(lines);
+    Compressor &engine = *engines.get(id);
     std::vector<CompressedLine> compressed;
     compressed.reserve(lines.size());
     for (const auto &line : lines)
-        compressed.push_back(engine->compress(line));
+        compressed.push_back(engine.compress(line));
     std::size_t i = 0;
+    Line scratch;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            engine->decompress(compressed[i++ % compressed.size()]));
+        engine.decompressInto(compressed[i++ % compressed.size()],
+                              scratch);
+        benchmark::DoNotOptimize(scratch.data());
+        benchmark::ClobberMemory();
     }
     state.SetBytesProcessed(
         static_cast<std::int64_t>(state.iterations()) * kLineBytes);
@@ -104,17 +106,18 @@ printTableOne()
               << "   locality\n";
     const char *locality[] = {"", "spatial", "spatial", "both",
                               "spatial", "temporal"};
-    for (const CompressorId id : allCompressorIds()) {
-        auto engine = trainedEngine(id, lines);
+    CompressionEngines engines = trainedEngines(lines);
+    for (const CompressorId id : kAlgorithmIds) {
+        Compressor &engine = *engines.get(id);
         double bits = 0;
         for (const auto &line : lines)
-            bits += engine->compress(line).sizeBits;
+            bits += engine.compress(line).sizeBits;
         const double ratio =
             lines.size() * static_cast<double>(kLineBits) / bits;
-        std::cout << std::left << std::setw(10) << engine->name()
+        std::cout << std::left << std::setw(10) << compressorName(id)
                   << std::right << std::setw(12)
-                  << engine->decompressLatency() << std::setw(12)
-                  << engine->compressLatency() << std::fixed
+                  << engine.decompressLatency() << std::setw(12)
+                  << engine.compressLatency() << std::fixed
                   << std::setprecision(2) << std::setw(10) << ratio
                   << "   " << locality[static_cast<int>(id)] << "\n";
     }

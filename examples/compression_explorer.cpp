@@ -10,8 +10,7 @@
 #include <iostream>
 #include <memory>
 
-#include "compress/factory.hh"
-#include "compress/sc.hh"
+#include "compress/engines.hh"
 #include "mem/memory_image.hh"
 #include "workloads/value_gens.hh"
 
@@ -47,32 +46,27 @@ main()
     constexpr unsigned kLines = 512;
 
     std::cout << std::left << std::setw(20) << "profile";
-    for (const CompressorId id : allCompressorIds())
+    for (const CompressorId id : kAlgorithmIds)
         std::cout << std::setw(10) << compressorName(id);
     std::cout << "\n";
 
     for (const auto &profile : profiles) {
         std::cout << std::left << std::setw(20) << profile.name
                   << std::fixed << std::setprecision(2);
-        for (const CompressorId id : allCompressorIds()) {
-            auto engine = makeCompressor(id);
+        // SC needs trained codes: give it one pass over the data.
+        CompressionEngines engines{GpuConfig{}};
+        std::array<std::uint8_t, kLineBytes> line;
+        for (unsigned i = 0; i < kLines; ++i) {
+            profile.gen->generate(i * kLineBytes, line);
+            engines.sc.trainLine(line);
+        }
+        engines.sc.rebuildCodes();
 
-            // SC needs trained codes: give it one pass over the data.
-            if (id == CompressorId::Sc) {
-                auto *sc = static_cast<ScCompressor *>(engine.get());
-                for (unsigned i = 0; i < kLines; ++i) {
-                    std::array<std::uint8_t, kLineBytes> line;
-                    profile.gen->generate(i * kLineBytes, line);
-                    sc->trainLine(line);
-                }
-                sc->rebuildCodes();
-            }
-
+        for (const CompressorId id : kAlgorithmIds) {
             double total_bits = 0;
             for (unsigned i = 0; i < kLines; ++i) {
-                std::array<std::uint8_t, kLineBytes> line;
                 profile.gen->generate(i * kLineBytes, line);
-                total_bits += engine->compress(line).sizeBits;
+                total_bits += engines.get(id)->compress(line).sizeBits;
             }
             const double ratio =
                 kLines * double{kLineBits} / total_bits;
@@ -82,10 +76,10 @@ main()
     }
 
     std::cout << "\nDecompression latencies (cycles): ";
-    for (const CompressorId id : allCompressorIds()) {
-        auto engine = makeCompressor(id);
+    CompressionEngines engines{GpuConfig{}};
+    for (const CompressorId id : kAlgorithmIds) {
         std::cout << compressorName(id) << "="
-                  << engine->decompressLatency() << " ";
+                  << engines.get(id)->decompressLatency() << " ";
     }
     std::cout << "\n";
     return 0;

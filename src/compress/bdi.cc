@@ -85,9 +85,7 @@ classifyLayout(std::span<const std::uint8_t> line, const BdiLayout &layout,
 
 BdiCompressor::BdiCompressor(const CompressorTimings &timings)
     : compressLat_(timings.bdiCompress),
-      decompressLat_(timings.bdiDecompress),
-      compressNj_(timings.bdiCompressNj),
-      decompressNj_(timings.bdiDecompressNj)
+      decompressLat_(timings.bdiDecompress)
 {}
 
 bool
@@ -120,23 +118,17 @@ BdiCompressor::tryLayout(std::span<const std::uint8_t> line,
     return out.sizeBits < kLineBits;
 }
 
-void
-BdiCompressor::probeLines(std::span<const std::uint8_t> lines,
-                          std::span<LineMeta> out)
+LineMeta
+BdiCompressor::probe(std::span<const std::uint8_t> line)
 {
-    latte_assert(lines.size() == out.size() * kLineBytes);
+    latte_assert(line.size() == kLineBytes);
 
     // The layout scan (zero line, repeated qword, then first-fit over
     // the base+delta layouts in ascending size order) lives in the
-    // backend kernel; hoisting the dispatch out of the loop is what
-    // batching buys.
-    const simd::BdiScanFn scan = activeCompressorBackend().bdiScan;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        const simd::BdiScanResult r =
-            scan(lines.data() + i * kLineBytes);
-        out[i] = makeProbedMeta(CompressorId::Bdi, r.encoding,
-                                r.sizeBits);
-    }
+    // backend kernel.
+    const simd::BdiScanResult r =
+        activeCompressorBackend().bdiScan(line.data());
+    return makeProbedMeta(CompressorId::Bdi, r.encoding, r.sizeBits);
 }
 
 CompressedLine

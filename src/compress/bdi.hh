@@ -32,18 +32,14 @@ class BdiCompressor : public Compressor
     explicit BdiCompressor(const CompressorTimings &timings = {});
 
     CompressorId id() const override { return CompressorId::Bdi; }
-    std::string name() const override { return "BDI"; }
 
     CompressedLine compress(std::span<const std::uint8_t> line) override;
-    void probeLines(std::span<const std::uint8_t> lines,
-                    std::span<LineMeta> out) override;
+    LineMeta probe(std::span<const std::uint8_t> line) override;
     void decompressInto(const CompressedLine &line,
                         std::span<std::uint8_t> out) const override;
 
     Cycles compressLatency() const override { return compressLat_; }
     Cycles decompressLatency() const override { return decompressLat_; }
-    double compressEnergyNj() const override { return compressNj_; }
-    double decompressEnergyNj() const override { return decompressNj_; }
 
     /** Encoding ids (stored in the 4-bit compression_enc tag field). */
     static constexpr std::uint8_t kEncZeros = 0x0;
@@ -62,8 +58,6 @@ class BdiCompressor : public Compressor
 
     Cycles compressLat_;
     Cycles decompressLat_;
-    double compressNj_;
-    double decompressNj_;
 };
 
 } // namespace latte

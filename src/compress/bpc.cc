@@ -160,28 +160,20 @@ encodeLine(std::span<const std::uint8_t> line, Sink &sink)
 
 BpcCompressor::BpcCompressor(const CompressorTimings &timings)
     : compressLat_(timings.bpcCompress),
-      decompressLat_(timings.bpcDecompress),
-      compressNj_(timings.bpcCompressNj),
-      decompressNj_(timings.bpcDecompressNj)
+      decompressLat_(timings.bpcDecompress)
 {}
 
-void
-BpcCompressor::probeLines(std::span<const std::uint8_t> lines,
-                          std::span<LineMeta> out)
+LineMeta
+BpcCompressor::probe(std::span<const std::uint8_t> line)
 {
-    latte_assert(lines.size() == out.size() * kLineBytes);
+    latte_assert(line.size() == kLineBytes);
 
-    // The delta/DBP/DBX pipeline is already plane-parallel inside
-    // encodeLine(); the batch form is a plain loop sharing the API
-    // shape (and the amortised dispatch) with the other compressors.
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        BitCounter counter;
-        encodeLine(lines.subspan(i * kLineBytes, kLineBytes), counter);
-        out[i] = makeProbedMeta(
-            CompressorId::Bpc, 0,
-            static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(counter.bitSize(), kLineBits)));
-    }
+    BitCounter counter;
+    encodeLine(line, counter);
+    return makeProbedMeta(
+        CompressorId::Bpc, 0,
+        static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(counter.bitSize(), kLineBits)));
 }
 
 CompressedLine

@@ -22,18 +22,14 @@ class BpcCompressor : public Compressor
     explicit BpcCompressor(const CompressorTimings &timings = {});
 
     CompressorId id() const override { return CompressorId::Bpc; }
-    std::string name() const override { return "BPC"; }
 
     CompressedLine compress(std::span<const std::uint8_t> line) override;
-    void probeLines(std::span<const std::uint8_t> lines,
-                    std::span<LineMeta> out) override;
+    LineMeta probe(std::span<const std::uint8_t> line) override;
     void decompressInto(const CompressedLine &line,
                         std::span<std::uint8_t> out) const override;
 
     Cycles compressLatency() const override { return compressLat_; }
     Cycles decompressLatency() const override { return decompressLat_; }
-    double compressEnergyNj() const override { return compressNj_; }
-    double decompressEnergyNj() const override { return decompressNj_; }
 
     static constexpr unsigned kWords = kLineBytes / 4;   // 32
     static constexpr unsigned kDeltas = kWords - 1;      // 31
@@ -42,8 +38,6 @@ class BpcCompressor : public Compressor
   private:
     Cycles compressLat_;
     Cycles decompressLat_;
-    double compressNj_;
-    double decompressNj_;
 };
 
 } // namespace latte

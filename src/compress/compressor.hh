@@ -11,7 +11,9 @@
  * compress() additionally materialises the payload. Most simulated fills
  * only ever need the size — admission checks, sampler votes, sub-block
  * accounting — so the cache calls probe() on its hot path and reserves
- * compress() for lines whose bytes must actually round-trip.
+ * compress() for lines whose bytes must actually round-trip. An engine
+ * models bytes and latency only: EnergyModel prices its events from
+ * CompressorTimings.
  */
 
 #ifndef LATTE_COMPRESS_COMPRESSOR_HH
@@ -20,10 +22,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <span>
-#include <string>
-#include <vector>
 
 #include "common/bit_utils.hh"
 #include "common/compress_id.hh"
@@ -142,7 +141,6 @@ class Compressor
     virtual ~Compressor() = default;
 
     virtual CompressorId id() const = 0;
-    virtual std::string name() const = 0;
 
     /**
      * Compress one 128 B line. Implementations must fall back to a raw
@@ -152,33 +150,14 @@ class Compressor
     virtual CompressedLine compress(std::span<const std::uint8_t> line) = 0;
 
     /**
-     * Size-only fast path over a batch: for each of the out.size()
-     * lines concatenated in @p lines (exactly kLineBytes apiece, no
-     * alignment requirement beyond what the caller's buffer gives),
-     * the exact LineMeta compress() would produce — same algo,
-     * encoding, sizeBits and generation — without materialising any
-     * bit stream. Implementations loop over a per-line probe (BDI and
-     * FPC through the active backend's kernel), so a batch saves one
-     * virtual call (and one dispatch-table read) per line; the
-     * throughput bench and the backend fuzzer sweep whole corpora,
-     * while the compressed L1 probes one fill at a time through
-     * probe(). Results are independent per line and bit-identical
-     * across backends and batch sizes. Pinned to compress() by the
-     * ProbeMatchesCompress property test.
-     *
-     * @pre lines.size() == out.size() * kLineBytes.
+     * The size-only fast path: the exact LineMeta compress() would
+     * produce for @p line (kLineBytes, no alignment requirement) —
+     * same algo, encoding, sizeBits and generation — without
+     * materialising any bit stream. BDI and FPC run the active
+     * backend's kernel; every backend gives the same answer. Pinned
+     * to compress() by the ProbeMatchesCompress property test.
      */
-    virtual void probeLines(std::span<const std::uint8_t> lines,
-                            std::span<LineMeta> out) = 0;
-
-    /** Single-line convenience over probeLines(). */
-    LineMeta
-    probe(std::span<const std::uint8_t> line)
-    {
-        LineMeta meta;
-        probeLines(line, {&meta, 1});
-        return meta;
-    }
+    virtual LineMeta probe(std::span<const std::uint8_t> line) = 0;
 
     /**
      * Reverse compress() into caller-provided storage (exactly
@@ -188,26 +167,11 @@ class Compressor
     virtual void decompressInto(const CompressedLine &line,
                                 std::span<std::uint8_t> out) const = 0;
 
-    /** Convenience wrapper allocating the output vector. */
-    std::vector<std::uint8_t>
-    decompress(const CompressedLine &line) const
-    {
-        std::vector<std::uint8_t> out(kLineBytes);
-        decompressInto(line, out);
-        return out;
-    }
-
     /** Pipeline latency of the compression engine in core cycles. */
     virtual Cycles compressLatency() const = 0;
 
     /** Pipeline latency of the decompression engine in core cycles. */
     virtual Cycles decompressLatency() const = 0;
-
-    /** Energy per compression event (nJ). */
-    virtual double compressEnergyNj() const = 0;
-
-    /** Energy per decompression event (nJ). */
-    virtual double decompressEnergyNj() const = 0;
 };
 
 /** Produce a raw (uncompressed) encoding of @p line. */

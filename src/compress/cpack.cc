@@ -109,30 +109,19 @@ CpackCompressor::CpackCompressor(const CompressorTimings &timings)
     : decompressLat_(timings.cpackDecompress)
 {}
 
-void
-CpackCompressor::probeLines(std::span<const std::uint8_t> lines,
-                            std::span<LineMeta> out)
+LineMeta
+CpackCompressor::probe(std::span<const std::uint8_t> line)
 {
-    latte_assert(lines.size() == out.size() * kLineBytes);
+    latte_assert(line.size() == kLineBytes);
 
-    // The dictionary evolution is inherently serial per line, so the
-    // batch form is a plain loop — it still amortises the virtual
-    // dispatch and keeps callers on one API shape.
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        const std::span<const std::uint8_t> line =
-            lines.subspan(i * kLineBytes, kLineBytes);
-        if (allZero(line)) {
-            out[i] = makeProbedMeta(CompressorId::CpackZ, kEncZeroLine,
-                                    8);
-            continue;
-        }
-        BitCounter counter;
-        encodeWords(line, counter);
-        out[i] = makeProbedMeta(
-            CompressorId::CpackZ, kEncPacked,
-            static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(counter.bitSize(), kLineBits)));
-    }
+    if (allZero(line))
+        return makeProbedMeta(CompressorId::CpackZ, kEncZeroLine, 8);
+    BitCounter counter;
+    encodeWords(line, counter);
+    return makeProbedMeta(
+        CompressorId::CpackZ, kEncPacked,
+        static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(counter.bitSize(), kLineBits)));
 }
 
 CompressedLine

@@ -24,18 +24,14 @@ class CpackCompressor : public Compressor
     explicit CpackCompressor(const CompressorTimings &timings = {});
 
     CompressorId id() const override { return CompressorId::CpackZ; }
-    std::string name() const override { return "CPACK-Z"; }
 
     CompressedLine compress(std::span<const std::uint8_t> line) override;
-    void probeLines(std::span<const std::uint8_t> lines,
-                    std::span<LineMeta> out) override;
+    LineMeta probe(std::span<const std::uint8_t> line) override;
     void decompressInto(const CompressedLine &line,
                         std::span<std::uint8_t> out) const override;
 
     Cycles compressLatency() const override { return 8; }
     Cycles decompressLatency() const override { return decompressLat_; }
-    double compressEnergyNj() const override { return 0.30; }
-    double decompressEnergyNj() const override { return 0.15; }
 
     /** Dictionary capacity in 32-bit words (64 B, per the C-PACK paper). */
     static constexpr unsigned kDictWords = 16;

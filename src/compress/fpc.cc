@@ -75,21 +75,17 @@ FpcCompressor::FpcCompressor(const CompressorTimings &timings)
     : decompressLat_(timings.fpcDecompress)
 {}
 
-void
-FpcCompressor::probeLines(std::span<const std::uint8_t> lines,
-                          std::span<LineMeta> out)
+LineMeta
+FpcCompressor::probe(std::span<const std::uint8_t> line)
 {
-    latte_assert(lines.size() == out.size() * kLineBytes);
+    latte_assert(line.size() == kLineBytes);
 
     // The size-only twin of encodeWords() is the backend's word
     // classifier kernel; test_properties pins probe() == compress()
     // across all profiles and backends.
-    const simd::FpcCountBitsFn count =
-        activeCompressorBackend().fpcCountBits;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        out[i] = makeProbedMeta(CompressorId::Fpc, 0,
-                                count(lines.data() + i * kLineBytes));
-    }
+    return makeProbedMeta(CompressorId::Fpc, 0,
+                          activeCompressorBackend().fpcCountBits(
+                              line.data()));
 }
 
 CompressedLine

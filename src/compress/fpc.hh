@@ -21,18 +21,14 @@ class FpcCompressor : public Compressor
     explicit FpcCompressor(const CompressorTimings &timings = {});
 
     CompressorId id() const override { return CompressorId::Fpc; }
-    std::string name() const override { return "FPC"; }
 
     CompressedLine compress(std::span<const std::uint8_t> line) override;
-    void probeLines(std::span<const std::uint8_t> lines,
-                    std::span<LineMeta> out) override;
+    LineMeta probe(std::span<const std::uint8_t> line) override;
     void decompressInto(const CompressedLine &line,
                         std::span<std::uint8_t> out) const override;
 
     Cycles compressLatency() const override { return 5; }
     Cycles decompressLatency() const override { return decompressLat_; }
-    double compressEnergyNj() const override { return 0.25; }
-    double decompressEnergyNj() const override { return 0.10; }
 
     /** 3-bit word prefixes. */
     enum Prefix : std::uint8_t

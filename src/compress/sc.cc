@@ -93,9 +93,7 @@ ScCompressor::ScCompressor(const CompressorTimings &timings,
                            const LatteParams &params)
     : vft_(params.vftEntries, params.vftCounterBits),
       compressLat_(timings.scCompress),
-      decompressLat_(timings.scDecompress),
-      compressNj_(timings.scCompressNj),
-      decompressNj_(timings.scDecompressNj)
+      decompressLat_(timings.scDecompress)
 {}
 
 void
@@ -177,18 +175,13 @@ ScCompressor::fullSortMissing(std::vector<HuffmanCode::Freq> freqs) const
     return missing;
 }
 
-void
-ScCompressor::probeLines(std::span<const std::uint8_t> lines,
-                         std::span<LineMeta> out)
+LineMeta
+ScCompressor::probe(std::span<const std::uint8_t> line)
 {
-    latte_assert(lines.size() == out.size() * kLineBytes);
+    latte_assert(line.size() == kLineBytes);
 
-    if (!codes_.valid()) {
-        for (LineMeta &meta : out)
-            meta = makeProbedMeta(CompressorId::Sc, 0, kLineBits,
-                                  generation_);
-        return;
-    }
+    if (!codes_.valid())
+        return makeProbedMeta(CompressorId::Sc, 0, kLineBits, generation_);
 
     // No per-word early exit: the running size is monotone, so the
     // total crosses kLineBits iff compress()'s capped stream does, and
@@ -196,23 +189,20 @@ ScCompressor::probeLines(std::span<const std::uint8_t> lines,
     const auto word_bits = [this](std::uint64_t word) {
         return codes_.encodedBits(static_cast<std::uint32_t>(word));
     };
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        const std::uint8_t *line = lines.data() + i * kLineBytes;
-        // Four accumulators so the adds of neighbouring lookups don't
-        // serialise behind one register.
-        std::uint32_t bits0 = 0, bits1 = 0, bits2 = 0, bits3 = 0;
-        for (unsigned off = 0; off < kLineBytes; off += 16) {
-            const std::uint64_t pa = loadLe(line + off, 8);
-            const std::uint64_t pb = loadLe(line + off + 8, 8);
-            bits0 += word_bits(pa);
-            bits1 += word_bits(pa >> 32);
-            bits2 += word_bits(pb);
-            bits3 += word_bits(pb >> 32);
-        }
-        const std::uint32_t bits = (bits0 + bits1) + (bits2 + bits3);
-        out[i] = makeProbedMeta(CompressorId::Sc, 0,
-                                std::min(bits, kLineBits), generation_);
+    // Four accumulators so the adds of neighbouring lookups don't
+    // serialise behind one register.
+    std::uint32_t bits0 = 0, bits1 = 0, bits2 = 0, bits3 = 0;
+    for (unsigned off = 0; off < kLineBytes; off += 16) {
+        const std::uint64_t pa = loadLe(line.data() + off, 8);
+        const std::uint64_t pb = loadLe(line.data() + off + 8, 8);
+        bits0 += word_bits(pa);
+        bits1 += word_bits(pa >> 32);
+        bits2 += word_bits(pb);
+        bits3 += word_bits(pb >> 32);
     }
+    const std::uint32_t bits = (bits0 + bits1) + (bits2 + bits3);
+    return makeProbedMeta(CompressorId::Sc, 0, std::min(bits, kLineBits),
+                          generation_);
 }
 
 CompressedLine

@@ -92,18 +92,14 @@ class ScCompressor : public Compressor
                           const LatteParams &params = {});
 
     CompressorId id() const override { return CompressorId::Sc; }
-    std::string name() const override { return "SC"; }
 
     CompressedLine compress(std::span<const std::uint8_t> line) override;
-    void probeLines(std::span<const std::uint8_t> lines,
-                    std::span<LineMeta> out) override;
+    LineMeta probe(std::span<const std::uint8_t> line) override;
     void decompressInto(const CompressedLine &line,
                         std::span<std::uint8_t> out) const override;
 
     Cycles compressLatency() const override { return compressLat_; }
     Cycles decompressLatency() const override { return decompressLat_; }
-    double compressEnergyNj() const override { return compressNj_; }
-    double decompressEnergyNj() const override { return decompressNj_; }
 
     /** Train the VFT on a line streaming into the cache. */
     void trainLine(std::span<const std::uint8_t> line);
@@ -161,8 +157,6 @@ class ScCompressor : public Compressor
     std::uint32_t generation_ = 0;
     Cycles compressLat_;
     Cycles decompressLat_;
-    double compressNj_;
-    double decompressNj_;
 };
 
 } // namespace latte

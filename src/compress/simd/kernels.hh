@@ -9,10 +9,9 @@
  *
  * Every variant of a kernel must return bit-identical results for every
  * input line — the golden tests and the BackendFuzz differential fuzzer
- * pin this. Kernels take a raw pointer to exactly kLineBytes; batching
- * over many lines (and the span plumbing) lives in the compressors'
- * probeLines() implementations, so a kernel is just the per-line inner
- * loop body.
+ * pin this. Kernels take a raw pointer to exactly kLineBytes; the
+ * compressors' probe() calls them once per line through the active
+ * backend's row.
  */
 
 #ifndef LATTE_COMPRESS_SIMD_KERNELS_HH

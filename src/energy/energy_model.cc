@@ -45,12 +45,17 @@ harvestUsage(Gpu &gpu)
     if (const auto *stats = gpu.l2().compressStats()) {
         usage.l2BdiCompressions = stats->bdiCompressions.count();
         usage.l2BpcCompressions = stats->bpcCompressions.count();
+        usage.l2FpcCompressions = stats->fpcCompressions.count();
+        usage.l2CpackCompressions = stats->cpackCompressions.count();
     }
     if (const CompressionDomain *domain = gpu.l2().domain()) {
-        usage.l2BdiDecompressions =
-            domain->queueFor(CompressorId::Bdi).requests.count();
-        usage.l2BpcDecompressions =
-            domain->queueFor(CompressorId::Bpc).requests.count();
+        const auto decompressions = [domain](CompressorId id) {
+            return domain->queueFor(id).requests.count();
+        };
+        usage.l2BdiDecompressions = decompressions(CompressorId::Bdi);
+        usage.l2BpcDecompressions = decompressions(CompressorId::Bpc);
+        usage.l2FpcDecompressions = decompressions(CompressorId::Fpc);
+        usage.l2CpackDecompressions = decompressions(CompressorId::CpackZ);
     }
     if (const auto *link = gpu.l2().linkStats())
         usage.linkTransfers = link->transfers.count();
@@ -78,17 +83,20 @@ EnergyModel::compute(const UsageCounts &usage) const
          usage.bpcCompressions * t.bpcCompressNj +
          usage.bpcDecompressions * t.bpcDecompressNj) *
         kNjToMj;
+    // Only BDI and SC have published energies (BPC's are scaled
+    // between them); FPC and C-Pack are priced at BPC's, at the L2 as
+    // on the link.
     report.l2CompressionMj =
         (usage.l2BdiCompressions * t.bdiCompressNj +
          usage.l2BdiDecompressions * t.bdiDecompressNj +
-         usage.l2BpcCompressions * t.bpcCompressNj +
-         usage.l2BpcDecompressions * t.bpcDecompressNj) *
+         (usage.l2BpcCompressions + usage.l2FpcCompressions +
+          usage.l2CpackCompressions) * t.bpcCompressNj +
+         (usage.l2BpcDecompressions + usage.l2FpcDecompressions +
+          usage.l2CpackDecompressions) * t.bpcDecompressNj) *
         kNjToMj;
     if (usage.linkTransfers) {
         // One compress (memory side) and one decompress (L2 side) per
-        // transfer, at the configured link algorithm's energies. Only
-        // BDI/SC/BPC have published figures; the others are modelled
-        // at the BPC cost as the nearest published design point.
+        // transfer, at the configured link algorithm's energies.
         double per_transfer = t.bpcCompressNj + t.bpcDecompressNj;
         switch (cfg_.linkCompress) {
           case CompressorId::Bdi:

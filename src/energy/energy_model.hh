@@ -41,6 +41,10 @@ struct UsageCounts
     std::uint64_t l2BpcCompressions = 0;
     std::uint64_t l2BdiDecompressions = 0;
     std::uint64_t l2BpcDecompressions = 0;
+    std::uint64_t l2FpcCompressions = 0;
+    std::uint64_t l2CpackCompressions = 0;
+    std::uint64_t l2FpcDecompressions = 0;
+    std::uint64_t l2CpackDecompressions = 0;
     /** Compressed L2<->DRAM transfers (zero unless --link-compress). */
     std::uint64_t linkTransfers = 0;
 
@@ -78,6 +82,10 @@ inline constexpr UsageCounter kUsageCounters[] = {
     {"l2BpcCompressions", &UsageCounts::l2BpcCompressions, true},
     {"l2BdiDecompressions", &UsageCounts::l2BdiDecompressions, true},
     {"l2BpcDecompressions", &UsageCounts::l2BpcDecompressions, true},
+    {"l2FpcCompressions", &UsageCounts::l2FpcCompressions, true},
+    {"l2CpackCompressions", &UsageCounts::l2CpackCompressions, true},
+    {"l2FpcDecompressions", &UsageCounts::l2FpcDecompressions, true},
+    {"l2CpackDecompressions", &UsageCounts::l2CpackDecompressions, true},
     {"linkTransfers", &UsageCounts::linkTransfers, true},
 };
 

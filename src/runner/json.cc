@@ -417,10 +417,7 @@ Json::parse(const std::string &text, std::string *error)
 const CompressorId *
 enumFromName(const std::string &name, CompressorId)
 {
-    static constexpr CompressorId kIds[] = {
-        CompressorId::None, CompressorId::Bdi, CompressorId::Fpc,
-        CompressorId::CpackZ, CompressorId::Bpc, CompressorId::Sc};
-    for (const CompressorId &id : kIds) {
+    for (const CompressorId &id : kCompressorIds) {
         if (name == compressorName(id))
             return &id;
     }
@@ -682,6 +679,12 @@ toJson(const DriverOptions &options)
     // not be served from caches or journals.
     if (cfg.l2.compress == LevelCompress::Latte)
         cfg_object["l2SelectorRules"] = Json(std::uint64_t{2});
+    // Revision of the compressed L2's energy rules: 2 since its FPC and
+    // C-Pack events are priced. Only those two algorithms' rows moved.
+    if (cfg.l2.compress == LevelCompress::Static &&
+        (cfg.l2.staticAlgo == CompressorId::Fpc ||
+         cfg.l2.staticAlgo == CompressorId::CpackZ))
+        cfg_object["l2EnergyRules"] = Json(std::uint64_t{2});
     if (cfg.linkCompress != CompressorId::None)
         cfg_object["linkCompress"] = Json(linkCompressSpec(cfg.linkCompress));
     {

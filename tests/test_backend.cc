@@ -1,8 +1,8 @@
 /**
  * @file
  * The CompressorBackend dispatch layer: registry shape, name
- * resolution, the batched probeLines() API contract, the L1's probe
- * memo, and — the load-bearing property — bit-identical LineMeta output
+ * resolution, the L1's probe memo, and — the load-bearing property —
+ * bit-identical LineMeta output
  * from every SIMD tier, pinned by a randomized differential fuzzer
  * against the scalar kernels. Also pins that the backend never leaks
  * into the result-cache fingerprint: a result computed by one backend
@@ -18,8 +18,7 @@
 #include <vector>
 
 #include "compress/backend.hh"
-#include "compress/factory.hh"
-#include "compress/sc.hh"
+#include "compress/engines.hh"
 #include "cache/compress_memo.hh"
 #include "runner/result_cache.hh"
 #include "workloads/value_gens.hh"
@@ -94,13 +93,6 @@ boundaryLines(std::uint64_t seed, unsigned n)
     return lines;
 }
 
-/** Flat view of a contiguous vector<Line>. */
-std::span<const std::uint8_t>
-flat(const std::vector<Line> &lines)
-{
-    return {lines.front().data(), lines.size() * kLineBytes};
-}
-
 void
 expectSameMeta(const LineMeta &a, const LineMeta &b,
                const char *what, std::size_t index)
@@ -111,17 +103,26 @@ expectSameMeta(const LineMeta &a, const LineMeta &b,
     ASSERT_EQ(a.generation, b.generation) << what << " line " << index;
 }
 
-std::unique_ptr<Compressor>
-trainedEngine(CompressorId id, const std::vector<Line> &corpus)
+/** The five engines at default timings, SC trained on @p corpus. */
+CompressionEngines
+trainedEngines(const std::vector<Line> &corpus)
 {
-    auto engine = makeCompressor(id);
-    if (id == CompressorId::Sc) {
-        auto *sc = static_cast<ScCompressor *>(engine.get());
-        for (const Line &line : corpus)
-            sc->trainLine(line);
-        sc->rebuildCodes();
-    }
-    return engine;
+    CompressionEngines engines{GpuConfig{}};
+    for (const Line &line : corpus)
+        engines.sc.trainLine(line);
+    engines.sc.rebuildCodes();
+    return engines;
+}
+
+/** What @p engine.probe() says of each line of @p corpus. */
+std::vector<LineMeta>
+probeAll(Compressor &engine, const std::vector<Line> &corpus)
+{
+    std::vector<LineMeta> metas;
+    metas.reserve(corpus.size());
+    for (const Line &line : corpus)
+        metas.push_back(engine.probe(line));
+    return metas;
 }
 
 } // namespace
@@ -169,33 +170,6 @@ TEST(Backend, SetAndRestoreActive)
             continue;
         setCompressorBackend(backend);
         EXPECT_EQ(&activeCompressorBackend(), &backend);
-    }
-}
-
-TEST(Backend, ProbeLinesMatchesPerLineProbe)
-{
-    BackendGuard guard;
-    const auto gens = profileGens(17);
-    std::vector<Line> corpus;
-    for (unsigned i = 0; i < 96; ++i) {
-        Line line;
-        gens[i % gens.size()]->generate(i * kLineBytes, line);
-        corpus.push_back(line);
-    }
-
-    for (const CompressorBackend &backend : compressorBackends()) {
-        if (!compressorBackendSupported(backend))
-            continue;
-        setCompressorBackend(backend);
-        for (const CompressorId id : allCompressorIds()) {
-            auto engine = trainedEngine(id, corpus);
-            std::vector<LineMeta> batched(corpus.size());
-            engine->probeLines(flat(corpus), batched);
-            for (std::size_t i = 0; i < corpus.size(); ++i) {
-                const LineMeta single = engine->probe(corpus[i]);
-                expectSameMeta(batched[i], single, backend.name, i);
-            }
-        }
     }
 }
 
@@ -260,12 +234,9 @@ TEST(Backend, MemoMatchesEngineProbe)
 
     StatGroup root("root");
     CompressMemo memo(&root);
-    auto bdi = makeCompressor(CompressorId::Bdi);
-    auto fpc = makeCompressor(CompressorId::Fpc);
-    auto sc = trainedEngine(CompressorId::Sc, pool);
-    const std::uint32_t sc_gen =
-        static_cast<ScCompressor *>(sc.get())->generation();
-    Compressor *cycle[] = {bdi.get(), fpc.get(), sc.get()};
+    CompressionEngines engines = trainedEngines(pool);
+    const std::uint32_t sc_gen = engines.sc.generation();
+    Compressor *cycle[] = {&engines.bdi, &engines.fpc, &engines.sc};
 
     std::mt19937_64 rng(99);
     std::uint64_t calls = 0;
@@ -312,8 +283,8 @@ TEST(Backend, MemoMissesOnNewScGeneration)
 
     StatGroup root("root");
     CompressMemo memo(&root);
-    auto engine = trainedEngine(CompressorId::Sc, pool);
-    auto *sc = static_cast<ScCompressor *>(engine.get());
+    CompressionEngines engines = trainedEngines(pool);
+    ScCompressor *sc = &engines.sc;
     const std::uint32_t old_gen = sc->generation();
     std::uint64_t calls = 0;
     for (const Line &line : pool) {
@@ -368,12 +339,12 @@ TEST(BackendFuzz, DifferentialScalarVsSimd)
         corpus.push_back(line);
 
     std::size_t compared = 0;
-    for (const CompressorId id : allCompressorIds()) {
-        auto engine = trainedEngine(id, corpus);
+    CompressionEngines engines = trainedEngines(corpus);
+    for (const CompressorId id : kAlgorithmIds) {
+        Compressor &engine = *engines.get(id);
 
         setCompressorBackend(*scalar);
-        std::vector<LineMeta> golden(corpus.size());
-        engine->probeLines(flat(corpus), golden);
+        const std::vector<LineMeta> golden = probeAll(engine, corpus);
 
         for (const CompressorBackend &backend : compressorBackends()) {
             if (&backend == scalar ||
@@ -381,8 +352,8 @@ TEST(BackendFuzz, DifferentialScalarVsSimd)
                 continue;
             }
             setCompressorBackend(backend);
-            std::vector<LineMeta> candidate(corpus.size());
-            engine->probeLines(flat(corpus), candidate);
+            const std::vector<LineMeta> candidate =
+                probeAll(engine, corpus);
             for (std::size_t i = 0; i < corpus.size(); ++i) {
                 expectSameMeta(candidate[i], golden[i], backend.name, i);
                 ++compared;

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/config.hh"
@@ -190,6 +191,55 @@ TEST(L2Compress, AdaptiveL2RowsKeyOnTheConfigTheyRun)
         request.policy = kind;
         EXPECT_EQ(RunKey::of(request).configHash, plain_hash)
             << policyName(kind);
+    }
+}
+
+TEST(L2Compress, FpcAndCpackEventsArePricedAtBpc)
+{
+    // FPC and C-Pack have no energies of their own. Their L2 events
+    // cost BPC's, as FPC and C-Pack link transfers do, and only those
+    // rows carry the energy-rule revision in the RunKey.
+    const CompressorTimings t;
+    const std::pair<const char *, const char *> rows[] = {
+        {"static:fpc", "gpu.l2.compress.fpc_compressions"},
+        {"static:cpack", "gpu.l2.compress.cpack_compressions"},
+    };
+    for (const auto &[spec, stat] : rows) {
+        RunRequest request;
+        // DJK's lines compress under both, so the L2 also decompresses.
+        request.workload = findWorkload("DJK");
+        request.policy = PolicyKind::Baseline;
+        request.options = tinyOptions();
+        ASSERT_TRUE(parseLevelCompressSpec(spec, request.options.cfg.l2));
+        const WorkloadRunResult result = run(request).value();
+
+        UsageCounts usage;
+        for (const KernelSnapshot &kernel : result.kernels)
+            usage += kernel.usage;
+        const std::uint64_t compressions =
+            usage.l2FpcCompressions + usage.l2CpackCompressions;
+        const std::uint64_t decompressions =
+            usage.l2FpcDecompressions + usage.l2CpackDecompressions;
+        EXPECT_GT(compressions, 0u) << spec;
+        EXPECT_GT(decompressions, 0u) << spec;
+        EXPECT_EQ(static_cast<double>(compressions), result.stats.at(stat))
+            << spec;
+        EXPECT_NEAR(result.energy.l2CompressionMj,
+                    (compressions * t.bpcCompressNj +
+                     decompressions * t.bpcDecompressNj) * 1e-6,
+                    1e-12)
+            << spec;
+        EXPECT_NE(toJson(request.options).dump().find(
+                      "\"l2EnergyRules\":2"),
+                  std::string::npos)
+            << spec;
+    }
+    for (const char *spec : {"off", "static:bdi", "static:bpc", "latte"}) {
+        DriverOptions options;
+        ASSERT_TRUE(parseLevelCompressSpec(spec, options.cfg.l2));
+        EXPECT_EQ(toJson(options).dump().find("l2EnergyRules"),
+                  std::string::npos)
+            << spec;
     }
 }
 

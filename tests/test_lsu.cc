@@ -2,11 +2,13 @@
  * @file
  * Tests for the load/store unit: one L1 access per cycle, warp wakeup
  * (reported back with its ready cycle) on the last outstanding access,
- * the Eq. 3 decompression wait of a compressed hit, MSHR-full back-off,
- * and store fire-and-forget behaviour.
+ * the Eq. 3 decompression wait of a compressed hit in the L1 and in the
+ * L2, MSHR-full back-off, and store fire-and-forget behaviour.
  */
 
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "sim/lsu.hh"
 
@@ -15,11 +17,11 @@ using namespace latte;
 namespace
 {
 
-class LsuFixture : public ::testing::Test
+/** One SM's LSU and L1 over an L2, DRAM and NoC built from one config. */
+struct LsuRig
 {
-  protected:
-    LsuFixture()
-        : root("root"), noc(cfg, &root), dram(cfg, &root),
+    explicit LsuRig(const GpuConfig &config = {})
+        : cfg(config), root("root"), noc(cfg, &root), dram(cfg, &root),
           l2(cfg, &noc, &dram, &mem, &root), engines(cfg),
           cache(cfg, 0, &engines, &l2, &mem, &root), lsu(&root),
           warps(4)
@@ -52,6 +54,9 @@ class LsuFixture : public ::testing::Test
     LoadStoreUnit lsu;
     std::vector<Warp> warps;
 };
+
+class LsuFixture : public ::testing::Test, protected LsuRig
+{};
 
 /** Stores every fill BDI-compressed. */
 class BdiEverywhere : public CompressionModeProvider
@@ -124,6 +129,50 @@ TEST_F(LsuFixture, CompressedHitWakesAfterDecompression)
     EXPECT_EQ(second->slot, 2u);
     EXPECT_EQ(second->readyAt, issue + 1 + hit + decompress + 1 + position);
     EXPECT_EQ(queue.requests.count(), 2u);
+}
+
+TEST_F(LsuFixture, CompressedL2HitWakesAfterL2Decompression)
+{
+    // The same two loads against this fixture's uncompressed L2 and
+    // against a static:bdi one. Each line is already in the L2 (zero
+    // lines: BDI-compressed there) and misses the L1, so the compressed
+    // L2 adds exactly its Eq. 3 decompression wait to each wake.
+    GpuConfig l2_bdi = cfg;
+    l2_bdi.l2.compress = LevelCompress::Static;
+    l2_bdi.l2.staticAlgo = CompressorId::Bdi;
+    LsuRig bdi(l2_bdi);
+
+    // Two lines in neighbouring banks, so the loads share no bank.
+    const Addr first_line = 0x1000;
+    const Addr second_line = first_line + cfg.l2.lineBytes;
+    constexpr Cycles kIssue = 10000;
+    std::optional<LoadWake> wakes[2][2];
+    LsuRig *rigs[2] = {this, &bdi};
+    for (unsigned r = 0; r < 2; ++r) {
+        LsuRig &rig = *rigs[r];
+        rig.l2.access(0, first_line, false);
+        rig.l2.access(0, second_line, false);
+        rig.startLoad(0, {first_line});
+        wakes[r][0] = rig.lsu.tick(kIssue, rig.cache, rig.warps);
+        rig.startLoad(1, {second_line});
+        wakes[r][1] = rig.lsu.tick(kIssue + 1, rig.cache, rig.warps);
+        for (const auto &wake : wakes[r])
+            ASSERT_TRUE(wake);
+        EXPECT_EQ(rig.cache.misses.count(), 2u);
+        EXPECT_EQ(rig.l2.hits.count(), 2u);
+    }
+
+    const Cycles decompress = cfg.timings.bdiDecompress;
+    EXPECT_EQ(wakes[1][0]->readyAt, wakes[0][0]->readyAt + decompress + 1);
+    // The second load reaches the L2 a cycle after the first, while the
+    // first still decompresses: it queues at Eq. 3 position 1.
+    const DecompressionQueue &queue =
+        bdi.l2.domain()->queueFor(CompressorId::Bdi);
+    const Cycles position = 1;
+    EXPECT_EQ(queue.requests.count(), 2u);
+    EXPECT_EQ(queue.queuePos.sum(), 0.0 + position);
+    EXPECT_EQ(wakes[1][1]->readyAt,
+              wakes[0][1]->readyAt + decompress + 1 + position);
 }
 
 TEST_F(LsuFixture, StoresDoNotTouchWarps)

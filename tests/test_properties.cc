@@ -11,8 +11,7 @@
 #include "cache/compressed_cache.hh"
 #include "common/ep_clock.hh"
 #include "compress/backend.hh"
-#include "compress/factory.hh"
-#include "compress/sc.hh"
+#include "compress/engines.hh"
 #include "workloads/value_gens.hh"
 
 using namespace latte;
@@ -143,21 +142,18 @@ class CompressionInvariants
 TEST_P(CompressionInvariants, RoundTripAndSizeBounds)
 {
     auto gen = makeGen();
-    for (const CompressorId id : allCompressorIds()) {
-        auto engine = makeCompressor(id);
-        if (id == CompressorId::Sc) {
-            auto *sc = static_cast<ScCompressor *>(engine.get());
-            std::array<std::uint8_t, 128> line;
-            for (unsigned i = 0; i < 64; ++i) {
-                gen->generate(i * 128, line);
-                sc->trainLine(line);
-            }
-            sc->rebuildCodes();
-        }
+    CompressionEngines engines{GpuConfig{}};
+    std::array<std::uint8_t, 128> line;
+    for (unsigned i = 0; i < 64; ++i) {
+        gen->generate(i * 128, line);
+        engines.sc.trainLine(line);
+    }
+    engines.sc.rebuildCodes();
+    for (const CompressorId id : kAlgorithmIds) {
+        Compressor &engine = *engines.get(id);
         for (unsigned i = 0; i < 48; ++i) {
-            std::array<std::uint8_t, 128> line;
             gen->generate(i * 128, line);
-            const CompressedLine compressed = engine->compress(line);
+            const CompressedLine compressed = engine.compress(line);
 
             // Size invariants.
             ASSERT_GT(compressed.sizeBits, 0u);
@@ -165,10 +161,9 @@ TEST_P(CompressionInvariants, RoundTripAndSizeBounds)
             ASSERT_GE(compressed.ratio(), 1.0);
 
             // Functional invariant: exact reconstruction.
-            const auto decoded = engine->decompress(compressed);
-            ASSERT_EQ(decoded.size(), line.size());
-            ASSERT_TRUE(std::equal(line.begin(), line.end(),
-                                   decoded.begin()))
+            std::array<std::uint8_t, 128> decoded;
+            engine.decompressInto(compressed, decoded);
+            ASSERT_EQ(decoded, line)
                 << compressorName(id) << " profile "
                 << std::get<0>(GetParam());
         }
@@ -206,10 +201,10 @@ TEST_P(CompressionInvariants, ProbeMatchesCompress)
         if (!compressorBackendSupported(backend))
             continue;
         setCompressorBackend(backend);
-        for (const CompressorId id : allCompressorIds()) {
-            auto engine = makeCompressor(id);
+        CompressionEngines engines{GpuConfig{}};
+        for (const CompressorId id : kAlgorithmIds) {
             if (id != CompressorId::Sc) {
-                check(*engine, 64);
+                check(*engines.get(id), 64);
                 continue;
             }
 
@@ -217,21 +212,21 @@ TEST_P(CompressionInvariants, ProbeMatchesCompress)
             // exercise the untrained book, a trained one, and a rebuild
             // over a different sample window (different codes, bumped
             // generation).
-            auto *sc = static_cast<ScCompressor *>(engine.get());
-            check(*engine, 16);
+            ScCompressor &sc = engines.sc;
+            check(sc, 16);
             std::array<std::uint8_t, 128> line;
             for (unsigned i = 0; i < 64; ++i) {
                 gen->generate(i * 128, line);
-                sc->trainLine(line);
+                sc.trainLine(line);
             }
-            sc->rebuildCodes();
-            check(*engine, 64);
+            sc.rebuildCodes();
+            check(sc, 64);
             for (unsigned i = 64; i < 96; ++i) {
                 gen->generate(i * 128, line);
-                sc->trainLine(line);
+                sc.trainLine(line);
             }
-            sc->rebuildCodes();
-            check(*engine, 64);
+            sc.rebuildCodes();
+            check(sc, 64);
         }
     }
     setCompressorBackend(*entry_backend);

@@ -13,8 +13,7 @@
 #include <random>
 #include <set>
 
-#include "compress/factory.hh"
-#include "compress/sc.hh"
+#include "compress/engines.hh"
 #include "workloads/synthetic_kernel.hh"
 #include "workloads/value_gens.hh"
 #include "workloads/zoo.hh"
@@ -322,19 +321,18 @@ using Line = std::array<std::uint8_t, 128>;
 double
 ratioUnder(LineGenerator &gen, CompressorId id, unsigned n_lines = 256)
 {
-    auto engine = makeCompressor(id);
+    CompressionEngines engines{GpuConfig{}};
     std::vector<Line> lines(n_lines);
     for (unsigned i = 0; i < n_lines; ++i)
         gen.generate(i * 128, lines[i]);
     if (id == CompressorId::Sc) {
-        auto *sc = static_cast<ScCompressor *>(engine.get());
         for (const auto &line : lines)
-            sc->trainLine(line);
-        sc->rebuildCodes();
+            engines.sc.trainLine(line);
+        engines.sc.rebuildCodes();
     }
     double bits = 0;
     for (const auto &line : lines)
-        bits += engine->compress(line).sizeBits;
+        bits += engines.get(id)->compress(line).sizeBits;
     return n_lines * 1024.0 / bits;
 }
 
