@@ -68,18 +68,6 @@ CompressedCache::setMetrics(metrics::MetricRegistry *metrics)
     decompWaitHist_ = &metrics->histogram("decomp_queue_wait");
 }
 
-DecompressionQueue &
-CompressedCache::queueFor(CompressorId mode)
-{
-    return domain_.queueFor(mode);
-}
-
-const DecompressionQueue &
-CompressedCache::queueFor(CompressorId mode) const
-{
-    return domain_.queueFor(mode);
-}
-
 L1AccessResult
 CompressedCache::access(Cycles now, Addr addr, bool is_write)
 {
@@ -91,39 +79,35 @@ CompressedCache::access(Cycles now, Addr addr, bool is_write)
 
     if (is_write) {
         ++stores;
-        TagEntry *entry = domain_.findLine(line_addr);
-        const bool was_hit = entry != nullptr;
-        const CompressorId old_mode =
-            was_hit ? entry->mode : CompressorId::None;
-        if (entry) {
-            // Write-avoid: drop the copy instead of recompressing it.
-            domain_.releaseLine(*entry, set);
+        // Write-avoid: drop the copy instead of recompressing it.
+        const std::optional<CompressorId> dropped = domain_.drop(line_addr);
+        if (dropped) {
             ++writeInvalidations;
+            if (tuning_.verifyRoundTrip)
+                verifyLines_.erase(line_addr);
             if (tracer_) {
                 TraceEvent ev =
                     makeTraceEvent(now, TraceEventKind::L1WriteInval, smId_);
                 ev.arg0 = line_addr;
                 ev.arg1 = set;
-                ev.mode = static_cast<std::uint8_t>(old_mode);
+                ev.mode = static_cast<std::uint8_t>(*dropped);
                 tracer_->record(ev);
             }
         }
         l2_->access(now, line_addr, true);
-        provider_->observeAccess({now, set, was_hit, true, old_mode});
-        return {was_hit, now + 1, false, false};
+        provider_->observeAccess({now, set, dropped.has_value(), true,
+                                  dropped.value_or(CompressorId::None)});
+        return {dropped.has_value(), now + 1, false, false};
     }
 
     ++loads;
-    TagEntry *entry = domain_.findLine(line_addr);
-    if (entry) {
+    if (const std::optional<CompressionDomain::Stored> stored =
+            domain_.hit(line_addr)) {
         ++hits;
-        domain_.touchOnHit(*entry);
         Cycles ready = now + cfg_.l1.hitLatency;
-        if (entry->mode != CompressorId::None &&
-            entry->encoding != kRawEncoding &&
-            tuning_.chargeDecompression) {
-            Compressor *engine = engines_->get(entry->mode);
-            DecompressionQueue &queue = queueFor(entry->mode);
+        if (stored->encoded && tuning_.chargeDecompression) {
+            Compressor *engine = engines_->get(stored->mode);
+            DecompressionQueue &queue = domain_.queueFor(stored->mode);
             ready = queue.enqueue(ready, engine->decompressLatency());
             if (decompWaitHist_) {
                 decompWaitHist_->record(static_cast<double>(
@@ -134,20 +118,15 @@ CompressedCache::access(Cycles now, Addr addr, bool is_write)
                     now, TraceEventKind::DecompEnqueue, smId_);
                 ev.arg0 = line_addr;
                 ev.arg1 = static_cast<std::uint32_t>(queue.depth(now));
-                ev.mode = static_cast<std::uint8_t>(entry->mode);
+                ev.mode = static_cast<std::uint8_t>(stored->mode);
                 ev.value = static_cast<double>(ready - now);
                 tracer_->record(ev);
             }
         }
-        if (tuning_.verifyRoundTrip && entry->mode != CompressorId::None) {
-            CompressedLine line;
-            line.algo = entry->mode;
-            line.encoding = entry->encoding;
-            line.sizeBits = entry->sizeBits;
-            line.generation = entry->generation;
-            line.payload.assign(entry->payload);
+        if (tuning_.verifyRoundTrip && stored->mode != CompressorId::None) {
+            const CompressedLine &line = verifyLines_.at(line_addr);
             std::array<std::uint8_t, kLineBytes> scratch;
-            engines_->get(entry->mode)->decompressInto(line, scratch);
+            engines_->get(line.algo)->decompressInto(line, scratch);
             const auto &truth = mem_->line(line_addr);
             latte_assert(std::equal(scratch.begin(), scratch.end(),
                                     truth.begin()),
@@ -159,11 +138,11 @@ CompressedCache::access(Cycles now, Addr addr, bool is_write)
             TraceEvent ev = makeTraceEvent(now, TraceEventKind::L1Hit, smId_);
             ev.arg0 = line_addr;
             ev.arg1 = set;
-            ev.mode = static_cast<std::uint8_t>(entry->mode);
+            ev.mode = static_cast<std::uint8_t>(stored->mode);
             ev.value = static_cast<double>(ready - now);
             tracer_->record(ev);
         }
-        provider_->observeAccess({now, set, true, false, entry->mode});
+        provider_->observeAccess({now, set, true, false, stored->mode});
         return {true, ready, false, false};
     }
 
@@ -230,16 +209,11 @@ CompressedCache::processFills(Cycles now)
 void
 CompressedCache::insertLine(Cycles now, Addr line_addr)
 {
-    // If the line raced in already (e.g. duplicate fill), skip.
-    if (domain_.findLine(line_addr))
-        return;
-
     const std::uint32_t set = setIndexOf(line_addr);
     const auto &bytes = mem_->line(line_addr);
 
     const CompressorId mode = provider_->modeForInsertion(set);
     LineMeta meta = makeRawMeta(CompressorId::None);
-    CompressedLine full_line;    //!< materialised only under verifyRoundTrip
     if (mode != CompressorId::None) {
         Compressor *engine = engines_->get(mode);
         // The simulation only needs the encoded size (admission, sampler
@@ -248,8 +222,9 @@ CompressedCache::insertLine(Cycles now, Addr line_addr)
         if (tuning_.verifyRoundTrip) {
             metrics::ProfileScope profile(
                 metrics::ProfileZone::CompressorCompress);
-            full_line = engine->compress(bytes);
-            meta = full_line.meta();
+            CompressedLine &line = verifyLines_[line_addr];
+            line = engine->compress(bytes);
+            meta = line.meta();
         } else {
             metrics::ProfileScope profile(
                 metrics::ProfileZone::CompressorProbe);
@@ -269,26 +244,24 @@ CompressedCache::insertLine(Cycles now, Addr line_addr)
       case CompressorId::Bpc: ++bpcCompressions; break;
       default: break;
     }
-    const std::uint8_t need = domain_.subBlocksFor(meta);
 
-    // Evict LRU lines until a tag and enough sub-blocks are free.
-    TagEntry &slot = domain_.allocateSlot(
-        set, need, [&](Addr victim_addr, const TagEntry &victim) {
+    const std::uint8_t need = domain_.fill(
+        line_addr, meta, [&](Addr victim_addr, CompressorId victim_mode) {
             ++evictions;
+            if (tuning_.verifyRoundTrip)
+                verifyLines_.erase(victim_addr);
             if (tracer_) {
                 TraceEvent ev =
                     makeTraceEvent(now, TraceEventKind::L1Evict, smId_);
                 ev.arg0 = victim_addr;
                 ev.arg1 = set;
-                ev.mode = static_cast<std::uint8_t>(victim.mode);
+                ev.mode = static_cast<std::uint8_t>(victim_mode);
                 tracer_->record(ev);
             }
         });
-    domain_.commitFill(slot, domain_.tagOf(line_addr), meta, need, set);
-    slot.payload.assign(full_line.payload.begin(), full_line.payload.end());
 
     ++insertions;
-    if (meta.compressed() && meta.encoding != kRawEncoding)
+    if (meta.encoded())
         ++compressedInsertions;
     insertionRatio.sample(meta.ratio());
 
@@ -302,12 +275,6 @@ CompressedCache::insertLine(Cycles now, Addr line_addr)
     }
 
     provider_->observeInsertion(now, set, mode, bytes);
-}
-
-std::uint64_t
-CompressedCache::effectiveCapacityBytes() const
-{
-    return domain_.effectiveCapacityBytes();
 }
 
 void
@@ -326,13 +293,6 @@ CompressedCache::invalidateSampleMismatch(
             return selector.dedicatedIndex(set) >= 0;
         },
         selector.winner());
-}
-
-void
-CompressedCache::invalidateAll()
-{
-    domain_.invalidateAll();
-    mshrs.clear();
 }
 
 } // namespace latte

@@ -16,6 +16,7 @@
 #define LATTE_CACHE_COMPRESSED_CACHE_HH
 
 #include <cstdint>
+#include <unordered_map>
 
 #include "common/config.hh"
 #include "common/stats.hh"
@@ -118,13 +119,11 @@ class CompressedCache : public StatGroup
     }
 
     // --- Introspection for the policies and experiments ---
-    /** The tag/sub-block store and decompression queues. */
+    /**
+     * The tag/sub-block store and decompression queues: occupancy,
+     * effective capacity (Figure 16) and queue stats are read here.
+     */
     const CompressionDomain &domain() const { return domain_; }
-    /** Sum of the *uncompressed* size of all valid lines (Figure 16). */
-    std::uint64_t effectiveCapacityBytes() const;
-    /** Decompression queue for @p mode (Bdi, Sc or Bpc). */
-    DecompressionQueue &queueFor(CompressorId mode);
-    const DecompressionQueue &queueFor(CompressorId mode) const;
 
     /** Invalidate SC lines not encoded with @p current_generation. */
     void invalidateScGeneration(std::uint32_t current_generation);
@@ -136,9 +135,6 @@ class CompressedCache : public StatGroup
      * lines stop paying decompression latency on every hit.
      */
     void invalidateSampleMismatch(const DuelingModeSelector &selector);
-
-    /** Drop everything (between kernels / runs). */
-    void invalidateAll();
 
     // --- Statistics ---
     Counter loads;
@@ -160,13 +156,11 @@ class CompressedCache : public StatGroup
     MshrFile mshrs;
 
   private:
-    /** Tag/replacement/sub-block state lives in the generic domain. */
-    using TagEntry = CompressionDomain::TagEntry;
-
     /**
      * Insert one completed fill: pick the set's mode, size the line
-     * (memoised probe, or a full compress under verifyRoundTrip), evict
-     * until it fits, commit it and report it to the mode provider.
+     * (memoised probe, or a full compress under verifyRoundTrip), have
+     * the domain evict until it fits and store it, and report it to the
+     * mode provider.
      */
     void insertLine(Cycles now, Addr line_addr);
 
@@ -190,6 +184,13 @@ class CompressedCache : public StatGroup
      * then decomp_bdi .. decomp_cpack).
      */
     CompressionDomain domain_;
+    /**
+     * Under verifyRoundTrip only: the encoded form of each line filled
+     * compressed, by line address, which its hits decode and check
+     * against the memory image. Evictions and write drops erase it; a
+     * refill overwrites what the bulk invalidations leave.
+     */
+    std::unordered_map<Addr, CompressedLine> verifyLines_;
 };
 
 } // namespace latte

@@ -28,36 +28,39 @@ CompressionDomain::CompressionDomain(CacheLevelConfig level,
     latte_assert(level.lineBytes == kLineBytes);
 }
 
-std::uint32_t
-CompressionDomain::setIndexOf(Addr addr) const
+std::size_t
+CompressionDomain::findSlot(std::uint32_t set_index, Addr tag) const
 {
-    // Modulo rather than mask: set counts are not always powers of two
-    // (96 sets in the 48 KB L1 of Section V-E, 768 sets in the L2).
-    return static_cast<std::uint32_t>(
-        (addr / level_.lineBytes) % numSets_);
-}
-
-Addr
-CompressionDomain::tagOf(Addr line_addr) const
-{
-    return line_addr / level_.lineBytes / numSets_;
-}
-
-CompressionDomain::TagEntry *
-CompressionDomain::findLine(Addr line_addr)
-{
-    const std::size_t base = slotIndex(setIndexOf(line_addr));
-    const Addr tag = tagOf(line_addr);
+    const std::size_t base = slotIndex(set_index);
     for (std::size_t i = base; i < base + tagsPerSet_; ++i) {
         if (keys_[i] == tag)
-            return &tags_[i];
+            return i;
     }
-    return nullptr;
+    return kNoSlot;
 }
 
-void
-CompressionDomain::touchOnHit(TagEntry &entry)
+std::size_t
+CompressionDomain::freeSlot(std::uint32_t set_index, Addr tag) const
 {
+    const std::size_t base = slotIndex(set_index);
+    std::size_t free = kNoSlot;
+    for (std::size_t i = base; i < base + tagsPerSet_; ++i) {
+        latte_assert(keys_[i] != tag, "line {} filled twice",
+                     (tag * numSets_ + set_index) * level_.lineBytes);
+        if (keys_[i] == kNoKey && free == kNoSlot)
+            free = i;
+    }
+    return free;
+}
+
+std::optional<CompressionDomain::Stored>
+CompressionDomain::hit(Addr line_addr)
+{
+    const std::size_t slot =
+        findSlot(setIndexOf(line_addr), tagOf(line_addr));
+    if (slot == kNoSlot)
+        return std::nullopt;
+    TagEntry &entry = tags_[slot];
     switch (repl_) {
       case GpuConfig::ReplPolicy::LRU:
         entry.lruStamp = ++lruClock_;
@@ -68,17 +71,21 @@ CompressionDomain::touchOnHit(TagEntry &entry)
         entry.rrpv = 0;
         break;
     }
+    return Stored{entry.mode, storedEncoded(entry.mode, entry.encoding)};
 }
 
-void
-CompressionDomain::touchOnFill(TagEntry &entry)
+std::optional<CompressorId>
+CompressionDomain::drop(Addr line_addr)
 {
-    entry.lruStamp = ++lruClock_;
-    // SRRIP inserts with a "long" (but not distant) prediction.
-    entry.rrpv = 2;
+    const std::uint32_t set = setIndexOf(line_addr);
+    const std::size_t slot = findSlot(set, tagOf(line_addr));
+    if (slot == kNoSlot)
+        return std::nullopt;
+    release(slot, set);
+    return tags_[slot].mode;
 }
 
-CompressionDomain::TagEntry *
+std::size_t
 CompressionDomain::pickVictim(std::uint32_t set_index)
 {
     const std::size_t base = slotIndex(set_index);
@@ -89,7 +96,7 @@ CompressionDomain::pickVictim(std::uint32_t set_index)
         for (;;) {
             for (std::size_t i = base; i < end; ++i) {
                 if (keys_[i] != kNoKey && tags_[i].rrpv >= 3)
-                    return &tags_[i];
+                    return i;
             }
             for (std::size_t i = base; i < end; ++i) {
                 if (keys_[i] != kNoKey && tags_[i].rrpv < 3)
@@ -99,14 +106,15 @@ CompressionDomain::pickVictim(std::uint32_t set_index)
     }
 
     // LRU and FIFO: smallest stamp (touch order vs fill order).
-    TagEntry *victim = nullptr;
+    std::size_t victim = kNoSlot;
     for (std::size_t i = base; i < end; ++i) {
         if (keys_[i] != kNoKey &&
-            (!victim || tags_[i].lruStamp < victim->lruStamp)) {
-            victim = &tags_[i];
+            (victim == kNoSlot ||
+             tags_[i].lruStamp < tags_[victim].lruStamp)) {
+            victim = i;
         }
     }
-    latte_assert(victim, "no victim but set is full");
+    latte_assert(victim != kNoSlot, "no victim but set is full");
     return victim;
 }
 
@@ -114,10 +122,8 @@ std::uint8_t
 CompressionDomain::subBlocksFor(const LineMeta &meta) const
 {
     const std::uint32_t full = level_.lineBytes / level_.subBlockBytes;
-    if (!capacityBenefit_ || !meta.compressed() ||
-        meta.encoding == kRawEncoding) {
+    if (!capacityBenefit_ || !meta.encoded())
         return static_cast<std::uint8_t>(full);
-    }
     const auto blocks = static_cast<std::uint32_t>(
         divCeil(std::max<std::uint32_t>(meta.sizeBytes(), 1),
                 level_.subBlockBytes));
@@ -125,28 +131,28 @@ CompressionDomain::subBlocksFor(const LineMeta &meta) const
 }
 
 void
-CompressionDomain::releaseLine(TagEntry &entry, std::uint32_t set_index)
+CompressionDomain::release(std::size_t slot, std::uint32_t set_index)
 {
-    Addr &key = keys_[&entry - tags_.data()];
-    latte_assert(key != kNoKey);
-    latte_assert(setUsedSubBlocks_[set_index] >= entry.subBlocks);
-    setUsedSubBlocks_[set_index] -= entry.subBlocks;
-    key = kNoKey;
-    entry.payload.clear();
+    latte_assert(keys_[slot] != kNoKey);
+    latte_assert(setUsedSubBlocks_[set_index] >= tags_[slot].subBlocks);
+    setUsedSubBlocks_[set_index] -= tags_[slot].subBlocks;
+    keys_[slot] = kNoKey;
 }
 
 void
-CompressionDomain::commitFill(TagEntry &slot, Addr tag,
-                              const LineMeta &meta, std::uint8_t need,
-                              std::uint32_t set_index)
+CompressionDomain::commit(std::size_t slot, std::uint32_t set_index,
+                          Addr tag, const LineMeta &meta,
+                          std::uint8_t need)
 {
-    keys_[&slot - tags_.data()] = tag;
-    touchOnFill(slot);
-    slot.mode = meta.algo;
-    slot.encoding = meta.encoding;
-    slot.sizeBits = meta.sizeBits;
-    slot.generation = meta.generation;
-    slot.subBlocks = need;
+    keys_[slot] = tag;
+    TagEntry &entry = tags_[slot];
+    entry.lruStamp = ++lruClock_;
+    // SRRIP inserts with a "long" (but not distant) prediction.
+    entry.rrpv = 2;
+    entry.mode = meta.algo;
+    entry.encoding = meta.encoding;
+    entry.generation = meta.generation;
+    entry.subBlocks = need;
     setUsedSubBlocks_[set_index] += need;
 }
 
@@ -212,10 +218,9 @@ CompressionDomain::invalidateScGeneration(std::uint32_t current_generation)
     std::uint64_t dropped = 0;
     for (std::uint32_t set = 0; set < numSets_; ++set) {
         for (std::size_t i = slotIndex(set); i < slotIndex(set + 1); ++i) {
-            TagEntry &entry = tags_[i];
-            if (keys_[i] != kNoKey && entry.mode == CompressorId::Sc &&
-                entry.generation != current_generation) {
-                releaseLine(entry, set);
+            if (keys_[i] != kNoKey && tags_[i].mode == CompressorId::Sc &&
+                tags_[i].generation != current_generation) {
+                release(i, set);
                 ++dropped;
             }
         }
@@ -231,27 +236,12 @@ CompressionDomain::invalidateSampleMismatch(
         if (!sampled(set))
             continue;
         for (std::size_t i = slotIndex(set); i < slotIndex(set + 1); ++i) {
-            TagEntry &entry = tags_[i];
-            if (keys_[i] != kNoKey && entry.mode != CompressorId::None &&
-                entry.mode != keep) {
-                releaseLine(entry, set);
+            if (keys_[i] != kNoKey && tags_[i].mode != CompressorId::None &&
+                tags_[i].mode != keep) {
+                release(i, set);
             }
         }
     }
-}
-
-void
-CompressionDomain::invalidateAll()
-{
-    for (auto &entry : tags_)
-        entry.payload.clear();
-    std::fill(keys_.begin(), keys_.end(), kNoKey);
-    std::fill(setUsedSubBlocks_.begin(), setUsedSubBlocks_.end(), 0);
-    bdiQueue_.clear();
-    scQueue_.clear();
-    bpcQueue_.clear();
-    fpcQueue_.clear();
-    cpackQueue_.clear();
 }
 
 } // namespace latte

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "common/config.hh"
@@ -27,21 +28,20 @@
 namespace latte
 {
 
-/** Tag array + sub-block accounting + decompression queues of one level. */
+/**
+ * Tag array + sub-block accounting + decompression queues of one level.
+ * Owners look lines up, drop them and fill them by line address; the
+ * slots behind those calls are the domain's own.
+ */
 class CompressionDomain
 {
   public:
-    /** A tag slot's line state; keys_ records which line it holds. */
-    struct TagEntry
+    /** How a resident line is stored, as hit() reports it. */
+    struct Stored
     {
-        std::uint64_t lruStamp = 0;          //!< LRU: touch, FIFO: fill
-        std::uint8_t rrpv = 3;               //!< SRRIP re-reference bits
         CompressorId mode = CompressorId::None;
-        std::uint8_t encoding = 0;
-        std::uint32_t sizeBits = 0;
-        std::uint32_t generation = 0;
-        std::uint8_t subBlocks = 0;
-        std::vector<std::uint8_t> payload;   //!< verifyRoundTrip only
+        /** Held in compressed form: a hit decompresses it. */
+        bool encoded = false;
     };
 
     /**
@@ -59,57 +59,56 @@ class CompressionDomain
     std::uint32_t numSets() const { return numSets_; }
     std::uint32_t tagsPerSet() const { return tagsPerSet_; }
     std::uint32_t subBlocksPerSet() const { return subBlocksPerSet_; }
-    std::uint32_t setIndexOf(Addr addr) const;
-    Addr tagOf(Addr line_addr) const;
-
-    // --- Lookup / replacement ---
-    TagEntry *findLine(Addr line_addr);
-    TagEntry *pickVictim(std::uint32_t set_index);
-    void touchOnHit(TagEntry &entry);
-    void touchOnFill(TagEntry &entry);
-
-    /** Sub-blocks a line with @p meta occupies under this geometry. */
-    std::uint8_t subBlocksFor(const LineMeta &meta) const;
-
-    /** Invalidate @p entry and release its sub-blocks in @p set_index. */
-    void releaseLine(TagEntry &entry, std::uint32_t set_index);
-
-    /**
-     * Evict until a tag and @p need sub-blocks are free in
-     * @p set_index, then return the slot to fill. @p on_evict(line_addr,
-     * entry) observes every released victim — its byte address, as the
-     * fill that placed it had it, and its entry, whose mode stays
-     * readable — so the owner can count and trace evictions.
-     */
-    template <typename EvictObserver>
-    TagEntry &
-    allocateSlot(std::uint32_t set_index, std::uint8_t need,
-                 EvictObserver &&on_evict)
+    std::uint32_t
+    setIndexOf(Addr addr) const
     {
-        const std::size_t base = slotIndex(set_index);
-        TagEntry *slot = nullptr;
-        for (std::size_t i = base; i < base + tagsPerSet_; ++i) {
-            if (keys_[i] == kNoKey) {
-                slot = &tags_[i];
-                break;
-            }
-        }
-        while (!slot ||
-               setUsedSubBlocks_[set_index] + need > subBlocksPerSet_) {
-            TagEntry *victim = pickVictim(set_index);
-            const Addr tag = keys_[victim - tags_.data()];
-            releaseLine(*victim, set_index);
-            on_evict((tag * numSets_ + set_index) * level_.lineBytes,
-                     *victim);
-            if (!slot)
-                slot = victim;
-        }
-        return *slot;
+        // Modulo rather than mask: set counts are not always powers of
+        // two (96 sets in the 48 KB L1 of Section V-E, 768 in the L2).
+        return static_cast<std::uint32_t>(
+            (addr / level_.lineBytes) % numSets_);
     }
 
-    /** Fill @p slot with @p meta's line (payload stays owner business). */
-    void commitFill(TagEntry &slot, Addr tag, const LineMeta &meta,
-                    std::uint8_t need, std::uint32_t set_index);
+    // --- Line-level access ---
+    /**
+     * If @p line_addr is resident, update its replacement state and
+     * report how it is stored; nullopt on a miss.
+     */
+    std::optional<Stored> hit(Addr line_addr);
+
+    /**
+     * Release @p line_addr (write-avoid) and return the mode it was
+     * stored with; nullopt if it was not resident.
+     */
+    std::optional<CompressorId> drop(Addr line_addr);
+
+    /**
+     * Store @p line_addr, which must not be resident, at @p meta's size:
+     * evict until a tag and its sub-blocks are free in its set, handing
+     * @p on_evict(victim_addr, mode) each victim's byte address and the
+     * mode it was stored with, then commit the line.
+     * @return the sub-blocks the line occupies.
+     */
+    template <typename EvictObserver>
+    std::uint8_t
+    fill(Addr line_addr, const LineMeta &meta, EvictObserver &&on_evict)
+    {
+        const std::uint32_t set = setIndexOf(line_addr);
+        const Addr tag = tagOf(line_addr);
+        const std::uint8_t need = subBlocksFor(meta);
+        std::size_t slot = freeSlot(set, tag);
+        while (slot == kNoSlot ||
+               setUsedSubBlocks_[set] + need > subBlocksPerSet_) {
+            const std::size_t victim = pickVictim(set);
+            const Addr victim_tag = keys_[victim];
+            release(victim, set);
+            on_evict((victim_tag * numSets_ + set) * level_.lineBytes,
+                     tags_[victim].mode);
+            if (slot == kNoSlot)
+                slot = victim;
+        }
+        commit(slot, set, tag, meta, need);
+        return need;
+    }
 
     // --- Occupancy introspection ---
     std::uint64_t usedSubBlocks() const;
@@ -147,12 +146,29 @@ class CompressionDomain
         const std::function<bool(std::uint32_t)> &sampled,
         CompressorId keep);
 
-    /** Drop every line and drain every queue (between kernels / runs). */
-    void invalidateAll();
-
   private:
+    /** A tag slot's line state; keys_ records which line it holds. */
+    struct TagEntry
+    {
+        std::uint64_t lruStamp = 0;          //!< LRU: touch, FIFO: fill
+        std::uint32_t generation = 0;        //!< SC code generation
+        std::uint8_t rrpv = 3;               //!< SRRIP re-reference bits
+        CompressorId mode = CompressorId::None;
+        std::uint8_t encoding = 0;
+        std::uint8_t subBlocks = 0;
+    };
+    static_assert(sizeof(TagEntry) == 16);
+
     /** A free slot's key; tags are line numbers, far below it. */
     static constexpr Addr kNoKey = ~Addr{0};
+    /** "No such slot" from the slot searches. */
+    static constexpr std::size_t kNoSlot = ~std::size_t{0};
+
+    Addr
+    tagOf(Addr line_addr) const
+    {
+        return line_addr / level_.lineBytes / numSets_;
+    }
 
     /** Index of @p set_index's first slot in tags_ and keys_. */
     std::size_t
@@ -160,6 +176,18 @@ class CompressionDomain
     {
         return static_cast<std::size_t>(set_index) * tagsPerSet_;
     }
+
+    /** The slot holding @p tag in @p set_index, or kNoSlot. */
+    std::size_t findSlot(std::uint32_t set_index, Addr tag) const;
+    /** A free slot in @p set_index, or kNoSlot; @p tag must be absent. */
+    std::size_t freeSlot(std::uint32_t set_index, Addr tag) const;
+    std::size_t pickVictim(std::uint32_t set_index);
+    /** Sub-blocks a line with @p meta occupies under this geometry. */
+    std::uint8_t subBlocksFor(const LineMeta &meta) const;
+    /** Invalidate @p slot and release its sub-blocks in @p set_index. */
+    void release(std::size_t slot, std::uint32_t set_index);
+    void commit(std::size_t slot, std::uint32_t set_index, Addr tag,
+                const LineMeta &meta, std::uint8_t need);
 
     const CacheLevelConfig level_;
     GpuConfig::ReplPolicy repl_;

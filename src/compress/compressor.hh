@@ -36,6 +36,20 @@ namespace latte
 constexpr std::uint32_t kLineBytes = 128;
 constexpr std::uint32_t kLineBits = kLineBytes * 8;
 
+/** Encoding id shared by all algorithms for the raw fallback. */
+constexpr std::uint8_t kRawEncoding = 0xf;
+
+/**
+ * True when a line @p algo encoded as @p encoding is held in compressed
+ * form; an uncompressed line and every raw fallback are held as the
+ * plain 128 B line (no decompression, a full line of sub-blocks).
+ */
+constexpr bool
+storedEncoded(CompressorId algo, std::uint8_t encoding)
+{
+    return algo != CompressorId::None && encoding != kRawEncoding;
+}
+
 /**
  * Size-only description of one compressed line: everything the cache
  * needs for admission, replacement and sub-block accounting, without the
@@ -62,7 +76,8 @@ struct LineMeta
         return static_cast<std::uint32_t>(divCeil(sizeBits, 8));
     }
 
-    bool compressed() const { return algo != CompressorId::None; }
+    /** Held in compressed form (see storedEncoded()). */
+    bool encoded() const { return storedEncoded(algo, encoding); }
 
     /** Compression ratio vs. the 128 B uncompressed line. */
     double
@@ -207,9 +222,6 @@ makeProbedMeta(CompressorId id, std::uint8_t encoding,
 /** Recover the bytes of a raw encoding into caller storage. */
 void decodeRawLineInto(const CompressedLine &line,
                        std::span<std::uint8_t> out);
-
-/** Encoding id shared by all algorithms for the raw fallback. */
-constexpr std::uint8_t kRawEncoding = 0xf;
 
 } // namespace latte
 

@@ -70,8 +70,6 @@ class DecompressionQueue : public StatGroup
         return static_cast<Cycles>(depth(now));
     }
 
-    void clear() { pending_.clear(); }
-
     Counter requests;
     Average queuePos;
     Counter peakDepth;

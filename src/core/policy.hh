@@ -110,7 +110,7 @@ class Policy : public CompressionModeProvider
             point.latencyTolerance = tolerance;
             point.mode = currentMode();
             point.effectiveCapacityBytes =
-                cache_ ? cache_->effectiveCapacityBytes() : 0;
+                cache_ ? cache_->domain().effectiveCapacityBytes() : 0;
             point.decompQueueDepth = totalDecompDepth(now);
             annotateTracePoint(point);
             trace_.push_back(point);

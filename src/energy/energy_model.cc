@@ -36,11 +36,11 @@ harvestUsage(Gpu &gpu)
         usage.scCompressions += cache.scCompressions.count();
         usage.bpcCompressions += cache.bpcCompressions.count();
         usage.bdiDecompressions +=
-            cache.queueFor(CompressorId::Bdi).requests.count();
+            cache.domain().queueFor(CompressorId::Bdi).requests.count();
         usage.scDecompressions +=
-            cache.queueFor(CompressorId::Sc).requests.count();
+            cache.domain().queueFor(CompressorId::Sc).requests.count();
         usage.bpcDecompressions +=
-            cache.queueFor(CompressorId::Bpc).requests.count();
+            cache.domain().queueFor(CompressorId::Bpc).requests.count();
     }
     if (const auto *stats = gpu.l2().compressStats()) {
         usage.l2BdiCompressions = stats->bdiCompressions.count();

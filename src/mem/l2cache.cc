@@ -131,7 +131,7 @@ L2Cache::fetchLine(Cycles at, Addr line_addr)
     const auto &bytes = mem_->line(line_addr);
     const LineMeta meta = linkEngine_->probe(bytes);
     std::uint32_t xfer = cfg_.l2.lineBytes;
-    if (meta.compressed() && meta.encoding != kRawEncoding) {
+    if (meta.encoded()) {
         xfer = std::min(
             cfg_.l2.lineBytes,
             static_cast<std::uint32_t>(
@@ -181,24 +181,21 @@ L2Cache::insertLine(Cycles now, Addr line_addr, std::uint32_t set,
 
     // Only a compressing L2 traces its fills and evictions.
     Tracer *tracer = compressing_ ? tracer_ : nullptr;
-    const std::uint8_t need = domain_.subBlocksFor(meta);
-    CompressionDomain::TagEntry &slot = domain_.allocateSlot(
-        set, need,
-        [&](Addr victim_addr, const CompressionDomain::TagEntry &victim) {
+    const std::uint8_t need = domain_.fill(
+        line_addr, meta, [&](Addr victim_addr, CompressorId victim_mode) {
             ++comp_.evictions;
             if (tracer) {
                 TraceEvent ev =
                     makeTraceEvent(now, TraceEventKind::L2Evict);
                 ev.arg0 = victim_addr;
                 ev.arg1 = set;
-                ev.mode = static_cast<std::uint8_t>(victim.mode);
+                ev.mode = static_cast<std::uint8_t>(victim_mode);
                 tracer->record(ev);
             }
         });
-    domain_.commitFill(slot, domain_.tagOf(line_addr), meta, need, set);
 
     ++comp_.insertions;
-    if (meta.compressed() && meta.encoding != kRawEncoding)
+    if (meta.encoded())
         ++comp_.compressedInsertions;
     comp_.insertionRatio.sample(meta.ratio());
     if (tracer) {
@@ -239,53 +236,54 @@ L2Cache::access(Cycles now, Addr line_addr, bool is_write)
     const Cycles data_at_l2 = at_l2 + queue + pipeline;
 
     const std::uint32_t set = domain_.setIndexOf(line_addr);
-    CompressionDomain::TagEntry *entry = domain_.findLine(line_addr);
-    const bool was_hit = entry != nullptr;
     Cycles data_ready = data_at_l2;
-
-    if (entry) {
-        ++hits;
-        if (is_write && compressing_) {
-            // Write-avoid at the L2: drop the compressed copy and
-            // restore it raw, so stores never recompress in place.
-            const CompressorId old_mode = entry->mode;
-            domain_.releaseLine(*entry, set);
+    bool was_hit = false;
+    if (is_write && compressing_) {
+        // Write-avoid at the L2: drop the compressed copy and restore
+        // it raw, so stores never recompress in place.
+        const std::optional<CompressorId> dropped = domain_.drop(line_addr);
+        was_hit = dropped.has_value();
+        if (dropped) {
             ++comp_.writeInvalidations;
             if (tracer_) {
                 TraceEvent ev = makeTraceEvent(
                     now, TraceEventKind::L2WriteInval);
                 ev.arg0 = line_addr;
                 ev.arg1 = set;
-                ev.mode = static_cast<std::uint8_t>(old_mode);
+                ev.mode = static_cast<std::uint8_t>(*dropped);
                 tracer_->record(ev);
             }
             insertLine(now, line_addr, set, CompressorId::None);
-        } else {
-            domain_.touchOnHit(*entry);
-            if (entry->mode != CompressorId::None &&
-                entry->encoding != kRawEncoding) {
-                Compressor *engine = engines_->get(entry->mode);
-                DecompressionQueue &queue = domain_.queueFor(entry->mode);
-                data_ready = queue.enqueue(data_at_l2,
-                                           engine->decompressLatency());
-                ++comp_.decompressions;
-                if (decompWaitHist_) {
-                    decompWaitHist_->record(
-                        static_cast<double>(data_ready - data_at_l2));
-                }
-                if (tracer_) {
-                    TraceEvent ev = makeTraceEvent(
-                        now, TraceEventKind::L2DecompEnqueue);
-                    ev.arg0 = line_addr;
-                    ev.arg1 = static_cast<std::uint32_t>(
-                        queue.depth(data_at_l2));
-                    ev.mode = static_cast<std::uint8_t>(entry->mode);
-                    ev.value =
-                        static_cast<double>(data_ready - data_at_l2);
-                    tracer_->record(ev);
-                }
+        }
+    } else {
+        const std::optional<CompressionDomain::Stored> stored =
+            domain_.hit(line_addr);
+        was_hit = stored.has_value();
+        if (stored && stored->encoded) {
+            Compressor *engine = engines_->get(stored->mode);
+            DecompressionQueue &queue = domain_.queueFor(stored->mode);
+            data_ready =
+                queue.enqueue(data_at_l2, engine->decompressLatency());
+            ++comp_.decompressions;
+            if (decompWaitHist_) {
+                decompWaitHist_->record(
+                    static_cast<double>(data_ready - data_at_l2));
+            }
+            if (tracer_) {
+                TraceEvent ev = makeTraceEvent(
+                    now, TraceEventKind::L2DecompEnqueue);
+                ev.arg0 = line_addr;
+                ev.arg1 =
+                    static_cast<std::uint32_t>(queue.depth(data_at_l2));
+                ev.mode = static_cast<std::uint8_t>(stored->mode);
+                ev.value = static_cast<double>(data_ready - data_at_l2);
+                tracer_->record(ev);
             }
         }
+    }
+
+    if (was_hit) {
+        ++hits;
         if (tracer_) {
             TraceEvent ev = makeTraceEvent(now, TraceEventKind::L2Hit);
             ev.arg0 = line_addr;
@@ -334,13 +332,6 @@ L2Cache::access(Cycles now, Addr line_addr, bool is_write)
     if (hist)
         hist->record(static_cast<double>(ready - now));
     return {was_hit, ready};
-}
-
-void
-L2Cache::invalidateAll()
-{
-    std::fill(banks_.begin(), banks_.end(), SerialResource{});
-    domain_.invalidateAll();
 }
 
 } // namespace latte

@@ -66,9 +66,6 @@ class L2Cache : public StatGroup
      */
     L2Result access(Cycles now, Addr line_addr, bool is_write);
 
-    /** Drop all cached lines and bank queues (between runs). */
-    void invalidateAll();
-
     /** Attach the event tracer (not owned; nullptr disables tracing). */
     void setTracer(Tracer *tracer);
 

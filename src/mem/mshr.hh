@@ -108,9 +108,6 @@ class MshrFile : public StatGroup
     /** Earliest outstanding fill completion; kNoCycle when empty. */
     Cycles nextFillCycle() const { return nextFill_; }
 
-    /** Drop all state (between runs). */
-    void clear() { entries_.clear(); nextFill_ = kNoCycle; }
-
     std::size_t inUse() const { return entries_.size(); }
 
     Counter allocations;

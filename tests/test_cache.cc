@@ -2,12 +2,14 @@
  * @file
  * Unit tests for the compressed L1 data cache: tag/sub-block accounting,
  * the 4x-tag capacity expansion, write-avoid semantics, MSHR merging,
- * the order due fills insert in, decompression queueing and SC
- * generation invalidation.
+ * the order due fills insert in, decompression queueing, SC
+ * generation invalidation, the sampled-set mismatch flush, and the
+ * round-trip verifier and duplicate-fill checks firing.
  */
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -88,6 +90,13 @@ class StaticModeProvider : public CompressionModeProvider
 
   private:
     CompressorId mode_;
+};
+
+/** Inserts with whatever mode the test set last. */
+struct SettableModeProvider : public CompressionModeProvider
+{
+    CompressorId mode = CompressorId::None;
+    CompressorId modeForInsertion(std::uint32_t) override { return mode; }
 };
 
 } // namespace
@@ -232,7 +241,8 @@ TEST_F(CacheFixture, CompressedHitPaysDecompression)
     // hit latency + BDI decompression (2) + queue position 0 + 1.
     EXPECT_EQ(hit.readyCycle,
               now + cfg.l1.hitLatency + cfg.timings.bdiDecompress + 1);
-    EXPECT_EQ(cache.queueFor(CompressorId::Bdi).requests.count(), 1u);
+    EXPECT_EQ(cache.domain().queueFor(CompressorId::Bdi).requests.count(),
+              1u);
 }
 
 TEST_F(CacheFixture, DecompressionQueueBacklogGrows)
@@ -279,7 +289,7 @@ TEST_F(CacheFixture, EffectiveCapacityCountsUncompressedSize)
         makeCompressible(addrInSet(7, t + 1));
         installLine(addrInSet(7, t + 1), now);
     }
-    EXPECT_EQ(cache.effectiveCapacityBytes(), 6u * 128u);
+    EXPECT_EQ(cache.domain().effectiveCapacityBytes(), 6u * 128u);
     EXPECT_LT(cache.domain().usedSubBlocks(), 6u * 4u);
 }
 
@@ -304,14 +314,57 @@ TEST_F(CacheFixture, ScGenerationInvalidation)
     EXPECT_FALSE(cache.access(now + 1, 0x7000, false).hit);
 }
 
-TEST_F(CacheFixture, InvalidateAllEmptiesCache)
+TEST_F(CacheFixture, SampleMismatchFlushDropsOnlyDedicatedNonWinnerLines)
 {
+    // LATTE-CC's sampling: 32 sets, 4 dedicated per mode -> stride 8,
+    // so sets 0/1/2 mod 8 sample None/BDI/SC and the rest follow. BDI
+    // has won the vote.
+    const CompressorId modes[] = {CompressorId::None, CompressorId::Bdi,
+                                  CompressorId::Sc};
+    DuelingModeSelector selector(modes, TraceEventKind::SamplerVote,
+                                 TraceEventKind::ModeChange);
+    selector.bind(cache.numSets(), cfg.latte.dedicatedSetsPerMode,
+                  cfg.l1.hitLatency, &cache.domain(), &engines);
+    ASSERT_TRUE(selector.switchTo(1, 0, 0.0, nullptr, 0));
+
+    // Every line holds the same BDI- and SC-compressible bytes.
+    makeCompressible(addrInSet(0, 100));
+    engines.sc.trainLine(mem.line(addrInSet(0, 100)));
+    engines.sc.rebuildCodes();
+
+    struct Placed
+    {
+        std::uint32_t set;
+        CompressorId mode;
+        bool stays;
+    };
+    const Placed placed[] = {
+        {0, CompressorId::Sc, false},  {0, CompressorId::None, true},
+        {1, CompressorId::Sc, false},  {1, CompressorId::Bdi, true},
+        {2, CompressorId::Sc, false},  {2, CompressorId::Bdi, true},
+        {2, CompressorId::None, true}, {3, CompressorId::Sc, true},
+        {3, CompressorId::Bdi, true},  {3, CompressorId::None, true},
+    };
+    SettableModeProvider provider;
+    cache.setModeProvider(&provider);
     Cycles now = 0;
-    installLine(0x8000, now);
-    installLine(0x9000, now);
-    cache.invalidateAll();
-    EXPECT_EQ(cache.domain().validLines(), 0u);
-    EXPECT_EQ(cache.effectiveCapacityBytes(), 0u);
+    for (std::uint32_t i = 0; i < std::size(placed); ++i) {
+        const Addr addr = addrInSet(placed[i].set, i + 1);
+        makeCompressible(addr);
+        provider.mode = placed[i].mode;
+        installLine(addr, now);
+    }
+    ASSERT_EQ(cache.compressedInsertions.count(), 7u);
+    ASSERT_EQ(cache.evictions.count(), 0u);
+
+    cache.invalidateSampleMismatch(selector);
+    EXPECT_EQ(cache.domain().validLines(), 7u);
+    for (std::uint32_t i = 0; i < std::size(placed); ++i) {
+        const Addr addr = addrInSet(placed[i].set, i + 1);
+        EXPECT_EQ(cache.access(now, addr, false).hit, placed[i].stays)
+            << "set " << placed[i].set << ", "
+            << compressorName(placed[i].mode) << " line";
+    }
 }
 
 TEST_F(CacheFixture, PerSetSubBlockCounterTracksTagWalk)
@@ -348,11 +401,6 @@ TEST_F(CacheFixture, PerSetSubBlockCounterTracksTagWalk)
     const auto write = cache.access(now, victim, true);
     if (write.hit)
         check_all("after write invalidation");
-
-    cache.invalidateAll();
-    check_all("after invalidateAll");
-    for (std::uint32_t set = 0; set < cache.numSets(); ++set)
-        EXPECT_EQ(cache.domain().usedSubBlocksCounter(set), 0u);
 }
 
 // ------------------------------- tuning knobs used by Figures 3 and 4
@@ -390,6 +438,14 @@ class VerifyFixture : public CacheFixture
     {}
 };
 
+/** The verifier's death tests. */
+class VerifyDeath : public VerifyFixture
+{};
+
+/** The tag store's death tests. */
+class CacheDeath : public CacheFixture
+{};
+
 } // namespace
 
 TEST_F(NoCapacityFixture, CompressedLinesStillTakeFullSpace)
@@ -424,4 +480,47 @@ TEST_F(VerifyFixture, RoundTripVerifiedOnHits)
     makeCompressible(0xa000);
     installLine(0xa000, now);
     EXPECT_TRUE(cache.access(now, 0xa000, false).hit);
+}
+
+TEST_F(VerifyDeath, CorruptedBdiLinePanicsOnItsNextHit)
+{
+    StaticModeProvider bdi(CompressorId::Bdi);
+    cache.setModeProvider(&bdi);
+    Cycles now = 0;
+    makeCompressible(0xa000);
+    installLine(0xa000, now);
+    ASSERT_EQ(cache.compressedInsertions.count(), 1u);
+    ASSERT_TRUE(cache.access(now, 0xa000, false).hit);
+
+    // The stored encoding no longer decodes to the image's bytes.
+    makeRandom(0xa000, 5);
+    EXPECT_DEATH(cache.access(now + 1, 0xa000, false),
+                 "round-trip mismatch");
+}
+
+TEST_F(VerifyDeath, CorruptedScLinePanicsOnItsNextHit)
+{
+    StaticModeProvider sc_mode(CompressorId::Sc);
+    cache.setModeProvider(&sc_mode);
+    Cycles now = 0;
+    makeCompressible(0x7000);
+    engines.sc.trainLine(mem.line(0x7000));
+    engines.sc.rebuildCodes();
+    installLine(0x7000, now);
+    ASSERT_EQ(cache.compressedInsertions.count(), 1u);
+    ASSERT_TRUE(cache.access(now, 0x7000, false).hit);
+
+    makeRandom(0x7000, 7);
+    EXPECT_DEATH(cache.access(now + 1, 0x7000, false),
+                 "round-trip mismatch");
+}
+
+TEST_F(CacheDeath, FillingAResidentLinePanics)
+{
+    // The MSHR file merges every later miss to an outstanding line, so
+    // a fill never finds its line resident; the domain asserts it.
+    Cycles now = 0;
+    installLine(0x3000, now);
+    cache.mshrs.allocate(0x3000, now + 5);
+    EXPECT_DEATH(cache.processFills(now + 5), "filled twice");
 }

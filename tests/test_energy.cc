@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/driver.hh"
 #include "energy/energy_model.hh"
 #include "workloads/zoo.hh"
@@ -112,6 +114,41 @@ TEST(Energy, DataMovementFallsWithMissReduction)
     EXPECT_LT(sc.energy.dataMovementMj(), base.energy.dataMovementMj())
         << "fewer misses must mean less data moved";
     EXPECT_GT(sc.energy.compressionMj, base.energy.compressionMj);
+}
+
+TEST(Energy, LinkTransfersArePricedAtTheLinkAlgorithm)
+{
+    // One compress (memory side) and one decompress (L2 side) per
+    // compressed fetch. Only BDI and SC have energies of their own, and
+    // SC cannot run on the link, so FPC, C-Pack and BPC cost BPC's.
+    const CompressorTimings t;
+    const std::pair<const char *, double> links[] = {
+        {"bdi", t.bdiCompressNj + t.bdiDecompressNj},
+        {"fpc", t.bpcCompressNj + t.bpcDecompressNj},
+        {"cpack", t.bpcCompressNj + t.bpcDecompressNj},
+        {"bpc", t.bpcCompressNj + t.bpcDecompressNj},
+    };
+    for (const auto &[algo, per_transfer_nj] : links) {
+        RunRequest request;
+        request.workload = findWorkload("DJK");
+        request.policy = PolicyKind::Baseline;
+        request.options.cfg.numSms = 2;
+        request.options.maxInstructionsPerKernel = 20'000;
+        ASSERT_TRUE(
+            parseLinkCompressSpec(algo, request.options.cfg.linkCompress));
+        const WorkloadRunResult result = run(request).value();
+
+        UsageCounts usage;
+        for (const KernelSnapshot &kernel : result.kernels)
+            usage += kernel.usage;
+        EXPECT_GT(usage.linkTransfers, 0u) << algo;
+        EXPECT_EQ(static_cast<double>(usage.linkTransfers),
+                  result.stats.at("gpu.l2.link.transfers"))
+            << algo;
+        EXPECT_NEAR(result.energy.linkCompressionMj,
+                    usage.linkTransfers * per_transfer_nj * 1e-6, 1e-12)
+            << algo;
+    }
 }
 
 TEST(Energy, BreakdownSumsToTotal)

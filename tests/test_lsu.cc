@@ -120,7 +120,8 @@ TEST_F(LsuFixture, CompressedHitWakesAfterDecompression)
 
     // A second hit one cycle later finds the first still decompressing
     // and queues behind it by its Eq. 3 insertion position.
-    const DecompressionQueue &queue = cache.queueFor(CompressorId::Bdi);
+    const DecompressionQueue &queue =
+        cache.domain().queueFor(CompressorId::Bdi);
     const Cycles position = queue.expectedPos(issue + 1 + hit);
     EXPECT_EQ(position, 1u);
     startLoad(2, {0x1000});

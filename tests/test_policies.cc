@@ -2,10 +2,14 @@
  * @file
  * Unit tests for the compression management policies: EP clock
  * arithmetic, the latency tolerance meter, static SC generation
- * handling, LATTE-CC's dedicated-set mapping and AMAT-driven decisions.
+ * handling, LATTE-CC's dedicated-set mapping, AMAT-driven decisions
+ * and the rule that gates its flush of mismatched sampled lines.
  */
 
 #include <gtest/gtest.h>
+
+#include <iterator>
+#include <utility>
 
 #include "common/rng.hh"
 #include "core/driver.hh"
@@ -253,6 +257,57 @@ TEST(LatteCc, SwitchesToScWhenItRemovesMisses)
     }
     EXPECT_EQ(latte.currentMode(), CompressorId::Sc)
         << "a large sampled miss-rate gap must pull the winner to SC";
+}
+
+TEST(LatteCc, MismatchFlushWaitsForAStableHitSaturatedWindow)
+{
+    // onEpBoundary flushes the dedicated sets' compressed lines that are
+    // not in the winner's mode only once the sampled window misses
+    // under 2%, the winner has held for a whole period, and the EP is
+    // past the learning phase and its hit tail.
+    for (const bool saturated : {true, false}) {
+        PolicyRig rig;
+        LatteCcPolicy latte(rig.cfg);
+        latte.bind(&rig.cache, &rig.engines, &rig.meter);
+
+        // Zero lines (the image has no regions) compress under BDI. Set 1
+        // samples BDI, set 3 follows; the winner stays None.
+        StaticPolicy bdi(rig.cfg, CompressorId::Bdi);
+        StaticPolicy raw(rig.cfg, CompressorId::None);
+        const std::pair<std::uint32_t, Policy *> lines[] = {
+            {1, &bdi}, {1, &raw}, {3, &bdi}};
+        Cycles now = 0;
+        for (std::uint32_t i = 0; i < std::size(lines); ++i) {
+            rig.cache.setModeProvider(lines[i].second);
+            const Addr addr =
+                (static_cast<Addr>(i + 1) * rig.cache.numSets() +
+                 lines[i].first) * 128;
+            now = rig.cache.access(now, addr, false).readyCycle + 1;
+            rig.cache.processFills(now);
+        }
+        ASSERT_EQ(rig.cache.compressedInsertions.count(), 2u);
+        ASSERT_EQ(rig.cache.domain().validLines(), 3u);
+
+        const LatteParams &params = rig.cfg.latte;
+        const std::uint32_t flush_ep =
+            params.periodEps + 2 * params.learningEps;
+        for (std::uint32_t ep = 1; ep <= 2 * params.periodEps; ++ep) {
+            // Sweep the sets in order; unsaturated, every fourth sweep
+            // misses, so every mode samples the same 25% miss rate.
+            for (std::uint32_t i = 0; i < params.epAccesses; ++i) {
+                const std::uint32_t set = i % rig.cache.numSets();
+                const bool hit =
+                    saturated || (i / rig.cache.numSets()) % 4 != 0;
+                latte.observeAccess({0, set, hit, false,
+                                     CompressorId::None});
+            }
+            ASSERT_EQ(latte.currentMode(), CompressorId::None);
+            EXPECT_EQ(rig.cache.domain().validLines(),
+                      saturated && ep >= flush_ep ? 2u : 3u)
+                << (saturated ? "saturated" : "25% misses") << ", EP "
+                << ep;
+        }
+    }
 }
 
 TEST(AdaptiveHitCount, ChasesHitsIgnoringLatency)

@@ -24,6 +24,7 @@
 #include "runner/json.hh"
 #include "runner/result_cache.hh"
 #include "runner/sweep.hh"
+#include "runner/sweep_spec.hh"
 #include "trace/tracer.hh"
 #include "workloads/zoo.hh"
 
@@ -375,6 +376,78 @@ TEST(Runner, RunKeySeparatesDriverOptions)
     // Identical requests agree.
     const RunRequest a_copy = a;
     EXPECT_EQ(RunKey::of(a), RunKey::of(a_copy));
+}
+
+TEST(Runner, EverySpecKeyReachesTheRunKey)
+{
+    // A key the fingerprint ignored would let a result cache serve one
+    // configuration's cells for another. The table must name every
+    // key, each with a valid value that differs from the default; the
+    // two execution-only keys must leave the key alone.
+    const std::map<std::string, Json> values = {
+        {"max_instructions_per_kernel", Json(12345)},
+        {"cfg.num_sms", Json(4)},
+        {"cfg.max_warps_per_sm", Json(24)},
+        {"cfg.max_blocks_per_sm", Json(3)},
+        {"cfg.schedulers_per_sm", Json(1)},
+        {"cfg.l1_size_bytes", Json(32768)},
+        {"cfg.l1_line_bytes", Json(64)},
+        {"cfg.l1_assoc", Json(8)},
+        {"cfg.l1_hit_latency", Json(31)},
+        {"cfg.l1_tag_factor", Json(2)},
+        {"cfg.l1_sub_block_bytes", Json(16)},
+        {"cfg.l1_mshr_entries", Json(17)},
+        {"cfg.l2_size_bytes", Json(1572864)},
+        {"cfg.l2_assoc", Json(16)},
+        {"cfg.l2_banks", Json(6)},
+        {"cfg.l2_min_latency", Json(150)},
+        {"cfg.l2_bank_service_cycles", Json(3)},
+        {"cfg.l2_miss_penalty_cycles", Json(77)},
+        {"cfg.dram_min_latency", Json(333)},
+        {"cfg.dram_bytes_per_cycle", Json(48.5)},
+        {"cfg.noc_bytes_per_cycle", Json(100.5)},
+        {"cfg.latte.ep_accesses", Json(512)},
+        {"cfg.latte.period_eps", Json(20)},
+        {"cfg.latte.learning_eps", Json(2)},
+        {"cfg.latte.dedicated_sets_per_mode", Json(2)},
+        {"cfg.latte.vft_entries", Json(2048)},
+        {"cfg.sched_policy", Json("lrr")},
+        {"cfg.l1_repl", Json("srrip")},
+        {"l2.compress", Json("static:bdi")},
+        {"link.compress", Json("bdi")},
+        {"compress_backend", Json("scalar")},
+        {"sim_threads", Json("2")},
+    };
+    std::vector<std::string> table_keys;
+    for (const auto &[key, value] : values)
+        table_keys.push_back(key);
+    ASSERT_EQ(table_keys, sweepOptionKeys());
+
+    RunRequest base;
+    base.workload = findWorkload("KM");
+    ASSERT_NE(base.workload, nullptr);
+    base.policy = PolicyKind::LatteCc;
+    const RunKey base_key = RunKey::of(base);
+    for (const auto &[key, value] : values) {
+        RunRequest request = base;
+        std::string error;
+        ASSERT_TRUE(applyOption(request.options, key, value, &error))
+            << key << ": " << error;
+        const bool execution_only =
+            key == "compress_backend" || key == "sim_threads";
+        EXPECT_EQ(RunKey::of(request) == base_key, execution_only) << key;
+    }
+}
+
+TEST(Runner, EnumSpecKeysNameThemselvesOnUnknownValues)
+{
+    for (const char *key : {"cfg.sched_policy", "cfg.l1_repl"}) {
+        DriverOptions options;
+        std::string error;
+        EXPECT_FALSE(applyOption(options, key, Json("plru-ish"), &error));
+        EXPECT_NE(error.find(key), std::string::npos) << error;
+        EXPECT_NE(error.find("plru-ish"), std::string::npos) << error;
+    }
 }
 
 TEST(Runner, KindAndEquivalentFactoryAgree)
