@@ -6,7 +6,10 @@
  * value patterns), so most insertions re-encode bytes the SM has
  * already seen. The memo is a direct-mapped table keyed by (line
  * content, mode, SC code generation); a hit skips the encoder entirely.
- * Entries store the full 128 B line and compare it exactly, so a hash
+ * An entry points at the memory-image line it was filled from (the
+ * image never changes or frees a line's bytes), so the table holds no
+ * line copies: 2048 entries of 32 B, 64 KiB per SM. A hit needs the
+ * same line or one with equal bytes, compared exactly, so a hash
  * collision can never change a simulation result — the memo is purely
  * an execution shortcut.
  */
@@ -14,14 +17,13 @@
 #ifndef LATTE_CACHE_COMPRESS_MEMO_HH
 #define LATTE_CACHE_COMPRESS_MEMO_HH
 
-#include <array>
 #include <cstdint>
 #include <cstring>
-#include <span>
 #include <vector>
 
 #include "common/stats.hh"
 #include "compress/compressor.hh"
+#include "mem/memory_image.hh"
 
 namespace latte
 {
@@ -30,6 +32,7 @@ namespace latte
 class CompressMemo : public StatGroup
 {
   public:
+    using Line = MemoryImage::Line;
     static constexpr std::size_t kEntries = 2048;
 
     explicit CompressMemo(StatGroup *parent)
@@ -44,26 +47,24 @@ class CompressMemo : public StatGroup
      * @p generation is the engine's current state generation (SC's code
      * book generation; 0 for the stateless algorithms) — it both keys
      * the lookup and invalidates entries from retired generations.
+     * @p line must keep its address and bytes for the memo's lifetime,
+     * as MemoryImage::line() references do: a miss stores its address,
+     * not a copy.
      */
     LineMeta
-    probe(Compressor &engine, std::span<const std::uint8_t> line,
-          std::uint32_t generation)
+    probe(Compressor &engine, const Line &line, std::uint32_t generation)
     {
-        latte_assert(line.size() == kLineBytes);
         const CompressorId mode = engine.id();
         Entry &entry = entries_[indexOf(line, mode, generation)];
-        if (entry.valid && entry.mode == mode &&
+        if (entry.line && entry.mode == mode &&
             entry.generation == generation &&
-            std::memcmp(entry.bytes.data(), line.data(), kLineBytes) == 0) {
+            (entry.line == &line ||
+             std::memcmp(entry.line->data(), line.data(), kLineBytes) == 0)) {
             ++hits;
             return entry.meta;
         }
         ++misses;
-        entry.valid = true;
-        entry.mode = mode;
-        entry.generation = generation;
-        std::memcpy(entry.bytes.data(), line.data(), kLineBytes);
-        entry.meta = engine.probe(line);
+        entry = {&line, mode, generation, engine.probe(line)};
         return entry.meta;
     }
 
@@ -73,16 +74,16 @@ class CompressMemo : public StatGroup
   private:
     struct Entry
     {
-        bool valid = false;
+        /** The bytes the entry was probed from; nullptr while unused. */
+        const Line *line = nullptr;
         CompressorId mode = CompressorId::None;
         std::uint32_t generation = 0;
         LineMeta meta;
-        std::array<std::uint8_t, kLineBytes> bytes;
     };
+    static_assert(sizeof(Entry) <= 32);
 
     static std::size_t
-    indexOf(std::span<const std::uint8_t> line, CompressorId mode,
-            std::uint32_t generation)
+    indexOf(const Line &line, CompressorId mode, std::uint32_t generation)
     {
         // splitmix64-style mix over the line's 16 words plus the key.
         std::uint64_t h = 0x9e3779b97f4a7c15ull ^

@@ -210,7 +210,9 @@ void
 CompressedCache::insertLine(Cycles now, Addr line_addr)
 {
     const std::uint32_t set = setIndexOf(line_addr);
-    const auto &bytes = mem_->line(line_addr);
+    // The image keeps these bytes unchanged for the run, which lets the
+    // memo hold a pointer to them instead of a copy.
+    const MemoryImage::Line &bytes = mem_->line(line_addr);
 
     const CompressorId mode = provider_->modeForInsertion(set);
     LineMeta meta = makeRawMeta(CompressorId::None);

@@ -64,8 +64,9 @@ class CompressionDomain
     {
         // Modulo rather than mask: set counts are not always powers of
         // two (96 sets in the 48 KB L1 of Section V-E, 768 in the L2).
-        return static_cast<std::uint32_t>(
-            (addr / level_.lineBytes) % numSets_);
+        // The line size is the constant the constructor asserts, so
+        // only the set count costs a division.
+        return static_cast<std::uint32_t>((addr / kLineBytes) % numSets_);
     }
 
     // --- Line-level access ---
@@ -101,7 +102,7 @@ class CompressionDomain
             const std::size_t victim = pickVictim(set);
             const Addr victim_tag = keys_[victim];
             release(victim, set);
-            on_evict((victim_tag * numSets_ + set) * level_.lineBytes,
+            on_evict((victim_tag * numSets_ + set) * kLineBytes,
                      tags_[victim].mode);
             if (slot == kNoSlot)
                 slot = victim;
@@ -167,7 +168,7 @@ class CompressionDomain
     Addr
     tagOf(Addr line_addr) const
     {
-        return line_addr / level_.lineBytes / numSets_;
+        return line_addr / kLineBytes / numSets_;
     }
 
     /** Index of @p set_index's first slot in tags_ and keys_. */

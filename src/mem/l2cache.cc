@@ -114,8 +114,9 @@ L2Cache::setMetrics(metrics::MetricRegistry *metrics)
 std::uint32_t
 L2Cache::bankIndex(Addr line_addr) const
 {
+    // The domain pins l2.lineBytes to kLineBytes: a shift, not a div.
     return static_cast<std::uint32_t>(
-        (line_addr / cfg_.l2.lineBytes) % cfg_.l2.banks);
+        (line_addr / kLineBytes) % cfg_.l2.banks);
 }
 
 Cycles

@@ -76,9 +76,10 @@ class MshrFile : public StatGroup
     }
 
     /**
-     * Release the entries whose fill has arrived by @p now, after
-     * handing each to @p on_fill(line_addr, fill_cycle) in allocation
-     * order.
+     * Release the entries whose fill has arrived by @p now, handing each
+     * to @p on_fill(line_addr, fill_cycle) in allocation order. The
+     * survivors are compacted in the same pass, so @p on_fill must not
+     * read this file.
      */
     template <typename OnFill>
     void
@@ -87,15 +88,16 @@ class MshrFile : public StatGroup
         if (now < nextFill_)
             return;
         nextFill_ = kNoCycle;
+        std::size_t kept = 0;
         for (const Entry &entry : entries_) {
-            if (entry.fillCycle <= now)
+            if (entry.fillCycle <= now) {
                 on_fill(entry.lineAddr, entry.fillCycle);
-            else
+            } else {
                 nextFill_ = std::min(nextFill_, entry.fillCycle);
+                entries_[kept++] = entry;
+            }
         }
-        std::erase_if(entries_, [now](const Entry &entry) {
-            return entry.fillCycle <= now;
-        });
+        entries_.resize(kept);
     }
 
     /** Release the entries whose fill has arrived by @p now. */

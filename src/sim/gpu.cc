@@ -139,6 +139,9 @@ Gpu::runKernel(KernelProgram &program, std::uint64_t max_instructions,
     // An SM takes a CTA only after one of its own retired, so CTAs are
     // distributed at the start and after a tick that retired one.
     bool cta_retired = true;
+    // The earliest cycle any SM needs attention: the minimum of
+    // next_tick, kept up to date by every write to it.
+    Cycles next = sms_.empty() ? kNoCycle : now_;
     while (true) {
         // Distribute CTAs round-robin to SMs with capacity.
         bool assigned = cta_retired;
@@ -150,15 +153,12 @@ Gpu::runKernel(KernelProgram &program, std::uint64_t max_instructions,
                 if (sms_[i]->canTakeCta()) {
                     sms_[i]->assignCta(now_, next_cta++);
                     next_tick[i] = std::min(next_tick[i], now_ + 1);
+                    next = std::min(next, now_ + 1);
                     assigned = true;
                 }
             }
         }
 
-        // Find the earliest cycle any SM needs attention.
-        Cycles next = kNoCycle;
-        for (const Cycles t : next_tick)
-            next = std::min(next, t);
         if (next == kNoCycle && next_cta < num_ctas) {
             // Every SM is empty and still none takes a CTA.
             interrupt = SimInterrupt{
@@ -189,9 +189,12 @@ Gpu::runKernel(KernelProgram &program, std::uint64_t max_instructions,
 
         // Due SMs step in index order; an SM's idle gap only feeds its
         // own tolerance meter, so it is settled just before its tick.
+        next = kNoCycle;
         for (std::uint32_t i = 0; i < sms_.size(); ++i) {
-            if (next_tick[i] > now_)
+            if (next_tick[i] > now_) {
+                next = std::min(next, next_tick[i]);
                 continue;
+            }
             const Cycles gap = now_ - last_tick[i];
             if (gap > 1)
                 sms_[i]->noteIdle(gap - 1);
@@ -199,6 +202,7 @@ Gpu::runKernel(KernelProgram &program, std::uint64_t max_instructions,
             const StreamingMultiprocessor::TickResult tick =
                 sms_[i]->tick(now_);
             next_tick[i] = tick.next;
+            next = std::min(next, tick.next);
             executed += tick.issued;
             cta_retired |= tick.ctaRetired;
             latte_assert(next_tick[i] == kNoCycle || next_tick[i] > now_,

@@ -104,18 +104,25 @@ PaletteGen::generate(Addr line_addr, std::span<std::uint8_t> out)
                     static_cast<std::uint32_t>(rng.next()), 4);
             continue;
         }
-        const double u = rng.uniform();
-        // Binary search the CDF.
-        std::size_t lo = 0, hi = cdf_.size() - 1;
-        while (lo < hi) {
-            const std::size_t mid = (lo + hi) / 2;
-            if (cdf_[mid] < u)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        storeLe(out.data() + i, palette_[lo], 4);
+        storeLe(out.data() + i, palette_[pick(cdf_, rng.uniform())], 4);
     }
+}
+
+std::size_t
+PaletteGen::pick(std::span<const double> cdf, double u)
+{
+    // Lower bound over cdf[0, n): the answer stays in [base, base + n]
+    // while n halves, each step one compare and a conditional move.
+    std::size_t n = cdf.size() - 1;
+    if (n == 0)
+        return 0;
+    const double *base = cdf.data();
+    while (n > 1) {
+        const std::size_t half = n / 2;
+        base = base[half] < u ? base + half : base;
+        n -= half;
+    }
+    return static_cast<std::size_t>(base - cdf.data()) + (*base < u);
 }
 
 void

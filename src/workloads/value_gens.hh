@@ -106,6 +106,15 @@ class PaletteGen : public LineGenerator
     void generate(Addr line_addr, std::span<std::uint8_t> out) override;
 
     const std::vector<std::uint32_t> &palette() const { return palette_; }
+    const std::vector<double> &cdf() const { return cdf_; }
+
+    /**
+     * The palette index a draw of @p u picks: the first @p cdf entry
+     * >= u among all but the last, else the last. A branch-free
+     * halving search; @p cdf is non-empty and, but for its last entry,
+     * non-decreasing.
+     */
+    static std::size_t pick(std::span<const double> cdf, double u);
 
   private:
     std::uint64_t seed_;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <random>
 #include <set>
@@ -380,6 +381,62 @@ TEST(ValueGens, NoiseFractionCapsScRatio)
     PaletteGen noisy(8, 32, true, 1.2, 0.4);
     EXPECT_GT(ratioUnder(clean, CompressorId::Sc),
               ratioUnder(noisy, CompressorId::Sc));
+}
+
+/** PaletteGen's binary-search loop before the branch-free pick. */
+static std::size_t
+loopPick(const std::vector<double> &cdf, double u)
+{
+    std::size_t lo = 0, hi = cdf.size() - 1;
+    while (lo < hi) {
+        const std::size_t mid = (lo + hi) / 2;
+        if (cdf[mid] < u)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+TEST(ValueGens, PalettePickMatchesBinarySearchLoop)
+{
+    std::mt19937_64 rng(17);
+    std::uniform_real_distribution<double> uniform(0.0, 1.0);
+    const auto expectSamePick = [](const std::vector<double> &cdf, double u,
+                                   const char *what) {
+        ASSERT_EQ(PaletteGen::pick(cdf, u), loopPick(cdf, u))
+            << what << ": " << cdf.size() << " entries, u = " << u;
+    };
+    const auto check = [&](const std::vector<double> &cdf) {
+        for (unsigned k = 0; k < 64; ++k)
+            expectSamePick(cdf, uniform(rng), "uniform");
+        for (const double entry : cdf) {
+            expectSamePick(cdf, entry, "an entry");
+            expectSamePick(cdf, std::nextafter(entry, 0.0), "below");
+            expectSamePick(cdf, std::nextafter(entry, 2.0), "above");
+        }
+        // Above every entry the last index is the answer.
+        const double top = *std::max_element(cdf.begin(), cdf.end());
+        expectSamePick(cdf, std::nextafter(top, 2.0), "above all");
+        expectSamePick(cdf, 2.0, "above all");
+        expectSamePick(cdf, 0.0, "zero");
+    };
+    for (std::uint32_t size = 1; size <= 256; ++size) {
+        // The generator's own Zipf CDFs, steep and flat.
+        check(PaletteGen(size, size, true, 1.2, 0.0).cdf());
+        check(PaletteGen(size, size, false, 0.1, 0.0).cdf());
+        // Tie-heavy CDFs: runs of equal entries, last pinned to 1.
+        std::vector<double> ties(size);
+        double acc = 0;
+        for (double &entry : ties) {
+            acc += (rng() % 3 == 0) ? 1.0 / 8 : 0.0;
+            entry = std::min(acc, 1.0);
+        }
+        ties.back() = 1.0;
+        check(ties);
+        if (::testing::Test::HasFailure())
+            return;
+    }
 }
 
 TEST(ValueGens, FloatNoiseResistsEverything)
