@@ -44,7 +44,6 @@ CompressedCache::CompressedCache(const GpuConfig &cfg, SmId sm_id,
       cfg_(cfg), tuning_(tuning), smId_(static_cast<std::uint16_t>(sm_id)),
       engines_(engines), l2_(l2), mem_(mem),
       provider_(&defaultProvider_),
-      memo_(this),
       domain_(cfg.l1, cfg.l1Repl, tuning.capacityBenefit, this)
 {
     latte_assert(engines_ && l2_ && mem_);
@@ -210,8 +209,6 @@ void
 CompressedCache::insertLine(Cycles now, Addr line_addr)
 {
     const std::uint32_t set = setIndexOf(line_addr);
-    // The image keeps these bytes unchanged for the run, which lets the
-    // memo hold a pointer to them instead of a copy.
     const MemoryImage::Line &bytes = mem_->line(line_addr);
 
     const CompressorId mode = provider_->modeForInsertion(set);
@@ -230,14 +227,7 @@ CompressedCache::insertLine(Cycles now, Addr line_addr)
         } else {
             metrics::ProfileScope profile(
                 metrics::ProfileZone::CompressorProbe);
-            // SC's probe depends on the live code book; its generation
-            // counter captures that state exactly. The other algorithms
-            // are stateless.
-            meta = tuning_.compressionMemo
-                       ? memo_.probe(*engine, bytes,
-                                     mode == CompressorId::Sc
-                                         ? engines_->sc.generation() : 0)
-                       : engine->probe(bytes);
+            meta = engine->probe(bytes);
         }
     }
     switch (mode) {

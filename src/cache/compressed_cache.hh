@@ -21,7 +21,6 @@
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "compress_memo.hh"
 #include "compress/compression_domain.hh"
 #include "compress/engines.hh"
 #include "mem/dueling_selector.hh"
@@ -58,12 +57,6 @@ struct CacheTuning
      * functional memory image on every hit (used by integration tests).
      */
     bool verifyRoundTrip = false;
-    /**
-     * Serve repeat probe() requests from the per-SM CompressMemo instead
-     * of re-running the encoder. Execution shortcut only — results are
-     * bit-identical either way (pinned by the runner golden test).
-     */
-    bool compressionMemo = true;
 };
 
 /** Outcome of an L1 access as seen by the load/store unit. */
@@ -158,7 +151,7 @@ class CompressedCache : public StatGroup
   private:
     /**
      * Insert one completed fill: pick the set's mode, size the line
-     * (memoised probe, or a full compress under verifyRoundTrip), have
+     * (one probe, or a full compress under verifyRoundTrip), have
      * the domain evict until it fits and store it, and report it to the
      * mode provider.
      */
@@ -177,12 +170,6 @@ class CompressedCache : public StatGroup
     CompressionModeProvider *provider_;
     UncompressedProvider defaultProvider_;
 
-    CompressMemo memo_;
-    /**
-     * Constructed after memo_ so its decompression queues register in
-     * the same stat order the pre-domain cache had (memo stats first,
-     * then decomp_bdi .. decomp_cpack).
-     */
     CompressionDomain domain_;
     /**
      * Under verifyRoundTrip only: the encoded form of each line filled

@@ -26,32 +26,19 @@ MemoryImage::home(Addr line_addr, std::size_t slots)
     return static_cast<std::size_t>(h) & (slots - 1);
 }
 
-MemoryImage::Slot &
-MemoryImage::slotOf(Addr line_addr)
+MemoryImage::Line &
+MemoryImage::materialise(Addr line_addr)
 {
     const std::size_t mask = index_.size() - 1;
     std::size_t i = home(line_addr, index_.size());
-    while (index_[i].addr != kNoLine && index_[i].addr != line_addr)
-        i = (i + 1) & mask;
-    return index_[i];
-}
+    for (; index_[i].addr != kNoLine; i = (i + 1) & mask) {
+        if (index_[i].addr == line_addr)
+            return *index_[i].line;
+    }
 
-MemoryImage::Line &
-MemoryImage::newStorage()
-{
-    if (stored_ % kChunkLines == 0)
+    if (resident_ % kChunkLines == 0)
         chunks_.push_back(std::make_unique_for_overwrite<Line[]>(kChunkLines));
-    return chunks_.back()[stored_++ % kChunkLines];
-}
-
-const MemoryImage::Line &
-MemoryImage::materialise(Addr line_addr)
-{
-    Slot &slot = slotOf(line_addr);
-    if (slot.addr == line_addr)
-        return *slot.line;
-
-    Line &line = newStorage();
+    Line &line = chunks_.back()[resident_ % kChunkLines];
     ++resident_;
     line.fill(0);
     // Later registrations take precedence: scan back to front.
@@ -61,7 +48,7 @@ MemoryImage::materialise(Addr line_addr)
             break;
         }
     }
-    slot = {line_addr, &line};
+    index_[i] = {line_addr, &line};
     if (2 * resident_ > index_.size())
         growIndex();
     return line;
@@ -109,11 +96,8 @@ MemoryImage::writeBytes(Addr addr, std::span<const std::uint8_t> in)
         const std::size_t offset = cur - base;
         const std::size_t chunk =
             std::min(in.size() - done, std::size_t{kLineBytes} - offset);
-        const Line &old = materialise(base);
-        Line &fresh = newStorage();
-        fresh = old;
-        std::memcpy(fresh.data() + offset, in.data() + done, chunk);
-        slotOf(base).line = &fresh;
+        Line &dst = materialise(base);
+        std::memcpy(dst.data() + offset, in.data() + done, chunk);
         done += chunk;
     }
 }

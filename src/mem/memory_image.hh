@@ -36,9 +36,8 @@ class LineGenerator
  * Sparse, lazily materialised byte-addressable memory. One run owns and
  * steps each image on one thread, so it takes no lock. Lines live in
  * fixed-size chunks that never move, found through an open-addressing
- * index that grows by rehashing. Stored lines are immutable: a write
- * gives the line fresh storage and repoints its index slot, so the
- * bytes behind any reference handed out never change.
+ * index that grows by rehashing. Simulations never write the image;
+ * writeBytes patches a line where it lies.
  */
 class MemoryImage
 {
@@ -54,25 +53,20 @@ class MemoryImage
 
     /**
      * Read the full line containing @p addr (materialising it). The
-     * reference stays valid for the image's lifetime and keeps the
-     * bytes it was taken with: a later write shows only in later
-     * line() calls. Line content is a pure function of the address and
-     * the writes before the call, so materialisation order cannot
-     * change what any reader sees.
+     * reference stays valid, and shows later writes, for the image's
+     * lifetime. Line content is a pure function of the address and the
+     * writes so far, so materialisation order cannot change what any
+     * reader sees.
      */
     const Line &line(Addr addr) { return materialise(lineAddr(addr)); }
 
     /** Read @p out.size() bytes starting at @p addr. */
     void readBytes(Addr addr, std::span<std::uint8_t> out);
 
-    /**
-     * Write bytes starting at @p addr. Each line the write touches
-     * gets fresh storage (the old bytes stay where they are, for the
-     * references that hold them).
-     */
+    /** Write bytes starting at @p addr. */
     void writeBytes(Addr addr, std::span<const std::uint8_t> in);
 
-    /** Number of line addresses materialised so far. */
+    /** Number of lines materialised so far. */
     std::size_t residentLines() const { return resident_; }
 
     /** Align @p addr down to its line base. */
@@ -96,25 +90,18 @@ class MemoryImage
     struct Slot
     {
         Addr addr = kNoLine;
-        const Line *line = nullptr;
+        Line *line = nullptr;
     };
 
     /** The line at @p line_addr, filled from its region on first touch. */
-    const Line &materialise(Addr line_addr);
-    /** The slot holding @p line_addr, else the free slot it would take. */
-    Slot &slotOf(Addr line_addr);
+    Line &materialise(Addr line_addr);
     /** First slot to probe for @p line_addr in an index of @p slots. */
     static std::size_t home(Addr line_addr, std::size_t slots);
     void growIndex();
-    /** Unused storage for one line, from the current chunk. */
-    Line &newStorage();
 
     std::vector<Region> regions_;
     std::vector<std::unique_ptr<Line[]>> chunks_;
-    /** Line addresses in the index. */
     std::size_t resident_ = 0;
-    /** Lines of chunk storage in use: resident_ plus one per line write. */
-    std::size_t stored_ = 0;
     /** Linear-probing index over chunks_; its size is a power of two. */
     std::vector<Slot> index_ = std::vector<Slot>(kMinSlots);
 };

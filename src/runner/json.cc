@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -291,6 +292,9 @@ struct Parser
         const double d = std::strtod(text.c_str(), &parse_end);
         if (!parse_end || *parse_end != '\0')
             return fail(strfmt("bad number '{}'", text));
+        // An overflow reads as +-inf, which dump() cannot write as JSON.
+        if (std::isinf(d))
+            return fail(strfmt("number out of range '{}'", text));
         out = Json(d);
         return true;
     }
@@ -733,7 +737,6 @@ toJson(const DriverOptions &options)
              {"chargeDecompression",
               Json(options.tuning.chargeDecompression)},
              {"verifyRoundTrip", Json(options.tuning.verifyRoundTrip)},
-             {"compressionMemo", Json(options.tuning.compressionMemo)},
          })},
         {"maxInstructionsPerKernel",
          Json(options.maxInstructionsPerKernel)},

@@ -480,7 +480,7 @@ TEST(MetricsReconciliation, CountersMatchTraceEvents)
     ASSERT_FALSE(registry.rows().empty());
 
     // Sum an L1 stat over all SMs (e.g. gpu.sm*.l1d*.hits) at the
-    // final sample row, ignoring nested groups like compress_memo.
+    // final sample row, ignoring nested groups like mshr.
     const auto sum_series = [&](const std::string &stat) {
         const auto names = registry.seriesNames();
         const auto &last = registry.rows().back();

@@ -188,19 +188,11 @@ TEST(Runner, ConcurrentRunnersShareOneCacheDirSafely)
 
 TEST(Runner, ExecutionShortcutsAreBitIdentical)
 {
-    // The compression memo, the verify-round-trip payloads and the
-    // tracer are execution shortcuts or observers: none of them may
-    // perturb a single simulated bit. Golden check: full result JSON
-    // (cycles, energy, per-kernel snapshots, the whole stat dump) is
-    // byte-identical with each toggled, after dropping the memo's own
-    // bookkeeping counters.
-    const auto dump_without_memo_stats = [](WorkloadRunResult result) {
-        std::erase_if(result.stats, [](const auto &kv) {
-            return kv.first.find("compress_memo") != std::string::npos;
-        });
-        return toJson(result).dump();
-    };
-
+    // The verify-round-trip payloads, the tracer, the metric registry
+    // and the profiler are execution shortcuts or observers: none of
+    // them may perturb a single simulated bit. Golden check: full
+    // result JSON (cycles, energy, per-kernel snapshots, the whole stat
+    // dump) is byte-identical with each toggled.
     const char *names[] = {"KM", "SS"};
     for (const char *name : names) {
         const Workload *workload = findWorkload(name);
@@ -211,40 +203,28 @@ TEST(Runner, ExecutionShortcutsAreBitIdentical)
             request.workload = workload;
             request.policy = kind;
             request.options = tinyOptions();
-            request.options.tuning.compressionMemo = true;
-            const std::string golden =
-                dump_without_memo_stats(run(request).value());
-
-            RunRequest no_memo = request;
-            no_memo.options.tuning.compressionMemo = false;
-            EXPECT_EQ(dump_without_memo_stats(run(no_memo).value()),
-                      golden)
-                << name << "/" << policyName(kind) << " memo off";
+            const std::string golden = toJson(run(request).value()).dump();
 
             RunRequest verified = request;
             verified.options.tuning.verifyRoundTrip = true;
-            EXPECT_EQ(dump_without_memo_stats(run(verified).value()),
-                      golden)
+            EXPECT_EQ(toJson(run(verified).value()).dump(), golden)
                 << name << "/" << policyName(kind) << " verify on";
 
             RunRequest traced = request;
             Tracer tracer;
             traced.tracer = &tracer;
-            EXPECT_EQ(dump_without_memo_stats(run(traced).value()),
-                      golden)
+            EXPECT_EQ(toJson(run(traced).value()).dump(), golden)
                 << name << "/" << policyName(kind) << " tracing on";
 
             RunRequest metered = request;
             metrics::MetricRegistry registry;
             metered.metrics = &registry;
-            EXPECT_EQ(dump_without_memo_stats(run(metered).value()),
-                      golden)
+            EXPECT_EQ(toJson(run(metered).value()).dump(), golden)
                 << name << "/" << policyName(kind) << " metrics on";
             EXPECT_FALSE(registry.rows().empty());
 
             metrics::setProfilerEnabled(true);
-            const std::string profiled =
-                dump_without_memo_stats(run(request).value());
+            const std::string profiled = toJson(run(request).value()).dump();
             metrics::setProfilerEnabled(false);
             EXPECT_EQ(profiled, golden)
                 << name << "/" << policyName(kind) << " profiler on";
@@ -736,6 +716,31 @@ TEST(Runner, JsonParsesPrimitives)
 
     Json::parse("{broken", &error);
     EXPECT_FALSE(error.empty());
+
+    // A number a double cannot hold fails, naming the literal: read as
+    // +-inf it would dump as a bare `inf`, which is not JSON.
+    const std::pair<const char *, const char *> overflows[] = {
+        {"1e999", "1e999"},
+        {"-3e710", "-3e710"},
+        {R"({"id":1e999})", "1e999"},
+        {"[0, 1.7976931348623159e308]", "1.7976931348623159e308"},
+    };
+    for (const auto &[text, literal] : overflows) {
+        error.clear();
+        EXPECT_EQ(Json::parse(text, &error).type(), Json::Type::Null)
+            << text;
+        EXPECT_EQ(error, std::string("number out of range '") + literal +
+                             "'")
+            << text;
+    }
+
+    // The largest finite double parses; an underflow reads as 0.
+    error.clear();
+    EXPECT_EQ(Json::parse("1.7976931348623157e308", &error).asDouble(),
+              1.7976931348623157e308)
+        << error;
+    EXPECT_EQ(Json::parse("1e-999", &error).asDouble(), 0.0) << error;
+    EXPECT_TRUE(error.empty()) << error;
 }
 
 TEST(Runner, JsonNestingIsCapped)

@@ -15,6 +15,7 @@
 #include <iterator>
 #include <limits>
 #include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -699,6 +700,90 @@ TEST(Serialization, SubmitPriorityMustBeAnInt64)
     const auto info = service.job(response.at("job").asUint());
     ASSERT_TRUE(info.has_value());
     EXPECT_EQ(info->priority, -9'000'000'000'000'000'000);
+}
+
+TEST(JsonFuzz, MutatedDocumentsFailCleanlyOrRoundTrip)
+{
+    // Fixed-seed byte flips, inserts, deletes and truncations of real
+    // documents: a result, the CI's l2link spec and the wire protocol's
+    // request lines. Every input must parse or fail with an error, and
+    // every accepted one must round-trip through dump().
+    std::ifstream spec_file(std::string(LATTE_SOURCE_DIR) +
+                            "/bench/golden/l2link-spec.json");
+    ASSERT_TRUE(spec_file.is_open());
+    const std::string l2link_spec{std::istreambuf_iterator<char>(spec_file),
+                                  std::istreambuf_iterator<char>()};
+    const std::vector<std::string> seeds = {
+        runner::toJson(fullResult()).dump(),
+        runner::toJson(fullResult()).dump(2),
+        l2link_spec,
+        fullSpec().toJson().dump(),
+        R"({"type":"ping","id":[1,"a",null],"client":"ci"})",
+        R"({"type":"submit","spec":{"workloads":["KM"],)"
+        R"("policies":["Baseline"]},"priority":-3.0})",
+        R"({"type":"status","job":12})",
+        R"({"type":"wait","job":18446744073709551615})",
+        R"({"type":"cancel","job":3,"id":"x\u0001\n"})",
+        R"({"type":"jobs"})",
+        R"({"type":"stats","id":2.5e-3})",
+        R"({"type":"metrics","id":true})",
+        R"({"type":"subscribe","job":1})",
+        R"({"type":"shutdown","id":false})",
+    };
+    // What an insert may add: punctuation, escapes, literals and
+    // numbers at the edges of what a uint64 and a double hold.
+    static const char *const kTokens[] = {
+        "{", "}", "[", "]", ",", ":", "\"", "\\", "\\u00", " ", "\n",
+        "null", "true", "false", "-", "+", ".", "e", "E", "0", "9",
+        "1e999", "-1e999", "1e-999", "1.7976931348623159e308",
+        "18446744073709551616", "-0", "NaN", "inf", "0x10",
+    };
+
+    std::mt19937_64 rng(0x1a77ecc);
+    constexpr unsigned kCases = 20000;
+    unsigned accepted = 0;
+    for (unsigned c = 0; c < kCases; ++c) {
+        std::string text = seeds[c % seeds.size()];
+        for (unsigned edits = 1 + rng() % 4; edits > 0; --edits) {
+            const std::size_t at = rng() % (text.size() + 1);
+            switch (rng() % 5) {
+              case 0: // flip one bit
+                if (at < text.size())
+                    text[at] ^= static_cast<char>(1u << (rng() % 8));
+                break;
+              case 1: // insert any byte
+                text.insert(at, 1, static_cast<char>(rng()));
+                break;
+              case 2:
+                text.insert(at, kTokens[rng() % std::size(kTokens)]);
+                break;
+              case 3: // delete a short run
+                text.erase(at, 1 + rng() % 8);
+                break;
+              default:
+                text.resize(at);
+                break;
+            }
+        }
+
+        std::string error;
+        const Json parsed = Json::parse(text, &error);
+        if (!error.empty()) {
+            EXPECT_EQ(parsed.type(), Json::Type::Null) << text;
+            continue;
+        }
+        ++accepted;
+        const std::string dumped = parsed.dump();
+        const Json again = Json::parse(dumped, &error);
+        ASSERT_TRUE(error.empty())
+            << error << "\n input: " << text << "\n dump: " << dumped;
+        ASSERT_EQ(again.dump(), dumped) << "input: " << text;
+        ASSERT_EQ(Json::parse(parsed.dump(2)).dump(), dumped)
+            << "input: " << text;
+    }
+    // Both outcomes are exercised.
+    EXPECT_GT(accepted, kCases / 10);
+    EXPECT_LT(accepted, kCases - kCases / 10);
 }
 
 } // namespace

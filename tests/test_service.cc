@@ -467,6 +467,21 @@ TEST(Service, DispatcherSpeaksTheWireProtocol)
                   R"({"type":"submit","spec":{"policies":17}})", session)),
               "invalid_spec");
 
+    // A number a double cannot hold is bad JSON, not an inf that the
+    // journal would write back as an unparsable line.
+    std::string overflowing = tinySpec().toJson().dump();
+    const std::size_t options_at = overflowing.find(R"("options":{)");
+    ASSERT_NE(options_at, std::string::npos) << overflowing;
+    overflowing.insert(options_at + 11,
+                       R"("cfg.noc_bytes_per_cycle":1e999,)");
+    EXPECT_EQ(errorCode(dispatcher.handle(
+                  R"({"type":"submit","spec":)" + overflowing + "}",
+                  session)),
+              "bad_json");
+    EXPECT_EQ(errorCode(dispatcher.handle(R"({"type":"ping","id":1e999})",
+                                          session)),
+              "bad_json");
+
     // A well-formed submit; the session's client identity sticks.
     const std::string submit =
         R"({"type":"submit","client":"wire","spec":)" +
@@ -486,6 +501,16 @@ TEST(Service, DispatcherSpeaksTheWireProtocol)
     ASSERT_TRUE(response.at("ok").asBool());
     EXPECT_EQ(response.at("stats").at("submitted").asUint(), 1u);
     EXPECT_EQ(response.at("stats").at("queue_depth").asUint(), 1u);
+
+    // The journal holds the one acknowledged submit, and it parses.
+    std::istringstream journal(readFile(options.stateDir + "/jobs.jsonl"));
+    std::size_t records = 0;
+    for (std::string line; std::getline(journal, line); ++records) {
+        std::string error;
+        runner::Json::parse(line, &error);
+        EXPECT_TRUE(error.empty()) << error << ": " << line;
+    }
+    EXPECT_EQ(records, 1u);
 
     response = dispatcher.handle(R"({"type":"metrics"})", session);
     ASSERT_TRUE(response.at("ok").asBool());
