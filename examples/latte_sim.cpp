@@ -275,7 +275,9 @@ main(int argc, char **argv)
             std::cerr << "cannot write '" << timeline_out << "'\n";
             return 1;
         }
-        out << runner::timelineToJson({result}).dump(2) << "\n";
+        runner::ExportWriter runs = runner::ExportWriter::timeline(out);
+        runs.add(runner::timelineRunToJson(result));
+        runs.close();
     }
 
     if (registry &&

@@ -209,9 +209,13 @@ void
 CompressedCache::insertLine(Cycles now, Addr line_addr)
 {
     const std::uint32_t set = setIndexOf(line_addr);
-    const MemoryImage::Line &bytes = mem_->line(line_addr);
-
     const CompressorId mode = provider_->modeForInsertion(set);
+    // Line content is a pure function of the address: a fill that needs
+    // no bytes reads none, so a Baseline cell materialises no line.
+    std::span<const std::uint8_t> bytes;
+    if (mode != CompressorId::None || provider_->readsInsertionBytes())
+        bytes = mem_->line(line_addr);
+
     LineMeta meta = makeRawMeta(CompressorId::None);
     if (mode != CompressorId::None) {
         Compressor *engine = engines_->get(mode);

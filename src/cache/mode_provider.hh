@@ -52,7 +52,13 @@ class CompressionModeProvider
         (void)event;
     }
 
-    /** Called when a fill inserts a line (after modeForInsertion). */
+    /** Whether observeInsertion() reads the fill's bytes just now. */
+    virtual bool readsInsertionBytes() const { return true; }
+
+    /**
+     * Called when a fill inserts a line (after modeForInsertion). @p data
+     * is empty unless a compressor or readsInsertionBytes() needed it.
+     */
     virtual void
     observeInsertion(Cycles now, std::uint32_t set_index, CompressorId mode,
                      std::span<const std::uint8_t> data)
@@ -70,6 +76,7 @@ class UncompressedProvider : public CompressionModeProvider
     {
         return CompressorId::None;
     }
+    bool readsInsertionBytes() const override { return false; }
 };
 
 } // namespace latte

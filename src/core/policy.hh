@@ -127,11 +127,18 @@ class Policy : public CompressionModeProvider
         }
     }
 
+    /** The SC VFT trains on fills inside SC training windows. */
+    bool
+    readsInsertionBytes() const override
+    {
+        return usesSc_ && scTrainingWindow();
+    }
+
     void
     observeInsertion(Cycles, std::uint32_t, CompressorId,
                      std::span<const std::uint8_t> data) override
     {
-        if (usesSc_ && scTrainingWindow())
+        if (readsInsertionBytes())
             engines_->sc.trainLine(data);
     }
 

@@ -1,11 +1,13 @@
 #include "json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ostream>
 
 #include "common/logging.hh"
 #include "compress/backend.hh"
@@ -187,6 +189,18 @@ Json::dump(int indent) const
 namespace
 {
 
+/** Append @p code, at most U+10FFFF, to @p out as UTF-8. */
+void
+appendUtf8(std::string &out, std::uint32_t code)
+{
+    // A lead byte (1 + tail high ones past ASCII), six bits per tail byte.
+    const int tail = (code >= 0x80) + (code >= 0x800) + (code >= 0x10000);
+    out += static_cast<char>(tail ? 0xff << (7 - tail) | code >> (6 * tail)
+                                  : code);
+    for (int i = tail - 1; i >= 0; --i)
+        out += static_cast<char>(0x80 | (code >> (6 * i) & 0x3f));
+}
+
 struct Parser
 {
     const char *p;
@@ -220,6 +234,17 @@ struct Parser
         return true;
     }
 
+    /** The four hex digits after the 'u' at p; leaves p on the last. */
+    bool
+    hex4(std::uint32_t &code)
+    {
+        if (end - p < 5 ||
+            std::from_chars(p + 1, p + 5, code, 16).ptr != p + 5)
+            return fail("\\u escape needs four hex digits");
+        p += 4;
+        return true;
+    }
+
     bool
     parseString(std::string &out)
     {
@@ -241,13 +266,22 @@ struct Parser
                   case 'b': out += '\b'; break;
                   case 'f': out += '\f'; break;
                   case 'u': {
-                    if (end - p < 5)
-                        return fail("short \\u escape");
-                    char hex[5] = {p[1], p[2], p[3], p[4], 0};
-                    const long code = std::strtol(hex, nullptr, 16);
-                    // Only the control-character range is ever emitted.
-                    out += static_cast<char>(code & 0x7f);
-                    p += 4;
+                    std::uint32_t code = 0, low = 0;
+                    if (!hex4(code))
+                        return false;
+                    // A high surrogate pairs with a low one after it.
+                    if ((code & 0xfc00) == 0xd800 && end - p > 2 &&
+                        p[1] == '\\' && p[2] == 'u') {
+                        p += 2;
+                        if (!hex4(low))
+                            return false;
+                        if ((low & 0xfc00) == 0xdc00)
+                            code = 0x10000 + ((code - 0xd800) << 10 |
+                                              (low - 0xdc00));
+                    }
+                    if ((code & 0xf800) == 0xd800)
+                        return fail("unpaired surrogate in \\u escape");
+                    appendUtf8(out, code);
                     break;
                   }
                   default:
@@ -613,24 +647,51 @@ fromJson(const Json &json, RunOutcome &outcome, std::string *error)
 }
 
 Json
-timelineToJson(const std::vector<WorkloadRunResult> &results)
+timelineRunToJson(const WorkloadRunResult &result)
 {
-    Json::Array runs;
-    for (const WorkloadRunResult &result : results) {
-        Json::Array points;
-        for (const PolicyTracePoint &point : result.trace)
-            points.push_back(toJson(point));
-        runs.push_back(Json(Json::Object{
-            {"workload", Json(result.workload)},
-            {"policy", Json(result.policyLabel)},
-            {"seed", Json(result.seed)},
-            {"points", Json(std::move(points))},
-        }));
-    }
+    Json::Array points;
+    for (const PolicyTracePoint &point : result.trace)
+        points.push_back(toJson(point));
     return Json(Json::Object{
-        {"schema", Json(std::uint64_t{1})},
-        {"runs", Json(std::move(runs))},
+        {"workload", Json(result.workload)},
+        {"policy", Json(result.policyLabel)},
+        {"seed", Json(result.seed)},
+        {"points", Json(std::move(points))},
     });
+}
+
+/** Both exports are dump(2) documents. */
+constexpr int kExportIndent = 2;
+
+ExportWriter
+ExportWriter::cells(std::ostream &out)
+{
+    return ExportWriter(out, 0, "\n");
+}
+
+ExportWriter
+ExportWriter::timeline(std::ostream &out)
+{
+    // {"runs": [...], "schema": 1}, keys in dump()'s sorted order.
+    out << "{\n  \"runs\": ";
+    return ExportWriter(out, 1, ",\n  \"schema\": 1\n}\n");
+}
+
+void
+ExportWriter::add(const Json &element)
+{
+    std::string text(empty_ ? "[\n" : ",\n");
+    text.append(static_cast<std::size_t>(kExportIndent) * (depth_ + 1), ' ');
+    dumpTo(element, text, kExportIndent, depth_ + 1);
+    out_ << text;
+    empty_ = false;
+}
+
+void
+ExportWriter::close()
+{
+    const std::string indent(kExportIndent * depth_, ' ');
+    out_ << (empty_ ? "[]" : "\n" + indent + "]") << tail_;
 }
 
 Json

@@ -16,6 +16,7 @@
 #define LATTE_RUNNER_JSON_HH
 
 #include <cstdint>
+#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
@@ -119,11 +120,9 @@ Json toJson(const RunError &error);
 Json toJson(const RunOutcome &outcome);
 
 /**
- * The sweep export document: every outcome as a schema-3 cell document
- * in sweep order. One function shared by Sweep::writeJson, the latted
- * service and latte_client's in-process runner, so the same outcomes
- * always serialize to byte-identical export text regardless of which
- * front end produced them.
+ * The sweep export document as one tree: every outcome as a schema-3
+ * cell document in sweep order. Front ends stream the same bytes with
+ * ExportWriter::cells() instead of building it.
  */
 Json outcomesToJson(const std::vector<RunOutcome> &outcomes);
 
@@ -131,11 +130,39 @@ Json outcomesToJson(const std::vector<RunOutcome> &outcomes);
 Json toJson(const DriverOptions &options);
 
 /**
- * The --timeline-out document: per-EP time series (latency tolerance,
- * chosen mode, effective capacity, decompression-queue occupancy,
- * sampler counters) of every run in @p results.
+ * One run of the --timeline-out document: its per-EP time series
+ * (latency tolerance, chosen mode, effective capacity,
+ * decompression-queue occupancy, sampler counters).
  */
-Json timelineToJson(const std::vector<WorkloadRunResult> &results);
+Json timelineRunToJson(const WorkloadRunResult &result);
+
+/**
+ * Streams the --json or --timeline-out document one cell at a time: the
+ * text is dump(2) of the whole document plus a newline, byte for byte,
+ * while only the cell being added has a Json tree.
+ */
+class ExportWriter
+{
+  public:
+    /** The --json export; add() each cell's toJson(outcome). */
+    static ExportWriter cells(std::ostream &out);
+    /** The --timeline-out document; add() each timelineRunToJson(). */
+    static ExportWriter timeline(std::ostream &out);
+
+    void add(const Json &element);
+    /** Close the array and write the rest of the document. */
+    void close();
+
+  private:
+    ExportWriter(std::ostream &out, int depth, const char *tail)
+        : out_(out), depth_(depth), tail_(tail)
+    {}
+
+    std::ostream &out_;
+    int depth_;        //!< of the array in the document
+    const char *tail_; //!< the document text after the array
+    bool empty_ = true;
+};
 
 /**
  * Flatten every numeric leaf of @p json into @p out under dotted key

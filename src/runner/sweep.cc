@@ -237,21 +237,20 @@ Sweep::writeJson() const
         return;
 
     metrics::ProfileScope profile(metrics::ProfileZone::RunnerSerialize);
-    // Every finished cell is exported, failed ones included: a partial
-    // sweep still yields a complete document whose failed cells carry
-    // their cause and retry history in the outcome envelope.
-    std::vector<RunOutcome> finished;
-    for (std::size_t i = 0; i < outcomes_.size(); ++i) {
-        if (done_[i])
-            finished.push_back(outcomes_[i]);
-    }
-
     std::ofstream out(jsonPath_);
     if (!out) {
         latte_warn("cannot write --json file {}", jsonPath_);
         return;
     }
-    out << outcomesToJson(finished).dump(2) << "\n";
+    // Every finished cell is exported, failed ones included: a partial
+    // sweep still yields a complete document whose failed cells carry
+    // their cause and retry history in the outcome envelope.
+    ExportWriter cells = ExportWriter::cells(out);
+    for (std::size_t i = 0; i < outcomes_.size(); ++i) {
+        if (done_[i])
+            cells.add(toJson(outcomes_[i]));
+    }
+    cells.close();
 }
 
 void
@@ -284,18 +283,17 @@ Sweep::writeTimeline() const
     if (timelineOut_.empty())
         return;
 
-    std::vector<WorkloadRunResult> finished;
-    for (std::size_t i = 0; i < outcomes_.size(); ++i) {
-        if (done_[i] && outcomes_[i].result)
-            finished.push_back(*outcomes_[i].result);
-    }
-
     std::ofstream out(timelineOut_);
     if (!out) {
         latte_warn("cannot write --timeline-out file {}", timelineOut_);
         return;
     }
-    out << timelineToJson(finished).dump(2) << "\n";
+    ExportWriter runs = ExportWriter::timeline(out);
+    for (std::size_t i = 0; i < outcomes_.size(); ++i) {
+        if (done_[i] && outcomes_[i].result)
+            runs.add(timelineRunToJson(*outcomes_[i].result));
+    }
+    runs.close();
 }
 
 void

@@ -680,7 +680,10 @@ SweepService::execute(Job &job)
                       "cannot write " + tmp_path);
             return;
         }
-        out << runner::outcomesToJson(outcomes).dump(2) << "\n";
+        auto export_cells = runner::ExportWriter::cells(out);
+        for (const RunOutcome &outcome : outcomes)
+            export_cells.add(runner::toJson(outcome));
+        export_cells.close();
     }
     std::error_code ec;
     std::filesystem::rename(tmp_path, result_path, ec);

@@ -11,9 +11,9 @@
  * submitted-but-unfinished jobs are requeued, and each job's own cell
  * journal (the runner's SweepJournal) resumes the sweep itself
  * cell-by-cell. Results are published atomically (tmp + rename) to
- * <stateDir>/job-<id>.result.json as the canonical outcomesToJson
- * export — byte-identical to the same spec run in-process through
- * Sweep, which is the property the service smoke test pins.
+ * <stateDir>/job-<id>.result.json as the canonical --json export —
+ * byte-identical to the same spec run in-process through Sweep, which
+ * is the property the service smoke test pins.
  *
  * The service layer is deliberately socket-free: latted binds it to an
  * AF_UNIX socket via RequestDispatcher/SocketServer, and the tests

@@ -3,19 +3,22 @@
  * Unit tests for the compressed L1 data cache: tag/sub-block accounting,
  * the 4x-tag capacity expansion, write-avoid semantics, MSHR merging,
  * the order due fills insert in, decompression queueing, SC
- * generation invalidation, the sampled-set mismatch flush, and the
- * round-trip verifier and duplicate-fill checks firing.
+ * generation invalidation, the sampled-set mismatch flush, which fills
+ * read their line from the memory image, and the round-trip verifier
+ * and duplicate-fill checks firing.
  */
 
 #include <gtest/gtest.h>
 
 #include <iterator>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "cache/compressed_cache.hh"
 #include "common/config.hh"
+#include "core/policies.hh"
 #include "trace/tracer.hh"
 #include "workloads/value_gens.hh"
 
@@ -401,6 +404,78 @@ TEST_F(CacheFixture, PerSetSubBlockCounterTracksTagWalk)
     const auto write = cache.access(now, victim, true);
     if (write.hit)
         check_all("after write invalidation");
+}
+
+namespace
+{
+
+/** LATTE-CC that counts its fills by whether they needed the bytes. */
+class FillReadCounter final : public LatteCcPolicy
+{
+  public:
+    using LatteCcPolicy::LatteCcPolicy;
+
+    void
+    observeInsertion(Cycles now, std::uint32_t set_index, CompressorId mode,
+                     std::span<const std::uint8_t> data) override
+    {
+        const bool compressed = mode != CompressorId::None;
+        const bool trains = readsInsertionBytes();
+        if (data.size() != (compressed || trains ? kLineBytes : 0u))
+            ++wrongSizes;
+        if (compressed)
+            ++compressedFills;
+        else if (trains)
+            ++trainingFills;
+        else
+            ++unreadFills;
+        LatteCcPolicy::observeInsertion(now, set_index, mode, data);
+    }
+
+    std::size_t compressedFills = 0;
+    std::size_t trainingFills = 0; //!< raw, inside an SC training window
+    std::size_t unreadFills = 0;
+    /** Fills whose bytes were read when not needed, or the reverse. */
+    std::size_t wrongSizes = 0;
+};
+
+} // namespace
+
+TEST_F(CacheFixture, UnreadLinesStayUnmaterialised)
+{
+    // Each fill below is of a line no fill touched before, so the image
+    // holds exactly the lines some fill read.
+    Cycles now = 0;
+    Addr next = 0x100000;
+    const auto install = [&](std::size_t lines) {
+        for (std::size_t i = 0; i < lines; ++i, next += 128)
+            installLine(next, now);
+    };
+
+    // The uncompressed baseline reads no line.
+    install(64);
+    EXPECT_EQ(cache.insertions.count(), 64u);
+    EXPECT_EQ(mem.residentLines(), 0u);
+
+    // Static BDI probes, so reads, every line it fills.
+    StaticModeProvider bdi(CompressorId::Bdi);
+    cache.setModeProvider(&bdi);
+    install(64);
+    EXPECT_EQ(mem.residentLines(), 64u);
+
+    // LATTE-CC over a whole period and into the next: every compressed
+    // fill and every fill in an SC training window (the first EP and
+    // each period's last) reads its line, and no other fill does.
+    FillReadCounter latte(cfg);
+    latte.bind(&cache, &engines, nullptr);
+    cache.setModeProvider(&latte);
+    install(cfg.latte.epAccesses * (cfg.latte.periodEps + 2));
+    EXPECT_GT(latte.compressedFills, 0u);
+    EXPECT_GT(latte.trainingFills, 0u);
+    EXPECT_GT(latte.unreadFills, 0u);
+    EXPECT_EQ(latte.wrongSizes, 0u);
+    EXPECT_EQ(mem.residentLines(),
+              64u + latte.compressedFills + latte.trainingFills);
 }
 
 // ------------------------------- tuning knobs used by Figures 3 and 4

@@ -741,6 +741,29 @@ TEST(Runner, JsonParsesPrimitives)
         << error;
     EXPECT_EQ(Json::parse("1e-999", &error).asDouble(), 0.0) << error;
     EXPECT_TRUE(error.empty()) << error;
+
+    // \u escapes decode to UTF-8, surrogate pairs to one code point.
+    const std::pair<const char *, const char *> escapes[] = {
+        {R"("caf\u00e9")", "caf\xc3\xa9"},
+        {R"("\u4e2d")", "\xe4\xb8\xad"},
+        {R"("\ud83d\ude00")", "\xf0\x9f\x98\x80"},
+        {R"("\u0001\u007F")", "\x01\x7f"},
+    };
+    for (const auto &[text, utf8] : escapes) {
+        EXPECT_EQ(Json::parse(text, &error).asString(), utf8) << text;
+        EXPECT_TRUE(error.empty()) << text << ": " << error;
+    }
+    // A non-hex digit, a short escape (which must not swallow the
+    // closing quote) and a surrogate without its other half all fail.
+    for (const char *text :
+         {R"("\uZZZZ")", R"("\u00")", R"(["\u00", 1])", R"("\u12g4")",
+          R"("\ud83d")", R"("\ud83dx")", R"("\ud83dA")",
+          R"("\ude00")"}) {
+        error.clear();
+        EXPECT_EQ(Json::parse(text, &error).type(), Json::Type::Null)
+            << text;
+        EXPECT_FALSE(error.empty()) << text;
+    }
 }
 
 TEST(Runner, JsonNestingIsCapped)

@@ -16,6 +16,7 @@
 #include <limits>
 #include <optional>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -133,6 +134,41 @@ failedOutcome()
     outcome.retryHistory = {error, error};
     outcome.simThreads = 4;
     return outcome;
+}
+
+/** fullResult() with names that need escaping, non-ASCII included. */
+WorkloadRunResult
+escapedResult()
+{
+    WorkloadRunResult r = fullResult();
+    r.workload = "K\"M\\\x01\n";
+    r.policyLabel = "tab\tcaf\xc3\xa9";
+    return r;
+}
+
+/**
+ * The --timeline-out document as one tree, the way front ends built it
+ * before they streamed it: the oracle of ExportWriter::timeline().
+ */
+Json
+timelineTree(const std::vector<WorkloadRunResult> &results)
+{
+    Json::Array runs;
+    for (const WorkloadRunResult &result : results) {
+        Json::Array points;
+        for (const PolicyTracePoint &point : result.trace)
+            points.push_back(runner::toJson(point));
+        runs.push_back(Json(Json::Object{
+            {"workload", Json(result.workload)},
+            {"policy", Json(result.policyLabel)},
+            {"seed", Json(result.seed)},
+            {"points", Json(std::move(points))},
+        }));
+    }
+    return Json(Json::Object{
+        {"schema", Json(std::uint64_t{1})},
+        {"runs", Json(std::move(runs))},
+    });
 }
 
 runner::SweepSpec
@@ -418,6 +454,47 @@ realCellDocument()
     result.stats.erase(std::next(result.stats.begin(), 3),
                        result.stats.end());
     return runner::toJson(outcome);
+}
+
+TEST(Serialization, StreamedCellExportEqualsTheTreeDump)
+{
+    const RunOutcome ok = RunOutcome::success(fullResult());
+    const std::vector<std::vector<RunOutcome>> sweeps = {
+        {},
+        {ok},
+        {failedOutcome()},
+        {ok, failedOutcome(), RunOutcome::success(escapedResult()), ok},
+    };
+    for (const std::vector<RunOutcome> &outcomes : sweeps) {
+        std::ostringstream text;
+        runner::ExportWriter cells = runner::ExportWriter::cells(text);
+        for (const RunOutcome &outcome : outcomes)
+            cells.add(runner::toJson(outcome));
+        cells.close();
+        EXPECT_EQ(text.str(),
+                  runner::outcomesToJson(outcomes).dump(2) + "\n")
+            << outcomes.size() << " cells";
+    }
+}
+
+TEST(Serialization, StreamedTimelineEqualsTheTreeDump)
+{
+    WorkloadRunResult untraced = fullResult();
+    untraced.trace.clear();
+    const std::vector<std::vector<WorkloadRunResult>> sweeps = {
+        {},
+        {fullResult()},
+        {fullResult(), untraced, escapedResult()},
+    };
+    for (const std::vector<WorkloadRunResult> &results : sweeps) {
+        std::ostringstream text;
+        runner::ExportWriter runs = runner::ExportWriter::timeline(text);
+        for (const WorkloadRunResult &result : results)
+            runs.add(runner::timelineRunToJson(result));
+        runs.close();
+        EXPECT_EQ(text.str(), timelineTree(results).dump(2) + "\n")
+            << results.size() << " runs";
+    }
 }
 
 TEST(Serialization, MalformedCellDocumentsAreRejectedNotFatal)
@@ -724,6 +801,7 @@ TEST(JsonFuzz, MutatedDocumentsFailCleanlyOrRoundTrip)
         R"({"type":"status","job":12})",
         R"({"type":"wait","job":18446744073709551615})",
         R"({"type":"cancel","job":3,"id":"x\u0001\n"})",
+        R"({"type":"ping","client":"caf\u00e9 \u4e2d \ud83d\ude00"})",
         R"({"type":"jobs"})",
         R"({"type":"stats","id":2.5e-3})",
         R"({"type":"metrics","id":true})",

@@ -225,10 +225,12 @@ TEST(Trace, TimelineExportRoundTrips)
         runTraced(PolicyKind::LatteCc, nullptr);
     ASSERT_FALSE(result.trace.empty());
 
-    const runner::Json timeline = runner::timelineToJson({result});
+    std::ostringstream text;
+    runner::ExportWriter writer = runner::ExportWriter::timeline(text);
+    writer.add(runner::timelineRunToJson(result));
+    writer.close();
     std::string error;
-    const runner::Json parsed =
-        runner::Json::parse(timeline.dump(2), &error);
+    const runner::Json parsed = runner::Json::parse(text.str(), &error);
     ASSERT_TRUE(error.empty()) << error;
 
     EXPECT_EQ(parsed.at("schema").asUint(), 1u);
